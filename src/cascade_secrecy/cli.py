@@ -31,14 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import SideInfoSpec, side_info_from_json
-from .payoff import (
-    LogLossPayoff,
-    _alphabet_from_obj,
-    payoff_from_json,
-)
+from .payoff import LogLossPayoff, payoff_from_json
 from .probability import (
     CapExceededError,
     ZeroProbabilityError,
+    _alphabet_from_json,
     conditional_mutual_information,
     entropy,
     mutual_information,
@@ -187,8 +184,8 @@ class _Run:
         self.command = command
         self.control = control
         self.problem = problem
-        # The output directory and thread count steer execution, not results,
-        # so they stay out of the hash: equal configs mean equal bytes.
+        # The output directory and the no-op worker count do not change the
+        # results, so they stay out of the hash: equal configs mean equal bytes.
         hashed = {k: v for k, v in control.items() if k not in ("out", "workers")}
         self.hash = _config_hash(
             {"command": command, "control": hashed, "problem": problem}
@@ -341,7 +338,7 @@ def _inner_problem(problem: dict) -> InnerSearchProblem:
     if isinstance(payoff, LogLossPayoff):
         for tag in ("y2_alphabet", "y3_alphabet"):
             kwargs[tag] = _built(
-                _alphabet_from_obj, _get(problem, tag, "problem"), f"problem.{tag}"
+                _alphabet_from_json, _get(problem, tag, "problem"), f"problem.{tag}"
             )
     return _built(
         lambda _: InnerSearchProblem(p_x, payoff, side, budget, caps, **kwargs),
@@ -530,8 +527,8 @@ def _run_example(run: _Run) -> int:
 def _equiv_problem(problem: dict) -> EquivocationProblem:
     p_x = _built(pmf_from_json, _get(problem, "p_x", "problem"), "problem.p_x")
     secret = tuple(_as_list(_get(problem, "secret_set", "problem"), "problem.secret_set"))
-    y2 = _built(_alphabet_from_obj, _get(problem, "y2_alphabet", "problem"), "problem.y2_alphabet")
-    y3 = _built(_alphabet_from_obj, _get(problem, "y3_alphabet", "problem"), "problem.y3_alphabet")
+    y2 = _built(_alphabet_from_json, _get(problem, "y2_alphabet", "problem"), "problem.y2_alphabet")
+    y3 = _built(_alphabet_from_json, _get(problem, "y3_alphabet", "problem"), "problem.y3_alphabet")
     d1 = _get(problem, "d1", "problem")
     d2 = _get(problem, "d2", "problem")
     fields = {
@@ -602,7 +599,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, help="search restarts")
         p.add_argument("--samples", type=int, help="Monte Carlo sample count")
         p.add_argument("--tol", type=float, help="verification tolerance")
-        p.add_argument("--workers", type=int, help="worker threads")
+        p.add_argument(
+            "--workers", type=int, help="accepted for compatibility; has no effect"
+        )
     return parser
 
 

@@ -29,7 +29,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .probability import Alphabet, JointDistribution, _as_names, _marginal_table
+from .probability import (
+    Alphabet,
+    JointDistribution,
+    _alphabet_from_json,
+    _alphabet_to_json,
+    _as_names,
+    _marginal_table,
+)
 
 __all__ = [
     "PayoffTable",
@@ -253,18 +260,6 @@ def _marginal_table_grouped(
 # JSON: -inf is encoded as the string "-inf" so files stay strict JSON.
 
 
-def _alphabet_obj(a: Alphabet) -> dict:
-    obj: dict = {"name": a.name, "size": a.size}
-    if a.labels is not None:
-        obj["labels"] = list(a.labels)
-    return obj
-
-
-def _alphabet_from_obj(obj) -> Alphabet:
-    labels = tuple(obj["labels"]) if obj.get("labels") is not None else None
-    return Alphabet(str(obj["name"]), int(obj["size"]), labels)
-
-
 def payoff_to_json(payoff: PayoffTable | LogLossPayoff) -> dict:
     if isinstance(payoff, LogLossPayoff):
         return {"log_loss": {"secret_set": list(payoff.secret_set)}}
@@ -273,10 +268,10 @@ def payoff_to_json(payoff: PayoffTable | LogLossPayoff) -> dict:
     ]
     return {
         "alphabets": {
-            "x": _alphabet_obj(payoff.x_alphabet),
-            "y2": _alphabet_obj(payoff.y2_alphabet),
-            "y3": _alphabet_obj(payoff.y3_alphabet),
-            "z": _alphabet_obj(payoff.z_alphabet),
+            "x": _alphabet_to_json(payoff.x_alphabet),
+            "y2": _alphabet_to_json(payoff.y2_alphabet),
+            "y3": _alphabet_to_json(payoff.y3_alphabet),
+            "z": _alphabet_to_json(payoff.z_alphabet),
         },
         "values": values,
     }
@@ -285,7 +280,7 @@ def payoff_to_json(payoff: PayoffTable | LogLossPayoff) -> dict:
 def payoff_from_json(obj) -> PayoffTable | LogLossPayoff:
     if "log_loss" in obj:
         return LogLossPayoff(tuple(obj["log_loss"]["secret_set"]))
-    alphas = {k: _alphabet_from_obj(v) for k, v in obj["alphabets"].items()}
+    alphas = {k: _alphabet_from_json(v) for k, v in obj["alphabets"].items()}
     values = np.array(
         [-np.inf if v == "-inf" else float(v) for v in obj["values"]], dtype=np.float64
     ).reshape(alphas["x"].size, alphas["y2"].size, alphas["y3"].size, alphas["z"].size)

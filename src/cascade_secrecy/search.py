@@ -13,16 +13,19 @@ satisfies every structural constraint identically:
 * X, Y2 are emitted from V1 and Y3 from V2 through channels, giving both
   Markov chains for free.
 
-The only soft constraint left is the source marginal (X must match P_X);
-it is handed to SLSQP as an equality constraint along with the rate
-budget inequalities, while the restart stage samples channel structures
-(support-aware around the payoff's forbidden set) and Dirichlet weights.
-When the space of deterministic channel maps is small enough the search
-enumerates it exhaustively instead of sampling.
+The only soft constraint left is the source marginal (X must match P_X).
+The restart stage samples channel structures (support-aware around the
+payoff's forbidden set) and Dirichlet weights.  When |A| or |B| is 1 the
+weights form one flat simplex, and a trust-region sequential LP refines
+them under the source-marginal equalities and linearized rate cuts; other
+structures compete at their start weights.  When the space of
+deterministic channel maps is small enough the search enumerates it
+exhaustively instead of sampling.
 
 Results are merged by payoff and then by candidate hash, so the outcome
-is a deterministic function of (problem, seed, restarts) regardless of
-how many workers run the restarts.
+is a deterministic function of (problem, seed, restarts).  The winner is
+re-derived by the reference evaluator in :mod:`cascade_secrecy.bounds`
+before it is published.
 
 The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
@@ -37,7 +40,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,10 +51,12 @@ from .bounds import (
     RatePayoffTuple,
     SideInfoSpec,
     candidate_to_json,
+    check_inner_constraints,
     equivocation_value,
+    eval_inner_tuple,
 )
 from .payoff import LogLossPayoff, PayoffTable, _batched_values
-from .probability import Alphabet, JointDistribution, Pmf
+from .probability import Alphabet, JointDistribution, Pmf, _entropy_of
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT",
@@ -78,6 +82,8 @@ _MARGINAL_SLACK = 1e-6  # accepted source-marginal gap for search results
 _BACKOFF = 1e-7  # refinement aims slightly inside the rate budget
 _ENUM_REFINE_ALL = 2048  # refine every enumerated map below this count
 _ENUM_REFINE_TOP = 256  # otherwise refine only this many screened maps
+_LP_MAXITER = 40  # LP refinement steps; they converge within this when at all
+_CERTIFY_TOL = 1e-9  # published tuple vs the reference evaluator
 
 
 @dataclass(frozen=True)
@@ -189,11 +195,6 @@ class SearchResult:
             "wall_time": self.wall_time,
             "message": self.message,
         }
-
-
-def _entropy_bits(arr: np.ndarray) -> float:
-    a = arr[arr > 0.0]
-    return float(-(a * np.log2(a)).sum()) if a.size else 0.0
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -359,7 +360,7 @@ def _sample_structure(
 
 
 class _ThetaLayout:
-    """Packs the weight parameters into one flat SLSQP vector.
+    """Packs the weight parameters into one flat vector.
 
     When |A| or |B| is 1 the chain U1 - U2 - V2 holds for any joint over
     the V1 cells, so a single flat simplex parameterizes the weights and
@@ -422,18 +423,6 @@ class _ThetaLayout:
                 at += cols
         return out
 
-    def simplex_constraints(self) -> list[dict]:
-        cons = []
-        at = 0
-        for _, rows, cols in self.blocks:
-            for r in range(rows):
-                sl = slice(at + r * cols, at + (r + 1) * cols)
-                cons.append(
-                    {"type": "eq", "fun": (lambda th, s=sl: th[s].sum() - 1.0)}
-                )
-            at += rows * cols
-        return cons
-
 
 @dataclass
 class _InnerStats:
@@ -455,10 +444,10 @@ def _concentrated_theta(
     """A start for flat-mode refinement that already sits in a feasible basin.
 
     Uniform weights have I(W;V1|U1) near log2(cells per U2 group), far above
-    a tight key budget, and SLSQP rarely recovers from so infeasible a start.
-    Instead, concentrate each group on about 2**R0 cells and fit the cell
-    weights to the source marginal with NNLS; resample the support a few
-    times if the fit fails.
+    a tight key budget, and the LP refiner rarely recovers from so
+    infeasible a start.  Instead, concentrate each group on about 2**R0
+    cells and fit the cell weights to the source marginal with NNLS;
+    resample the support a few times if the fit fails.
     """
     if not layout.flat or layout.size == 0:
         return None
@@ -511,17 +500,17 @@ class _InnerEvaluator:
         vx = w4[..., None] * self.px4
         xm = vx.sum(axis=(0, 1, 2, 3))
         gap = float(np.abs(xm - self.p_x).max())
-        h_x = _entropy_bits(xm)
-        r1 = max(0.0, h_x + _entropy_bits(w4) - _entropy_bits(vx))
+        h_x = _entropy_of(xm)
+        r1 = max(0.0, h_x + _entropy_of(w4) - _entropy_of(vx))
         v2x = vx.sum(axis=(1, 3))
-        r2 = max(0.0, h_x + _entropy_bits(w4.sum(axis=(1, 3))) - _entropy_bits(v2x))
+        r2 = max(0.0, h_x + _entropy_of(w4.sum(axis=(1, 3))) - _entropy_of(v2x))
 
         t_wv = np.einsum("ijkl,ijklp,ijklq,ikr->ijklpqr", w4, self.wx, self.wy2, self.wy3)
         t_wu = t_wv.sum(axis=(2, 3))
-        h_u1 = _entropy_bits(w4.sum(axis=(2, 3)))
+        h_u1 = _entropy_of(w4.sum(axis=(2, 3)))
         r0 = max(
             0.0,
-            (_entropy_bits(t_wu) - h_u1) - (_entropy_bits(t_wv) - _entropy_bits(w4)),
+            (_entropy_of(t_wu) - h_u1) - (_entropy_of(t_wv) - _entropy_of(w4)),
         )
 
         j_sys = np.einsum("ijkl,ijklx,ijkly,ikt->ijxyt", w4, self.px4, self.py24, self.py32)
@@ -529,7 +518,7 @@ class _InnerEvaluator:
             keep = (0, 1) + self.secret_axes
             drop = tuple(ax for ax in range(5) if ax not in keep)
             j_su = j_sys.sum(axis=drop) if drop else j_sys
-            pi = _entropy_bits(j_su) - h_u1
+            pi = _entropy_of(j_su) - h_u1
             forbidden = False
         else:
             n_u1 = w4.shape[0] * w4.shape[1]
@@ -595,8 +584,8 @@ class _FlatModel:
         wy2 = struct.py2_rows @ problem.side.ch2.rows
         wy3 = py3c @ problem.side.ch3.rows
         self.pw = np.einsum("cp,cq,cr->cpqr", wx, wy2, wy3).reshape(n_v1, -1)
-        self.h_w_cell = np.array([_entropy_bits(r) for r in self.pw])
-        self.h_x_cell = np.array([_entropy_bits(r) for r in self.px])
+        self.h_w_cell = np.array([_entropy_of(r) for r in self.pw])
+        self.h_x_cell = np.array([_entropy_of(r) for r in self.px])
         self.p_x = problem.p_x.probs
         self.payoff = problem.payoff
         if isinstance(problem.payoff, LogLossPayoff):
@@ -630,7 +619,7 @@ class _FlatModel:
 
         def h_and_grad(q_rows, per_cell_rows, groups):
             q = q_rows.reshape(-1)
-            h = _entropy_bits(q)
+            h = _entropy_of(q)
             glog = np.log2(np.maximum(q_rows, 1e-300))
             grad = -(per_cell_rows * glog[groups]).sum(axis=1) - c0
             return h, grad
@@ -639,13 +628,13 @@ class _FlatModel:
         h_wu, g_wu = h_and_grad(q_wu, self.pw, self.u_of)
         q_u = np.zeros(self.n_u1)
         np.add.at(q_u, self.u_of, w)
-        h_u = _entropy_bits(q_u)
+        h_u = _entropy_of(q_u)
         g_u = -np.log2(np.maximum(q_u, 1e-300))[self.u_of] - c0
         r0 = max(0.0, h_wu - h_u - float(self.h_w_cell @ w))
         g_r0 = g_wu - g_u - self.h_w_cell
 
         q_x = self.px.T @ w
-        h_x = _entropy_bits(q_x)
+        h_x = _entropy_of(q_x)
         g_x = -(self.px * np.log2(np.maximum(q_x, 1e-300))).sum(axis=1) - c0
         r1 = max(0.0, h_x - float(self.h_x_cell @ w))
         g_r1 = g_x - self.h_x_cell
@@ -654,7 +643,7 @@ class _FlatModel:
         h_xv, g_xv = h_and_grad(q_xv, self.px, self.v2_of)
         q_v = np.zeros(self.n_v2)
         np.add.at(q_v, self.v2_of, w)
-        h_v = _entropy_bits(q_v)
+        h_v = _entropy_of(q_v)
         g_v = -np.log2(np.maximum(q_v, 1e-300))[self.v2_of] - c0
         r2 = max(0.0, h_x + h_v - h_xv)
         g_r2 = g_x + g_v - g_xv
@@ -679,7 +668,6 @@ def _refine_flat_slp(
     problem: InnerSearchProblem,
     budget: RateBudget,
     theta0: np.ndarray,
-    maxiter: int = 30,
 ) -> np.ndarray | None:
     """Trust-region sequential LP over the flat weight simplex.
 
@@ -688,9 +676,6 @@ def _refine_flat_slp(
     step is re-evaluated exactly before acceptance.
     """
     model = _FlatModel(struct, problem)
-    # LP steps converge in a few dozen iterations when they converge at
-    # all; the larger budgets quoted for the smooth refiner buy nothing
-    maxiter = min(maxiter, 40)
     n_v1 = len(theta0)
     w = np.clip(theta0, 0.0, None)
     w /= w.sum()
@@ -749,7 +734,7 @@ def _refine_flat_slp(
     delta = 0.3
     stall = 0
     fstall = 0
-    for _ in range(maxiter):
+    for _ in range(_LP_MAXITER):
         stats = evaluator.stats(w.reshape(model.dims))
         if _is_feasible(stats, budget) and stats.pi > best_pi:
             best_w, best_pi = w.copy(), stats.pi
@@ -830,85 +815,6 @@ def _refine_flat_slp(
             delta *= 0.5
             stall += 1
     return best_w
-
-
-def _refine_weights(
-    layout: _ThetaLayout,
-    evaluator: _InnerEvaluator,
-    theta0: np.ndarray,
-    budget: RateBudget,
-    maxiter: int,
-) -> np.ndarray | None:
-    if layout.size == 0:
-        return None
-    cache: dict[bytes, _InnerStats] = {}
-
-    def stats_at(theta: np.ndarray) -> _InnerStats:
-        key = theta.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) > 8192:
-                cache.clear()
-            hit = evaluator.stats(layout.weights(theta))
-            cache[key] = hit
-        return hit
-
-    cons = layout.simplex_constraints()
-    cons.append(
-        {
-            "type": "eq",
-            "fun": lambda th: np.einsum(
-                "ijkl,ijklx->x", layout.weights(th), evaluator.px4
-            )
-            - evaluator.p_x,
-        }
-    )
-    # skip rate constraints that no candidate in this structure can violate
-    prob = evaluator.problem
-    c_u2, c_a, c_b, c_c = layout.dims
-    h_x_cap = math.log2(prob.p_x.alphabet.size)
-    h_w_cap = sum(
-        math.log2(ch.output_alphabet.size)
-        for ch in (prob.side.ch1, prob.side.ch2, prob.side.ch3)
-    )
-    bound = {
-        "r0": min(math.log2(c_u2 * c_a * c_b * c_c), h_w_cap),
-        "r1": h_x_cap,
-        "r2": min(h_x_cap, math.log2(c_u2 * c_b)),
-    }
-    active: list[tuple[str, float]] = []
-    for rate, cap in (("r0", budget.r0), ("r1", budget.r1), ("r2", budget.r2)):
-        if math.isfinite(cap) and cap < bound[rate]:
-            eff = max(cap - _BACKOFF, 0.0)
-            active.append((rate, eff))
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": (lambda th, r=rate, e=eff: e - getattr(stats_at(th), r)),
-                }
-            )
-
-    def objective(theta: np.ndarray) -> float:
-        s = stats_at(theta)
-        if not math.isfinite(s.pi):
-            return 1e6
-        # the hinge keeps iterates from drifting deep into rate-infeasible
-        # territory, where the linearized subproblems go inconsistent
-        pen = sum(max(0.0, getattr(s, r) - e) ** 2 for r, e in active)
-        return -s.pi + 50.0 * pen
-
-    try:
-        res = minimize(
-            objective,
-            theta0,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * layout.size,
-            constraints=cons,
-            options={"maxiter": maxiter, "ftol": 1e-12},
-        )
-    except (ValueError, FloatingPointError):
-        return None
-    return np.asarray(res.x)
 
 
 def _assemble_inner(
@@ -1007,6 +913,25 @@ def _enumerate_structures(
     return out
 
 
+def _certify_inner(
+    cand: InnerCandidate, tup: RatePayoffTuple, problem: InnerSearchProblem
+) -> None:
+    """Re-derive a winner by the reference path; raise if it disagrees."""
+    report = check_inner_constraints(cand, p_x=problem.p_x, tol=_MARGINAL_SLACK)
+    if report.failures:
+        check = report.failures[0]
+        raise RuntimeError(
+            f"search winner fails check {check.name!r}: {check.value!r} > tol {check.tol!r}"
+        )
+    ref = eval_inner_tuple(cand, problem.side, problem.payoff, check=False)
+    for tag in ("r0", "r1", "r2", "pi"):
+        got, want = getattr(tup, tag), getattr(ref, tag)
+        if not abs(got - want) <= _CERTIFY_TOL:
+            raise RuntimeError(
+                f"search winner {tag}={got!r} but the reference evaluator gives {want!r}"
+            )
+
+
 def search_inner(
     problem: InnerSearchProblem,
     *,
@@ -1014,13 +939,14 @@ def search_inner(
     seed: int = 0,
     workers: int = 1,
     refine_top: int = 24,
-    maxiter: int = 120,
     enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> SearchResult:
     """Best rate-feasible candidate found for the inner achievability bound.
 
-    Deterministic given (problem, seed, restarts) for any worker count.
-    Infeasibility is a result, not an exception.
+    Deterministic given (problem, seed, restarts).  ``workers`` is accepted
+    for compatibility; has no effect.  Infeasibility is a result, not an
+    exception; a winner that the reference evaluator does not reproduce
+    raises ``RuntimeError``.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -1072,8 +998,6 @@ def search_inner(
                     canon_jobs.append(struct)
 
     # stage 1: sample and score restarts (cheap, no refinement yet)
-    indices = list(range(restarts))
-
     def sample_one(index: int):
         rng = _rng_for(seed, index)
         dims = decomps[index % len(decomps)]
@@ -1089,13 +1013,10 @@ def search_inner(
         scored = _score_weights(struct, evaluator, layout, theta0)
         return (index, struct, theta0, scored)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sampled = list(pool.map(sample_one, indices))
-    else:
-        sampled = [sample_one(i) for i in indices]
+    sampled = [sample_one(i) for i in range(restarts)]
 
-    # stage 2: refine the most promising restarts plus the enumerated maps
+    # stage 2: refine the most promising restarts plus the enumerated maps;
+    # only flat layouts have a refiner, the rest compete at their start
     ranked = sorted(
         sampled, key=lambda t: (-_relaxed_score(t[3].stats, budget), t[0])
     )
@@ -1121,29 +1042,12 @@ def search_inner(
             scored = _score_weights(struct, evaluator, layout, theta0)
         out = [scored]
         if layout.flat and layout.size > 0:
-            theta1 = _refine_flat_slp(struct, evaluator, problem, budget, theta0, maxiter)
+            theta1 = _refine_flat_slp(struct, evaluator, problem, budget, theta0)
             if theta1 is not None:
                 out.append(_score_weights(struct, evaluator, layout, theta1))
-        else:
-            theta1 = _refine_weights(layout, evaluator, theta0, budget, maxiter)
-            if theta1 is not None:
-                polished = _score_weights(struct, evaluator, layout, theta1)
-                out.append(polished)
-                if not _is_feasible(polished.stats, budget):
-                    # a restart from the stalled point resets the quadratic
-                    # model and often completes convergence
-                    theta2 = _refine_weights(layout, evaluator, theta1, budget, maxiter)
-                    if theta2 is not None:
-                        out.append(_score_weights(struct, evaluator, layout, theta2))
         return out
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            refined_lists = list(pool.map(refine_one, refine_jobs))
-    else:
-        refined_lists = [refine_one(j) for j in refine_jobs]
-
-    pool_all = keep_unrefined + [s for lst in refined_lists for s in lst]
+    pool_all = keep_unrefined + [s for job in refine_jobs for s in refine_one(job)]
     feasible = [s for s in pool_all if _is_feasible(s.stats, budget)]
     wall = time.perf_counter() - started
     if not feasible:
@@ -1170,6 +1074,7 @@ def search_inner(
         winner.stats.pi,
         winner.stats.forbidden,
     )
+    _certify_inner(winner_cand, tup, problem)
     msg = f"source-marginal gap {winner.stats.marginal_gap:.2e}"
     return SearchResult(True, tup, winner_cand, seed, restarts, wall, msg)
 
@@ -1271,21 +1176,21 @@ def _equiv_stats(params: _EquivParams, problem: EquivocationProblem, r0: float) 
     s_axes = tuple(axis_of[s] for s in problem.secret_set)
     keep_s = f.sum(axis=tuple(ax for ax in (0, 2, 3) if ax not in s_axes) + (1,))
     keep_sv = f.sum(axis=tuple(ax for ax in (0, 2, 3) if ax not in s_axes))
-    h_s = _entropy_bits(keep_s)
+    h_s = _entropy_of(keep_s)
     pv1 = jxv.sum(axis=0)
-    leak = max(0.0, h_s + _entropy_bits(pv1) - _entropy_bits(keep_sv))
+    leak = max(0.0, h_s + _entropy_of(pv1) - _entropy_of(keep_sv))
     value = h_s - max(0.0, leak - r0)
 
     pxy2 = f.sum(axis=(1, 3))
     pxy3 = f.sum(axis=(1, 2))
     ed1 = float((pxy2 * problem.d1).sum())
     ed2 = float((pxy3 * problem.d2).sum())
-    h_x = _entropy_bits(p_x)
-    i_xv1 = max(0.0, h_x + _entropy_bits(pv1) - _entropy_bits(jxv))
+    h_x = _entropy_of(p_x)
+    i_xv1 = max(0.0, h_x + _entropy_of(pv1) - _entropy_of(jxv))
     n_v2 = params.py3.shape[0]
     jxv2 = np.zeros((len(p_x), n_v2))
     np.add.at(jxv2.T, params.g, jxv.T)
-    i_xv2 = max(0.0, h_x + _entropy_bits(jxv2.sum(axis=0)) - _entropy_bits(jxv2))
+    i_xv2 = max(0.0, h_x + _entropy_of(jxv2.sum(axis=0)) - _entropy_of(jxv2))
     return _EquivStats(value, h_s, leak, ed1, ed2, i_xv1, i_xv2)
 
 
@@ -1465,7 +1370,10 @@ def search_equivocation(
     maxiter: int = 80,
     enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> EquivocationSearchResult:
-    """Best disclosure-family value found under distortion/rate budgets."""
+    """Best disclosure-family value found under distortion/rate budgets.
+
+    ``workers`` is accepted for compatibility; has no effect.
+    """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     started = time.perf_counter()
@@ -1482,12 +1390,7 @@ def search_equivocation(
         params = _sample_equiv(rng, problem)
         return (index, params, _equiv_stats(params, problem, problem.r0))
 
-    indices = list(range(restarts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as tpool:
-            sampled = list(tpool.map(run_restart, indices))
-    else:
-        sampled = [run_restart(i) for i in indices]
+    sampled = [run_restart(i) for i in range(restarts)]
 
     def relaxed(stats: _EquivStats) -> float:
         pen = 0.0
@@ -1506,24 +1409,12 @@ def search_equivocation(
             pool.append((stats, params))
     ranked = sorted(sampled, key=lambda t: (-relaxed(t[2]), t[0]))
 
-    def refine_one(job):
-        _, params, _ = job
-        out = []
+    for _, params, _ in ranked[:refine_top]:
         better = _refine_equiv(params, problem, problem.r0, maxiter)
         if better is not None:
             st = _equiv_stats(better, problem, problem.r0)
             if _equiv_feasible(st, problem):
-                out.append((st, better))
-        return out
-
-    jobs = ranked[:refine_top]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as tpool:
-            refined = list(tpool.map(refine_one, jobs))
-    else:
-        refined = [refine_one(j) for j in jobs]
-    for lst in refined:
-        pool.extend(lst)
+                pool.append((st, better))
 
     wall = time.perf_counter() - started
     if not pool:
@@ -1563,7 +1454,8 @@ def equivocation_sweep(
 
     Witnesses found at any grid point are pooled: family membership does
     not involve R0, so every witness is valid at every R0 and the curve
-    is nondecreasing by construction.
+    is nondecreasing by construction.  ``workers`` is accepted for
+    compatibility; has no effect.
     """
     witnesses: list[tuple[float, float]] = []  # (h_s, leak)
     for gi, r0 in enumerate(r0_grid):
@@ -1607,7 +1499,8 @@ def min_key_rate(
     """Smallest key budget (within ``tol``) whose search clears ``target_pi``.
 
     Bisects the R0 budget, reusing the search at each midpoint.  Requires
-    a finite R0 budget in ``problem`` as the upper end.
+    a finite R0 budget in ``problem`` as the upper end.  ``workers`` is
+    accepted for compatibility; has no effect.
     """
     hi = problem.budget.r0
     if not math.isfinite(hi):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ from .probability import (
     CapExceededError,
     JointDistribution,
     ZeroProbabilityError,
+    _entropy_of,
     conditional_mutual_information,
     mutual_information,
     product_alphabet,
@@ -583,12 +583,7 @@ def empirical_equivocation(table: SystemTable, secret_set) -> float:
     )
     p_sm = shaped.sum(axis=drop) if drop else shaped
     p_m = p_sm.reshape(p_sm.shape[0], -1).sum(axis=1)
-    return (_entropy_bits(p_sm) - _entropy_bits(p_m)) / n
-
-
-def _entropy_bits(table: np.ndarray) -> float:
-    p = table[table > 0.0]
-    return float(-(p * np.log2(p)).sum())
+    return (_entropy_of(p_sm) - _entropy_of(p_m)) / n
 
 
 class _PosteriorEngine:
@@ -678,8 +673,9 @@ def mc_estimate(
     """Monte Carlo payoff estimate with its CLT standard error.
 
     Histories are sampled; each history is scored against its exact
-    posterior, so the only noise is the outer expectation.  Per-sample
-    streams make the result independent of the worker count.  The draw
+    posterior, so the only noise is the outer expectation.  Each sample
+    draws from its own stream, so the result depends on the seed alone;
+    ``workers`` is accepted for compatibility; has no effect.  The draw
     order within a sample is fixed: key, source symbols, encoder index,
     node-2 actions, node-3 actions, disclosed signals.
     """
@@ -724,17 +720,12 @@ def mc_estimate(
                 if t:
                     history += "|" + ",".join(str(int(w)) for w in w_seq[:t])
                 rows.append(
-                    [sample, t + 1, history, round(_entropy_bits(post), 12),
+                    [sample, t + 1, history, round(_entropy_of(post), 12),
                      _action_label(post, payoff), v]
                 )
         return value / n, rows
 
-    indices = range(samples)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(i) for i in indices]
+    results = [one(i) for i in range(samples)]
 
     values = np.array([v for v, _ in results])
     if trace is not None:

@@ -260,6 +260,14 @@ def equiv_config(r0_grid=None):
     return {"seed": 3, "restarts": 4, "problem": problem}
 
 
+def test_equivocation_alphabet_field_path(tmp_path, capsys):
+    config = equiv_config()
+    config["problem"]["y2_alphabet"] = "Y2"  # a name, not an alphabet object
+    cfg = write_config(tmp_path, config)
+    assert main(["equivocation", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "problem.y2_alphabet" in capsys.readouterr().err
+
+
 def test_equivocation_result_json(tmp_path):
     cfg = write_config(tmp_path, equiv_config())
     assert main(["equivocation", "--config", cfg, "--out", str(tmp_path)]) == 0

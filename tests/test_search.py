@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cascade_secrecy import search as search_mod
 from cascade_secrecy.bounds import (
     RatePayoffTuple,
     check_equivocation_membership,
@@ -19,7 +22,7 @@ from cascade_secrecy.bounds import (
     equivocation_value,
     eval_inner_tuple,
 )
-from cascade_secrecy.payoff import PayoffTable
+from cascade_secrecy.payoff import LogLossPayoff, PayoffTable
 from cascade_secrecy.probability import Alphabet, Pmf
 from cascade_secrecy.search import (
     CardinalityCaps,
@@ -111,16 +114,46 @@ def test_equivocation_problem_validates_distortion_shape():
 # inner search on the ternary example
 
 
-def test_ternary_unit_key_reaches_half():
+GRID_CAPS = CardinalityCaps(4, 3, 12, 6)  # the benchmark's inner_grid caps
+
+
+@pytest.mark.parametrize(
+    "budget, caps, kwargs, floor",
+    [
+        pytest.param(
+            RateBudget(1.0, 1.6, 0.6),
+            CardinalityCaps(u1=6, u2=3, v1=27, v2=9),
+            {"restarts": 16},
+            0.48,
+            id="unit_key",
+        ),
+        pytest.param(
+            RateBudget(0.5, math.inf, math.inf),
+            GRID_CAPS,
+            {"restarts": 64, "refine_top": 2},
+            0.2499999,
+            id="inner_grid_r0_0.5",
+        ),
+        pytest.param(
+            RateBudget(1.3, math.inf, math.inf),
+            GRID_CAPS,
+            {"restarts": 64, "refine_top": 2},
+            0.563227,
+            id="inner_grid_r0_1.3",
+        ),
+    ],
+)
+def test_ternary_unit_key_reaches_half(budget, caps, kwargs, floor):
     # optimum 1/2 is reachable within caps; the balanced anchors make the
-    # outcome independent of sampling luck
-    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6))
-    res = search_inner(problem, restarts=16, seed=0)
+    # outcome independent of sampling luck.  The inner_grid budgets pin the
+    # payoffs the flat LP refiner reaches at r0 = 0.5 and 1.3.
+    problem = ternary_problem(budget, caps=caps)
+    res = search_inner(problem, seed=0, **kwargs)
     assert res.feasible
-    assert res.tuple.pi >= 0.48
-    assert res.tuple.r0 <= 1.0 + 1e-9
-    assert res.tuple.r1 <= 1.6 + 1e-9
-    assert res.tuple.r2 <= 0.6 + 1e-9
+    assert res.tuple.pi >= floor
+    assert res.tuple.r0 <= budget.r0 + 1e-9
+    assert res.tuple.r1 <= budget.r1 + 1e-9
+    assert res.tuple.r2 <= budget.r2 + 1e-9
     # the witness re-evaluates to the reported tuple
     report = check_inner_constraints(res.candidate, p_x=EX.p_x, tol=1e-7)
     assert report.passed, str(report)
@@ -180,6 +213,81 @@ def test_single_cell_caps_feasible_when_payoff_finite():
     assert res.feasible
     assert abs(res.tuple.pi - blind) < 1e-9
     assert res.tuple.r0 <= 1e-12 and res.tuple.r1 <= 1e-12 and res.tuple.r2 <= 1e-12
+
+
+def test_search_certifies_the_published_winner(monkeypatch):
+    # a fast evaluator that drifts from the reference must not publish;
+    # a finite payoff makes the single-cell search feasible and quick
+    vals = np.where(np.isneginf(EX.payoff.values), -2.0, EX.payoff.values)
+    payoff = PayoffTable(
+        EX.payoff.x_alphabet,
+        EX.payoff.y2_alphabet,
+        EX.payoff.y3_alphabet,
+        EX.payoff.z_alphabet,
+        vals,
+    )
+    problem = InnerSearchProblem(
+        p_x=EX.p_x,
+        payoff=payoff,
+        side=EX.side,
+        budget=RateBudget(0.0, 0.0, 0.0),
+        caps=CardinalityCaps(1, 1, 1, 1),
+    )
+    stats = search_mod._InnerEvaluator.stats
+
+    def shifted(self, w4):
+        out = stats(self, w4)
+        out.pi += 1e-6
+        return out
+
+    monkeypatch.setattr(search_mod._InnerEvaluator, "stats", shifted)
+    with pytest.raises(RuntimeError, match="pi="):
+        search_inner(problem, restarts=4, seed=0)
+
+
+_EVAL_DIMS = [
+    (c_u2, c_a, c_b, c_c)
+    for c_u2 in (1, 2)
+    for c_a in (1, 2)
+    for c_b in (1, 2)
+    for c_c in (1, 3)
+]
+_LOG_LOSS_SECRETS = [("X",), ("Y2",), ("X", "Y3"), ("X", "Y2", "Y3")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from(_EVAL_DIMS),
+    secret=st.sampled_from([None] + _LOG_LOSS_SECRETS),
+    stochastic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_evaluator_matches_reference(dims, secret, stochastic, seed):
+    # the search scores candidates with _InnerEvaluator; the reference
+    # evaluator must give the same tuple on flat and non-flat layouts
+    if secret is None:
+        problem = ternary_problem(RateBudget(1.0, 1.6, 0.6))
+    else:
+        problem = InnerSearchProblem(
+            p_x=EX.p_x,
+            payoff=LogLossPayoff(secret),
+            side=EX.side,
+            budget=RateBudget(1.0, 1.6, 0.6),
+            caps=CardinalityCaps(6, 3, 27, 9),
+            y2_alphabet=EX.payoff.y2_alphabet,
+            y3_alphabet=EX.payoff.y3_alphabet,
+        )
+    rng = np.random.default_rng(seed)
+    pairs = search_mod._finite_pairs(problem)
+    struct = search_mod._sample_structure(rng, dims, problem, pairs, stochastic)
+    layout = search_mod._ThetaLayout(dims)
+    w4 = layout.weights(layout.pack(rng), normalized=True)
+    fast = search_mod._InnerEvaluator(struct, problem).stats(w4)
+    cand = search_mod._assemble_inner(struct, w4, problem)
+    ref = eval_inner_tuple(cand, problem.side, problem.payoff, check=False)
+    for tag in ("r0", "r1", "r2", "pi"):
+        got, want = getattr(fast, tag), getattr(ref, tag)
+        assert got == want or abs(got - want) <= 1e-9, (tag, got, want)
 
 
 def test_search_deterministic_across_worker_counts():
