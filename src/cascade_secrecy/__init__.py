@@ -61,6 +61,7 @@ from .search import (
     InnerSearchProblem,
     RateBudget,
     SearchResult,
+    VerificationError,
     equivocation_sweep,
     min_key_rate,
     search_equivocation,
@@ -129,6 +130,7 @@ __all__ = [
     "CardinalityCaps",
     "InnerSearchProblem",
     "SearchResult",
+    "VerificationError",
     "search_inner",
     "EquivocationProblem",
     "search_equivocation",

@@ -46,6 +46,7 @@ from .search import (
     EquivocationProblem,
     InnerSearchProblem,
     RateBudget,
+    VerificationError,
     equivocation_sweep,
     search_equivocation,
     search_inner,
@@ -627,6 +628,9 @@ def main(argv=None) -> int:
     except (CapExceededError, ZeroProbabilityError) as err:
         print(json.dumps({"status": "infeasible", "reason": str(err)}), file=sys.stderr)
         return EXIT_INFEASIBLE
+    except VerificationError as err:
+        print(f"error: verification mismatch: {err}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -30,7 +30,12 @@ before it is published.
 The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
 exact by construction; only distortion and message-rate budgets remain
-as optimizer constraints.
+as optimizer constraints.  Its winner is re-derived the same way, by
+family membership and the reference equivocation value.
+
+A winner the reference path does not reproduce raises
+:class:`VerificationError`; the ``bounds`` and ``equivocation`` commands
+turn it into exit code 1 ("verification mismatch").
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog, minimize, nnls
@@ -51,6 +57,7 @@ from .bounds import (
     RatePayoffTuple,
     SideInfoSpec,
     candidate_to_json,
+    check_equivocation_membership,
     check_inner_constraints,
     equivocation_value,
     eval_inner_tuple,
@@ -60,6 +67,7 @@ from .probability import Alphabet, JointDistribution, Pmf, _entropy_of
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT",
+    "VerificationError",
     "RateBudget",
     "CardinalityCaps",
     "InnerSearchProblem",
@@ -84,6 +92,12 @@ _ENUM_REFINE_ALL = 2048  # refine every enumerated map below this count
 _ENUM_REFINE_TOP = 256  # otherwise refine only this many screened maps
 _LP_MAXITER = 40  # LP refinement steps; they converge within this when at all
 _CERTIFY_TOL = 1e-9  # published tuple vs the reference evaluator
+_EQUIV_REFINE_TOP = 16  # equivocation restarts refined by SLSQP
+_EQUIV_MAXITER = 80  # SLSQP iterations per equivocation refinement
+
+
+class VerificationError(RuntimeError):
+    """A search winner that the reference evaluator does not reproduce."""
 
 
 @dataclass(frozen=True)
@@ -359,69 +373,44 @@ def _sample_structure(
 # inner search: weights and fast evaluation
 
 
-class _ThetaLayout:
-    """Packs the weight parameters into one flat vector.
+def _is_flat(dims: tuple[int, int, int, int]) -> bool:
+    """When |A| or |B| is 1 the chain U1 - U2 - V2 holds for any joint over
+    the V1 cells, so one flat simplex parameterizes the weights and the
+    source-marginal constraint is linear in them."""
+    return dims[1] == 1 or dims[2] == 1
 
-    When |A| or |B| is 1 the chain U1 - U2 - V2 holds for any joint over
-    the V1 cells, so a single flat simplex parameterizes the weights and
-    the source-marginal constraint becomes linear.  Otherwise the joint
-    must factor as P(u2) P(a|u2) P(b|u2) P(c|u2,a,b), one simplex block
-    per row; simplexes of size one carry no freedom and are omitted.
+
+def _start_weights(
+    dims: tuple[int, int, int, int], rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Start weights w[u2, a, b, c]: Dirichlet(1) draws, or uniform when rng is None.
+
+    Flat layouts draw one simplex over the V1 cells.  Otherwise the joint
+    must factor as P(u2) P(a|u2) P(b|u2) P(c|u2,a,b), one simplex per row,
+    drawn in that order; simplexes of size one carry no freedom and take
+    no draw.
     """
+    c_u2, c_a, c_b, c_c = dims
 
-    def __init__(self, dims: tuple[int, int, int, int]):
-        c_u2, c_a, c_b, c_c = dims
-        n_v1 = c_u2 * c_a * c_b * c_c
-        self.dims = dims
-        self.flat = c_a == 1 or c_b == 1
-        self.blocks: list[tuple[str, int, int]] = []  # (key, rows, cols)
-        if self.flat:
-            if n_v1 > 1:
-                self.blocks.append(("w", 1, n_v1))
+    def simplex_rows(rows: int, cols: int) -> np.ndarray:
+        if rng is None or cols == 1:
+            draws = np.full((rows, cols), 1.0 / cols)
         else:
-            if c_u2 > 1:
-                self.blocks.append(("p", 1, c_u2))
-            self.blocks.append(("a", c_u2, c_a))
-            self.blocks.append(("b", c_u2, c_b))
-            if c_c > 1:
-                self.blocks.append(("c", c_u2 * c_a * c_b, c_c))
-        self.size = sum(r * c for _, r, c in self.blocks)
+            draws = np.array([rng.dirichlet(np.ones(cols)) for _ in range(rows)])
+        return draws / draws.sum(axis=1, keepdims=True)
 
-    def weights(self, theta: np.ndarray, normalized: bool = False) -> np.ndarray:
-        """The V1 joint w[u2, a, b, c] implied by the packed parameters."""
-        c_u2, c_a, c_b, c_c = self.dims
-        parts = {}
-        at = 0
-        for key, rows, cols in self.blocks:
-            parts[key] = np.clip(theta[at : at + rows * cols], 0.0, None).reshape(rows, cols)
-            at += rows * cols
-        if self.flat:
-            w = parts.get("w", np.ones((1, 1))).reshape(self.dims)
-            return w / w.sum() if normalized else w
-        p = parts.get("p", np.ones((1, c_u2)))
-        a, b = parts["a"], parts["b"]
-        c = parts.get("c", np.ones((c_u2 * c_a * c_b, c_c)))
-        if normalized:
-            p = p / p.sum()
-            a = a / a.sum(axis=1, keepdims=True)
-            b = b / b.sum(axis=1, keepdims=True)
-            c = c / c.sum(axis=1, keepdims=True)
-        return (
-            p.reshape(c_u2, 1, 1, 1)
-            * a.reshape(c_u2, c_a, 1, 1)
-            * b.reshape(c_u2, 1, c_b, 1)
-            * c.reshape(c_u2, c_a, c_b, c_c)
-        )
-
-    def pack(self, rng: np.random.Generator | None) -> np.ndarray:
-        """Dirichlet(1) start, or the uniform point when rng is None."""
-        out = np.empty(self.size)
-        at = 0
-        for _, rows, cols in self.blocks:
-            for _ in range(rows):
-                out[at : at + cols] = 1.0 / cols if rng is None else rng.dirichlet(np.ones(cols))
-                at += cols
-        return out
+    if _is_flat(dims):
+        return simplex_rows(1, c_u2 * c_a * c_b * c_c).reshape(dims)
+    p = simplex_rows(1, c_u2)
+    a = simplex_rows(c_u2, c_a)
+    b = simplex_rows(c_u2, c_b)
+    c = simplex_rows(c_u2 * c_a * c_b, c_c)
+    return (
+        p.reshape(c_u2, 1, 1, 1)
+        * a.reshape(c_u2, c_a, 1, 1)
+        * b.reshape(c_u2, 1, c_b, 1)
+        * c.reshape(c_u2, c_a, c_b, c_c)
+    )
 
 
 @dataclass
@@ -434,9 +423,8 @@ class _InnerStats:
     marginal_gap: float
 
 
-def _concentrated_theta(
+def _concentrated_weights(
     rng: np.random.Generator,
-    layout: _ThetaLayout,
     struct: _Structure,
     p_x: np.ndarray,
     r0_budget: float,
@@ -449,12 +437,11 @@ def _concentrated_theta(
     cells and fit the cell weights to the source marginal with NNLS;
     resample the support a few times if the fit fails.
     """
-    if not layout.flat or layout.size == 0:
+    if not _is_flat(struct.dims) or struct.n_v1 == 1:
         return None
-    c_u2, c_a, c_b, c_c = layout.dims
+    c_u2, c_a, c_b, c_c = struct.dims
     group = c_a * c_b * c_c  # cells per U2 value
     per = int(np.clip(round(2.0 ** min(r0_budget, math.log2(group))), 1, group))
-    n_v1 = c_u2 * group
     for _ in range(5):
         support = np.concatenate(
             [i * group + rng.choice(group, size=per, replace=False) for i in range(c_u2)]
@@ -463,25 +450,46 @@ def _concentrated_theta(
         rhs = np.concatenate([p_x, [1.0]])
         sol, residual = nnls(m, rhs)
         if residual < 1e-8:
-            theta = np.zeros(n_v1)
+            theta = np.zeros(struct.n_v1)
             jitter = rng.dirichlet(np.ones(len(support)))
             theta[support] = np.clip(sol, 0.0, None) + 0.02 * jitter
-            return theta / theta.sum()
+            # normalized twice: the seeded search outputs depend on the
+            # rounding of both passes
+            w = (theta / theta.sum()).reshape(struct.dims)
+            return w / w.sum()
     return None
 
 
-class _InnerEvaluator:
-    """Exact rate/payoff statistics straight from the parameter arrays.
+def _log2_clamped(q: np.ndarray) -> np.ndarray:
+    return np.log2(np.maximum(q, 1e-300))
 
-    Mirrors :func:`cascade_secrecy.bounds.eval_inner_tuple` on the
-    factored family, but works on raw tensors so the optimizer can call
-    it thousands of times; the official evaluator re-checks the winner.
+
+_LOG2E = 1.0 / math.log(2.0)  # d(-q log2 q)/dq = -log2 q - _LOG2E
+
+
+class _InnerEvaluator:
+    """Exact rate/payoff statistics of one structure, and the gradients the
+    flat-layout LP refiner linearizes.
+
+    ``stats`` mirrors :func:`cascade_secrecy.bounds.eval_inner_tuple` on the
+    factored family, but works on raw tensors so the search can call it
+    thousands of times; the reference evaluator re-checks the winner.
+
+    With a flat weight simplex the payoff sum_u min_z <pi_uz, w> is concave
+    piecewise-linear (an exact LP epigraph over ``pi_cz``), and I(W;V1|U1)
+    and I(X;V1) are concave in w — conditional entropy is concave in the
+    joint and the H(.|V1) terms are linear — so their tangent-plane
+    linearizations can only overestimate, making linearized rate cuts safe.
+    I(X;V2) is not concave; its linearization is guarded by the trust
+    region and by exact re-evaluation of every accepted step.  The per-cell
+    arrays behind the gradients are built on first use: most evaluated
+    structures are screened, not refined.
     """
 
     def __init__(self, struct: _Structure, problem: InnerSearchProblem):
         c_u2, c_a, c_b, c_c = struct.dims
+        self.struct = struct
         self.dims = struct.dims
-        self.problem = problem
         self.px4 = struct.px_rows.reshape(c_u2, c_a, c_b, c_c, -1)
         self.py24 = struct.py2_rows.reshape(c_u2, c_a, c_b, c_c, -1)
         self.py32 = struct.py3_rows.reshape(c_u2, c_b, -1)
@@ -495,8 +503,78 @@ class _InnerEvaluator:
             axes = {"X": 2, "Y2": 3, "Y3": 4}  # axes of the (i,j,x,y,t) array
             self.secret_axes = tuple(axes[s] for s in self.payoff.secret_set)
 
+    @cached_property
+    def _pw4(self) -> np.ndarray:
+        """P(w | v1) of every cell, (u2, a, b, c, |W|)."""
+        pw = np.einsum("ijklp,ijklq,ikr->ijklpqr", self.wx, self.wy2, self.wy3)
+        return pw.reshape(self.dims + (-1,))
+
+    @cached_property
+    def _h_w_cell(self) -> np.ndarray:
+        rows = self._pw4.reshape(self.struct.n_v1, -1)
+        return np.array([_entropy_of(r) for r in rows]).reshape(self.dims)
+
+    @cached_property
+    def _h_x_cell(self) -> np.ndarray:
+        return np.array([_entropy_of(r) for r in self.struct.px_rows]).reshape(self.dims)
+
+    @cached_property
+    def _py3_cells(self) -> np.ndarray:
+        """P(y3 | v1) of every cell, (nV1, |Y3|)."""
+        shape = self.dims + (self.py32.shape[-1],)
+        return np.broadcast_to(self.py32[:, None, :, None, :], shape).reshape(self.struct.n_v1, -1)
+
+    @cached_property
+    def _ps4(self) -> np.ndarray:
+        """P(s | v1) of every cell for the log-loss secret roles."""
+        marg = {"X": self.struct.px_rows, "Y2": self.struct.py2_rows, "Y3": self._py3_cells}
+        parts = [marg[s] for s in self.payoff.secret_set]
+        ps = parts[0]
+        for extra in parts[1:]:
+            ps = (ps[:, :, None] * extra[:, None, :]).reshape(len(ps), -1)
+        return ps.reshape(self.dims + (-1,))
+
+    @cached_property
+    def pi_cz(self) -> np.ndarray | None:
+        """Payoff of each (cell, adversary action) for a table payoff, with
+        forbidden triples at a large negative value; ``None`` for log loss."""
+        if isinstance(self.payoff, LogLossPayoff):
+            return None
+        vals = self.payoff.values
+        finite = np.isfinite(vals)
+        masked = np.where(finite, vals, 0.0)
+        spread = float(np.abs(masked).max()) if masked.size else 1.0
+        big = 1e6 * (1.0 + spread)
+        px, py2, py3 = self.struct.px_rows, self.struct.py2_rows, self._py3_cells
+        pi_cz = np.einsum("cx,cy,ct,xytz->cz", px, py2, py3, masked)
+        hits = np.einsum("cx,cy,ct,xytz->cz", px, py2, py3, (~finite).astype(float))
+        return np.where(hits > 1e-15, -big, pi_cz)
+
+    def rate_grads(self, w4: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gradients of (r0, r1, r2) in the cell weights, flattened."""
+        vx = w4[..., None] * self.px4
+        g_u1 = -_log2_clamped(w4.sum(axis=(2, 3)))[:, :, None, None] - _LOG2E
+        log_wu = _log2_clamped((w4[..., None] * self._pw4).sum(axis=(2, 3)))
+        g_wu = -(self._pw4 * log_wu[:, :, None, None, :]).sum(axis=-1) - _LOG2E
+        log_x = _log2_clamped(vx.sum(axis=(0, 1, 2, 3)))
+        g_x = -(self.px4 * log_x).sum(axis=-1) - _LOG2E
+        g_v2 = -_log2_clamped(w4.sum(axis=(1, 3)))[:, None, :, None] - _LOG2E
+        log_xv2 = _log2_clamped(vx.sum(axis=(1, 3)))
+        g_xv2 = -(self.px4 * log_xv2[:, None, :, None, :]).sum(axis=-1) - _LOG2E
+        g_r0 = g_wu - g_u1 - self._h_w_cell
+        g_r1 = g_x - self._h_x_cell
+        g_r2 = g_x + g_v2 - g_xv2
+        return g_r0.reshape(-1), g_r1.reshape(-1), g_r2.reshape(-1)
+
+    def payoff_grad(self, w4: np.ndarray) -> np.ndarray:
+        """Gradient of the log-loss payoff H(S|U1), flattened; table payoffs
+        use the exact epigraph over ``pi_cz`` instead."""
+        log_su = _log2_clamped((w4[..., None] * self._ps4).sum(axis=(2, 3)))
+        g_su = -(self._ps4 * log_su[:, :, None, None, :]).sum(axis=-1) - _LOG2E
+        g_u1 = -_log2_clamped(w4.sum(axis=(2, 3)))[:, :, None, None] - _LOG2E
+        return (g_su - g_u1).reshape(-1)
+
     def stats(self, w4: np.ndarray) -> _InnerStats:
-        p = self.problem
         vx = w4[..., None] * self.px4
         xm = vx.sum(axis=(0, 1, 2, 3))
         gap = float(np.abs(xm - self.p_x).max())
@@ -558,156 +636,56 @@ def _relaxed_score(stats: _InnerStats, budget: RateBudget) -> float:
     return stats.pi - 100.0 * pen
 
 
-class _FlatModel:
-    """Per-cell arrays backing the sequential-LP refinement in flat mode.
-
-    With a flat weight simplex the payoff sum_u min_z <pi_uz, w> is concave
-    piecewise-linear (an exact LP epigraph), and I(W;V1|U1) and I(X;V1)
-    are concave in w — conditional entropy is concave in the joint and the
-    H(.|V1) terms are linear — so their tangent-plane linearizations can
-    only overestimate, making linearized rate cuts safe.  I(X;V2) is not
-    concave; its linearization is guarded by the trust region and by exact
-    re-evaluation of every accepted step.
-    """
-
-    def __init__(self, struct: _Structure, problem: InnerSearchProblem):
-        c_u2, c_a, c_b, c_c = struct.dims
-        self.dims = struct.dims
-        n_v1 = c_u2 * c_a * c_b * c_c
-        idx = np.arange(n_v1)
-        self.u_of = idx // (c_b * c_c)
-        self.v2_of = (idx // (c_a * c_b * c_c)) * c_b + (idx // c_c) % c_b
-        self.n_u1, self.n_v2 = c_u2 * c_a, c_u2 * c_b
-        self.px = struct.px_rows
-        py3c = struct.py3_rows[self.v2_of]
-        wx = self.px @ problem.side.ch1.rows
-        wy2 = struct.py2_rows @ problem.side.ch2.rows
-        wy3 = py3c @ problem.side.ch3.rows
-        self.pw = np.einsum("cp,cq,cr->cpqr", wx, wy2, wy3).reshape(n_v1, -1)
-        self.h_w_cell = np.array([_entropy_of(r) for r in self.pw])
-        self.h_x_cell = np.array([_entropy_of(r) for r in self.px])
-        self.p_x = problem.p_x.probs
-        self.payoff = problem.payoff
-        if isinstance(problem.payoff, LogLossPayoff):
-            marg = {"X": self.px, "Y2": struct.py2_rows, "Y3": py3c}
-            parts = [marg[s] for s in problem.payoff.secret_set]
-            ps = parts[0]
-            for extra in parts[1:]:
-                ps = (ps[:, :, None] * extra[:, None, :]).reshape(n_v1, -1)
-            self.ps = ps
-            self.pi_cz = None
-        else:
-            vals = problem.payoff.values
-            finite = np.isfinite(vals)
-            masked = np.where(finite, vals, 0.0)
-            spread = float(np.abs(masked).max()) if masked.size else 1.0
-            big = 1e6 * (1.0 + spread)
-            pi_cz = np.einsum("cx,cy,ct,xytz->cz", self.px, struct.py2_rows, py3c, masked)
-            hits = np.einsum(
-                "cx,cy,ct,xytz->cz", self.px, struct.py2_rows, py3c, (~finite).astype(float)
-            )
-            self.pi_cz = np.where(hits > 1e-15, -big, pi_cz)
-
-    def _scatter(self, w: np.ndarray, rows: np.ndarray, groups: np.ndarray, n: int):
-        q = np.zeros((n, rows.shape[1]))
-        np.add.at(q, groups, rows * w[:, None])
-        return q
-
-    def rates_and_grads(self, w: np.ndarray):
-        """(values, gradients) for (r0, r1, r2) at the point w."""
-        c0 = 1.0 / math.log(2.0)
-
-        def h_and_grad(q_rows, per_cell_rows, groups):
-            q = q_rows.reshape(-1)
-            h = _entropy_of(q)
-            glog = np.log2(np.maximum(q_rows, 1e-300))
-            grad = -(per_cell_rows * glog[groups]).sum(axis=1) - c0
-            return h, grad
-
-        q_wu = self._scatter(w, self.pw, self.u_of, self.n_u1)
-        h_wu, g_wu = h_and_grad(q_wu, self.pw, self.u_of)
-        q_u = np.zeros(self.n_u1)
-        np.add.at(q_u, self.u_of, w)
-        h_u = _entropy_of(q_u)
-        g_u = -np.log2(np.maximum(q_u, 1e-300))[self.u_of] - c0
-        r0 = max(0.0, h_wu - h_u - float(self.h_w_cell @ w))
-        g_r0 = g_wu - g_u - self.h_w_cell
-
-        q_x = self.px.T @ w
-        h_x = _entropy_of(q_x)
-        g_x = -(self.px * np.log2(np.maximum(q_x, 1e-300))).sum(axis=1) - c0
-        r1 = max(0.0, h_x - float(self.h_x_cell @ w))
-        g_r1 = g_x - self.h_x_cell
-
-        q_xv = self._scatter(w, self.px, self.v2_of, self.n_v2)
-        h_xv, g_xv = h_and_grad(q_xv, self.px, self.v2_of)
-        q_v = np.zeros(self.n_v2)
-        np.add.at(q_v, self.v2_of, w)
-        h_v = _entropy_of(q_v)
-        g_v = -np.log2(np.maximum(q_v, 1e-300))[self.v2_of] - c0
-        r2 = max(0.0, h_x + h_v - h_xv)
-        g_r2 = g_x + g_v - g_xv
-        return (r0, r1, r2), (g_r0, g_r1, g_r2)
-
-    def payoff_grad(self, w: np.ndarray) -> np.ndarray:
-        """Gradient of the log-loss payoff H(S|U1); table payoffs use the
-        exact epigraph instead."""
-        c0 = 1.0 / math.log(2.0)
-        q_su = self._scatter(w, self.ps, self.u_of, self.n_u1)
-        glog = np.log2(np.maximum(q_su, 1e-300))
-        g_su = -(self.ps * glog[self.u_of]).sum(axis=1) - c0
-        q_u = np.zeros(self.n_u1)
-        np.add.at(q_u, self.u_of, w)
-        g_u = -np.log2(np.maximum(q_u, 1e-300))[self.u_of] - c0
-        return g_su - g_u
-
-
 def _refine_flat_slp(
-    struct: _Structure,
-    evaluator: _InnerEvaluator,
-    problem: InnerSearchProblem,
-    budget: RateBudget,
-    theta0: np.ndarray,
+    evaluator: _InnerEvaluator, budget: RateBudget, w0: np.ndarray
 ) -> np.ndarray | None:
     """Trust-region sequential LP over the flat weight simplex.
 
     Alternates a feasibility phase (shrink rate violations) with a climb
     phase (maximize the payoff subject to linearized rate cuts); every
-    step is re-evaluated exactly before acceptance.
+    step is re-evaluated exactly before acceptance.  Takes and returns
+    weights w[u2, a, b, c]; ``None`` when no feasible point was seen.
     """
-    model = _FlatModel(struct, problem)
-    n_v1 = len(theta0)
-    w = np.clip(theta0, 0.0, None)
-    w /= w.sum()
+    dims = evaluator.dims
+    w = w0.reshape(-1)
+    n_v1 = len(w)
     caps = [budget.r0, budget.r1, budget.r2]
-    use_epigraph = model.pi_cz is not None
-    n_t = model.n_u1 if use_epigraph else 0
-    n_z = model.pi_cz.shape[1] if use_epigraph else 0
+    pi_cz = evaluator.pi_cz
+    n_t = dims[0] * dims[1] if pi_cz is not None else 0  # one epigraph variable per u1
+    group = n_v1 // (dims[0] * dims[1])  # the cells of one u1 are contiguous
 
-    a_eq = np.vstack([model.px.T, np.ones((1, n_v1))])
-    b_eq = np.concatenate([model.p_x, [1.0]])
+    a_eq = np.vstack([evaluator.struct.px_rows.T, np.ones((1, n_v1))])
+    b_eq = np.concatenate([evaluator.p_x, [1.0]])
 
-    def rate_violation(point: np.ndarray) -> float:
-        vals, _ = model.rates_and_grads(point)
+    def stats_at(point: np.ndarray) -> _InnerStats:
+        return evaluator.stats(point.reshape(dims))
+
+    def violation(stats: _InnerStats) -> float:
         return sum(
-            max(0.0, rk - cap) for rk, cap in zip(vals, caps) if math.isfinite(cap)
+            max(0.0, rk - cap)
+            for rk, cap in zip((stats.r0, stats.r1, stats.r2), caps)
+            if math.isfinite(cap)
         )
 
-    def feasibility_step(delta: float) -> np.ndarray | None:
-        """One LP step minimizing linearized rate violation on the manifold."""
-        rates, grads = model.rates_and_grads(w)
-        tight = [
-            (rk, gk, cap)
-            for rk, gk, cap in zip(rates, grads, caps)
+    def rate_cuts(stats: _InnerStats) -> list[tuple[np.ndarray, float]]:
+        """Linearized rate constraints g @ x <= rhs at w, finite caps only."""
+        grads = evaluator.rate_grads(w.reshape(dims))
+        return [
+            (gk, max(cap - _BACKOFF, 0.0) - rk + float(gk @ w))
+            for rk, gk, cap in zip((stats.r0, stats.r1, stats.r2), grads, caps)
             if math.isfinite(cap)
         ]
-        n_s = len(tight)
+
+    def feasibility_step(stats: _InnerStats, delta: float) -> np.ndarray | None:
+        """One LP step minimizing linearized rate violation on the manifold."""
+        cuts = rate_cuts(stats)
+        n_s = len(cuts)
         a_ub = np.zeros((n_s, n_v1 + n_s))
         b_ub = np.zeros(n_s)
-        for s, (rk, gk, cap) in enumerate(tight):
+        for s, (gk, rhs) in enumerate(cuts):
             a_ub[s, :n_v1] = gk
             a_ub[s, n_v1 + s] = -1.0
-            b_ub[s] = max(cap - _BACKOFF, 0.0) - rk + float(gk @ w)
+            b_ub[s] = rhs
         c = np.concatenate([np.zeros(n_v1), np.ones(n_s)])
         lo = np.maximum(w - delta, 0.0)
         hi = np.minimum(w + delta, 1.0)
@@ -720,64 +698,61 @@ def _refine_flat_slp(
         return out / out.sum()
 
     best_w, best_pi = None, -math.inf
-    start_stats = evaluator.stats(w.reshape(model.dims))
+    start_stats = stats_at(w)
     if _is_feasible(start_stats, budget):
         best_w, best_pi = w.copy(), start_stats.pi
     if start_stats.marginal_gap > 1e-9:
         # land exactly on the source-marginal manifold; every later step
         # preserves it through the LP equalities
-        projected = feasibility_step(1.0)
-        if projected is None:
-            return best_w
-        w = projected
+        w = feasibility_step(start_stats, 1.0)
+        if w is None:
+            return _normalized(best_w, dims)
 
     delta = 0.3
     stall = 0
     fstall = 0
     for _ in range(_LP_MAXITER):
-        stats = evaluator.stats(w.reshape(model.dims))
+        stats = stats_at(w)
         if _is_feasible(stats, budget) and stats.pi > best_pi:
             best_w, best_pi = w.copy(), stats.pi
         if delta < 1e-5 or stall > 6 or fstall > 8:
             break
-        violation = rate_violation(w)
-        if violation > _RATE_SLACK:
-            w_new = feasibility_step(delta)
-            improved = violation - rate_violation(w_new) if w_new is not None else 0.0
+        over = violation(stats)
+        if over > _RATE_SLACK:
+            w_new = feasibility_step(stats, delta)
+            improved = over - violation(stats_at(w_new)) if w_new is not None else 0.0
             if improved > 1e-12:
                 w = w_new
                 delta = min(delta * 1.5, 0.4)
                 # geometric convergence shrinks the violation by a steady
                 # fraction; anything slower is creep toward an unreachable
                 # budget and gets cut off
-                fstall = fstall + 1 if improved < max(1e-8, 1e-3 * violation) else 0
+                fstall = fstall + 1 if improved < max(1e-8, 1e-3 * over) else 0
             else:
                 delta *= 0.5
                 fstall += 1
             continue
 
         # climb phase: exact piecewise-linear payoff, linearized rate cuts
-        rates, grads = model.rates_and_grads(w)
         rows = []
         rhs = []
-        for rk, gk, cap in zip(rates, grads, caps):
-            if math.isfinite(cap):
-                row = np.zeros(n_v1 + n_t)
-                row[:n_v1] = gk
-                rows.append(row)
-                rhs.append(max(cap - _BACKOFF, 0.0) - rk + float(gk @ w))
-        if use_epigraph:
-            for u in range(model.n_u1):
-                cells = model.u_of == u
-                for z in range(n_z):
+        for gk, bound in rate_cuts(stats):
+            row = np.zeros(n_v1 + n_t)
+            row[:n_v1] = gk
+            rows.append(row)
+            rhs.append(bound)
+        if pi_cz is not None:
+            for u in range(n_t):
+                cells = slice(u * group, (u + 1) * group)
+                for z in range(pi_cz.shape[1]):
                     row = np.zeros(n_v1 + n_t)
-                    row[:n_v1][cells] = -model.pi_cz[cells, z]
+                    row[cells] = -pi_cz[cells, z]
                     row[n_v1 + u] = 1.0
                     rows.append(row)
                     rhs.append(0.0)
             c = np.concatenate([np.zeros(n_v1), -np.ones(n_t)])
         else:
-            c = -model.payoff_grad(w)
+            c = -evaluator.payoff_grad(w.reshape(dims))
         lo = np.maximum(w - delta, 0.0)
         hi = np.minimum(w + delta, 1.0)
         bounds = list(zip(lo, hi)) + [(None, None)] * n_t
@@ -803,7 +778,7 @@ def _refine_flat_slp(
         baseline = stats.pi if _is_feasible(stats, budget) else -math.inf
         for t in (1.0, 0.5, 0.25, 0.125):
             w_try = w + t * (target - w)
-            try_stats = evaluator.stats(w_try.reshape(model.dims))
+            try_stats = stats_at(w_try)
             if _is_feasible(try_stats, budget) and try_stats.pi > baseline + 1e-12:
                 w = w_try
                 delta = min(delta * 1.5, 0.4)
@@ -814,7 +789,14 @@ def _refine_flat_slp(
         else:
             delta *= 0.5
             stall += 1
-    return best_w
+    return _normalized(best_w, dims)
+
+
+def _normalized(w: np.ndarray | None, dims: tuple[int, int, int, int]) -> np.ndarray | None:
+    if w is None:
+        return None
+    w4 = np.clip(w, 0.0, None).reshape(dims)
+    return w4 / w4.sum()
 
 
 def _assemble_inner(
@@ -855,18 +837,6 @@ class _Scored:
     stats: _InnerStats
     struct: _Structure
     w4: np.ndarray
-
-
-def _score_weights(
-    struct: _Structure,
-    evaluator: _InnerEvaluator,
-    layout: _ThetaLayout,
-    theta: np.ndarray | None,
-) -> _Scored:
-    if theta is None or layout.size == 0:
-        theta = layout.pack(None)  # uniform start; empty when nothing is free
-    w4 = layout.weights(theta, normalized=True)
-    return _Scored(evaluator.stats(w4), struct, w4)
 
 
 def _map_space_size(problem: InnerSearchProblem, dims, pairs_by_y3) -> int:
@@ -917,19 +887,25 @@ def _certify_inner(
     cand: InnerCandidate, tup: RatePayoffTuple, problem: InnerSearchProblem
 ) -> None:
     """Re-derive a winner by the reference path; raise if it disagrees."""
-    report = check_inner_constraints(cand, p_x=problem.p_x, tol=_MARGINAL_SLACK)
-    if report.failures:
-        check = report.failures[0]
-        raise RuntimeError(
-            f"search winner fails check {check.name!r}: {check.value!r} > tol {check.tol!r}"
-        )
+    _raise_on_failures(check_inner_constraints(cand, p_x=problem.p_x, tol=_MARGINAL_SLACK))
     ref = eval_inner_tuple(cand, problem.side, problem.payoff, check=False)
     for tag in ("r0", "r1", "r2", "pi"):
-        got, want = getattr(tup, tag), getattr(ref, tag)
-        if not abs(got - want) <= _CERTIFY_TOL:
-            raise RuntimeError(
-                f"search winner {tag}={got!r} but the reference evaluator gives {want!r}"
-            )
+        _raise_on_mismatch(tag, getattr(tup, tag), getattr(ref, tag))
+
+
+def _raise_on_failures(report) -> None:
+    if report.failures:
+        check = report.failures[0]
+        raise VerificationError(
+            f"search winner fails check {check.name!r}: {check.value!r} > tol {check.tol!r}"
+        )
+
+
+def _raise_on_mismatch(tag: str, got: float, want: float) -> None:
+    if not abs(got - want) <= _CERTIFY_TOL:
+        raise VerificationError(
+            f"search winner {tag}={got!r} but the reference evaluator gives {want!r}"
+        )
 
 
 def search_inner(
@@ -946,7 +922,7 @@ def search_inner(
     Deterministic given (problem, seed, restarts).  ``workers`` is accepted
     for compatibility; has no effect.  Infeasibility is a result, not an
     exception; a winner that the reference evaluator does not reproduce
-    raises ``RuntimeError``.
+    raises :class:`VerificationError`.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -967,8 +943,8 @@ def search_inner(
         else:
             screened = []
             for s in structures:
-                sc = _score_weights(s, _InnerEvaluator(s, problem), _ThetaLayout(s.dims), None)
-                screened.append((_relaxed_score(sc.stats, budget), len(screened), s))
+                stats = _InnerEvaluator(s, problem).stats(_start_weights(s.dims))
+                screened.append((_relaxed_score(stats, budget), len(screened), s))
             screened.sort(key=lambda t: (-t[0], t[1]))
             enum_jobs = [(s, True) for _, _, s in screened[:_ENUM_REFINE_TOP]]
             enum_jobs += [(s, False) for _, _, s in screened[_ENUM_REFINE_TOP:]]
@@ -1003,49 +979,37 @@ def search_inner(
         dims = decomps[index % len(decomps)]
         stochastic = rng.random() < 0.25
         struct = _sample_structure(rng, dims, problem, pairs_by_y3, stochastic)
-        layout = _ThetaLayout(struct.dims)
-        theta0 = None
+        w0 = None
         if rng.random() < 0.7:
-            theta0 = _concentrated_theta(rng, layout, struct, problem.p_x.probs, budget.r0)
-        if theta0 is None:
-            theta0 = layout.pack(None if rng.random() < 0.15 else rng)
-        evaluator = _InnerEvaluator(struct, problem)
-        scored = _score_weights(struct, evaluator, layout, theta0)
-        return (index, struct, theta0, scored)
+            w0 = _concentrated_weights(rng, struct, problem.p_x.probs, budget.r0)
+        if w0 is None:
+            w0 = _start_weights(dims, None if rng.random() < 0.15 else rng)
+        return (index, _Scored(_InnerEvaluator(struct, problem).stats(w0), struct, w0))
 
     sampled = [sample_one(i) for i in range(restarts)]
 
     # stage 2: refine the most promising restarts plus the enumerated maps;
     # only flat layouts have a refiner, the rest compete at their start
-    ranked = sorted(
-        sampled, key=lambda t: (-_relaxed_score(t[3].stats, budget), t[0])
-    )
-    refine_jobs: list[tuple[_Structure, np.ndarray | None, _Scored | None]] = [
-        (struct, theta0, scored) for _, struct, theta0, scored in ranked[:refine_top]
-    ]
-    refine_jobs += [(struct, None, None) for struct in canon_jobs]
-    keep_unrefined = [scored for _, _, _, scored in sampled]
-    for struct, do_refine in enum_jobs:
-        if do_refine:
-            refine_jobs.append((struct, None, None))
-        else:
-            keep_unrefined.append(
-                _score_weights(struct, _InnerEvaluator(struct, problem), _ThetaLayout(struct.dims), None)
-            )
+    def uniform(struct: _Structure) -> _Scored:
+        w4 = _start_weights(struct.dims)
+        return _Scored(_InnerEvaluator(struct, problem).stats(w4), struct, w4)
 
-    def refine_one(job) -> list[_Scored]:
-        struct, theta0, scored = job
-        layout = _ThetaLayout(struct.dims)
+    ranked = sorted(sampled, key=lambda t: (-_relaxed_score(t[1].stats, budget), t[0]))
+    refine_jobs = [scored for _, scored in ranked[:refine_top]]
+    refine_jobs += [uniform(struct) for struct in canon_jobs]
+    keep_unrefined = [scored for _, scored in sampled]
+    for struct, do_refine in enum_jobs:
+        (refine_jobs if do_refine else keep_unrefined).append(uniform(struct))
+
+    def refine_one(scored: _Scored) -> list[_Scored]:
+        struct = scored.struct
+        if not _is_flat(struct.dims) or struct.n_v1 == 1:
+            return [scored]
         evaluator = _InnerEvaluator(struct, problem)
-        if theta0 is None:
-            theta0 = layout.pack(None)
-            scored = _score_weights(struct, evaluator, layout, theta0)
-        out = [scored]
-        if layout.flat and layout.size > 0:
-            theta1 = _refine_flat_slp(struct, evaluator, problem, budget, theta0)
-            if theta1 is not None:
-                out.append(_score_weights(struct, evaluator, layout, theta1))
-        return out
+        w1 = _refine_flat_slp(evaluator, budget, scored.w4)
+        if w1 is None:
+            return [scored]
+        return [scored, _Scored(evaluator.stats(w1), struct, w1)]
 
     pool_all = keep_unrefined + [s for job in refine_jobs for s in refine_one(job)]
     feasible = [s for s in pool_all if _is_feasible(s.stats, budget)]
@@ -1280,7 +1244,7 @@ def _sample_equiv(rng: np.random.Generator, problem: EquivocationProblem) -> _Eq
 
 
 def _refine_equiv(
-    params: _EquivParams, problem: EquivocationProblem, r0: float, maxiter: int
+    params: _EquivParams, problem: EquivocationProblem, r0: float
 ) -> _EquivParams | None:
     n_x = problem.p_x.alphabet.size
     n_v1, n_v2 = params.e_rows.shape[1], params.py3.shape[0]
@@ -1346,7 +1310,7 @@ def _refine_equiv(
             method="SLSQP",
             bounds=[(0.0, 1.0)] * size,
             constraints=cons,
-            options={"maxiter": maxiter, "ftol": 1e-12},
+            options={"maxiter": _EQUIV_MAXITER, "ftol": 1e-12},
         )
     except (ValueError, FloatingPointError):
         return None
@@ -1366,20 +1330,19 @@ def search_equivocation(
     restarts: int = 64,
     seed: int = 0,
     workers: int = 1,
-    refine_top: int = 16,
-    maxiter: int = 80,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> EquivocationSearchResult:
     """Best disclosure-family value found under distortion/rate budgets.
 
-    ``workers`` is accepted for compatibility; has no effect.
+    ``workers`` is accepted for compatibility; has no effect.  A winner
+    that the reference evaluator does not reproduce raises
+    :class:`VerificationError`.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     started = time.perf_counter()
     pool: list[tuple[_EquivStats, _EquivParams]] = []
 
-    if _equiv_enumeration_size(problem) <= enum_limit:
+    if _equiv_enumeration_size(problem) <= DEFAULT_ENUM_LIMIT:
         for params in _enumerate_equiv(problem):
             stats = _equiv_stats(params, problem, problem.r0)
             if _equiv_feasible(stats, problem):
@@ -1409,8 +1372,8 @@ def search_equivocation(
             pool.append((stats, params))
     ranked = sorted(sampled, key=lambda t: (-relaxed(t[2]), t[0]))
 
-    for _, params, _ in ranked[:refine_top]:
-        better = _refine_equiv(params, problem, problem.r0, maxiter)
+    for _, params, _ in ranked[:_EQUIV_REFINE_TOP]:
+        better = _refine_equiv(params, problem, problem.r0)
         if better is not None:
             st = _equiv_stats(better, problem, problem.r0)
             if _equiv_feasible(st, problem):
@@ -1432,6 +1395,9 @@ def search_equivocation(
     assembled = [(_assemble_equiv(p, problem), st) for st, p in finalists]
     assembled.sort(key=lambda pair: (-pair[1].value, _candidate_digest(pair[0])))
     cand, st = assembled[0]
+    _raise_on_failures(check_equivocation_membership(cand, p_x=problem.p_x, tol=_MARGINAL_SLACK))
+    ref = equivocation_value(cand, problem.secret_set, problem.r0, check=False)
+    _raise_on_mismatch("value", st.value, ref)
     return EquivocationSearchResult(True, st.value, cand, seed, restarts, wall)
 
 
@@ -1448,7 +1414,6 @@ def equivocation_sweep(
     restarts: int = 64,
     seed: int = 0,
     workers: int = 1,
-    **kwargs,
 ) -> list[SweepPoint]:
     """The value curve over a grid of key rates.
 
@@ -1464,7 +1429,6 @@ def equivocation_sweep(
             restarts=restarts,
             seed=seed + 7919 * gi,
             workers=workers,
-            **kwargs,
         )
         if res.feasible:
             h_s = equivocation_value(res.candidate, problem.secret_set, 10**9, check=False)

@@ -387,6 +387,40 @@ def _encoder_weights(scheme: _Scheme, cb: CodebookSet, k: int) -> np.ndarray:
     return out
 
 
+def _encoder_table(
+    scheme: _Scheme, cb: CodebookSet, cell_cap: int = DEFAULT_CELL_CAP
+) -> np.ndarray:
+    """P(k) P(x^n) P(m | x^n, k) for every cell (k, m, x^n).
+
+    Shape (K, Ma, Mb, Mc, Md) + (|X|,)*n.  The cell cap is checked before
+    anything of size |X|^n is allocated; a source sequence that no
+    codeword covers at some key is named in the error.
+    """
+    n = cb.spec.n
+    m_a, m_b, m_c, m_d, n_k = cb.spec.index_bits.sizes
+    m_cells = m_a * m_b * m_c * m_d
+    need = n_k * m_cells * scheme.nx**n
+    if need > cell_cap:
+        raise CapExceededError(f"encoder table needs {need} cells, cap is {cell_cap}")
+    px_block = np.ones((scheme.nx,) * n)
+    for t in range(n):
+        px_block = px_block * scheme.p_x.reshape(
+            tuple(scheme.nx if s == t else 1 for s in range(n))
+        )
+    enc = np.empty((n_k, m_a, m_b, m_c, m_d) + (scheme.nx,) * n)
+    for k in range(n_k):
+        weights = _encoder_weights(scheme, cb, k)
+        denom = weights.reshape(m_cells, -1).sum(axis=0).reshape((scheme.nx,) * n)
+        if float(denom.min()) <= 0.0:
+            x_seq = np.unravel_index(int(np.argmax(denom <= 0.0)), denom.shape)
+            raise ZeroProbabilityError(
+                f"source sequence x^n={tuple(int(x) for x in x_seq)} has no codeword"
+                f" at key {k}"
+            )
+        enc[k] = (px_block / n_k) * (weights / denom)
+    return enc
+
+
 def encoder_distribution(x_seq, k: int, cb: CodebookSet) -> np.ndarray:
     """Exact conditional distribution of the index tuple given (x^n, k)."""
     scheme = _Scheme(cb.spec)
@@ -463,21 +497,11 @@ def run_system_exact(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> S
             f"system table needs {n_k * m_cells * sym_cells} cells, cap is {cell_cap}"
         )
 
-    px_block = np.ones((scheme.nx,) * n)
-    for t in range(n):
-        px_block = px_block * scheme.p_x.reshape(
-            tuple(scheme.nx if s == t else 1 for s in range(n))
-        )
-
+    enc = _encoder_table(scheme, cb, cell_cap)
     shape = (n_k, m_a, m_b, m_c, m_d) + (scheme.nx,) * n + (scheme.ny2,) * n + (scheme.ny3,) * n
     table = np.zeros(shape)
     for k in range(n_k):
-        weights = _encoder_weights(scheme, cb, k)
-        denom = weights.reshape(m_cells, -1).sum(axis=0).reshape((scheme.nx,) * n)
-        if float(denom.min()) <= 0.0:
-            raise ZeroProbabilityError("source sequence outside scheme support")
-        enc = weights / denom
-        prior = (px_block / n_k) * enc
+        prior = enc[k]
         for m in np.ndindex(m_a, m_b, m_c, m_d):
             v1_seq = cb.v1[m][k]
             v2_seq = cb.v2[m[0], m[1], k]
@@ -599,22 +623,8 @@ class _PosteriorEngine:
         self.cb = cb
         self.scheme = _Scheme(cb.spec)
         self.n = cb.spec.n
-        m_a, m_b, m_c, m_d, self.n_k = cb.spec.index_bits.sizes
-        self.m_cells = m_a * m_b * m_c * m_d
-        scheme = self.scheme
-        px_block = np.ones((scheme.nx,) * self.n)
-        for t in range(self.n):
-            px_block = px_block * scheme.p_x.reshape(
-                tuple(scheme.nx if s == t else 1 for s in range(self.n))
-            )
-        self.enc = np.zeros((self.n_k, m_a, m_b, m_c, m_d) + (scheme.nx,) * self.n)
-        for k in range(self.n_k):
-            weights = _encoder_weights(scheme, cb, k)
-            denom = weights.reshape(self.m_cells, -1).sum(axis=0)
-            denom = denom.reshape((scheme.nx,) * self.n)
-            if float(denom.min()) <= 0.0:
-                raise ZeroProbabilityError("source sequence outside scheme support")
-            self.enc[k] = (px_block / self.n_k) * (weights / denom)
+        self.n_k = cb.spec.index_bits.sizes[4]
+        self.enc = _encoder_table(self.scheme, cb)
 
     def posterior(self, m: tuple[int, int, int, int], w_prefix) -> np.ndarray:
         """Normalized posterior over the time-t triple, t = len(w_prefix)."""

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from cascade_secrecy import search as search_mod
 from cascade_secrecy.bounds import side_info_to_json
 from cascade_secrecy.cli import main
 from cascade_secrecy.payoff import payoff_to_json
@@ -295,6 +296,38 @@ def test_equivocation_field_path(tmp_path, capsys):
     cfg = write_config(tmp_path, body)
     assert main(["equivocation", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "problem.d2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, owner, name, field",
+    [
+        ("bounds", search_mod._InnerEvaluator, "stats", "pi"),
+        ("equivocation", search_mod, "_equiv_stats", "value"),
+    ],
+    ids=["bounds", "equivocation"],
+)
+def test_verification_mismatch_exits_1(tmp_path, capsys, monkeypatch, command, owner, name, field):
+    # a fast evaluator that drifts from the reference ends in exit code 1
+    # with a message, not in a traceback
+    original = getattr(owner, name)
+
+    def shifted(*args):
+        out = original(*args)
+        setattr(out, field, getattr(out, field) + 1e-6)
+        return out
+
+    monkeypatch.setattr(owner, name, shifted)
+    if command == "bounds":
+        problem = dict(
+            bounds_problem({"u1": 3, "u2": 2, "v1": 9, "v2": 6}), refine_top=2, enum_limit=0
+        )
+        body = {"seed": 1, "restarts": 2, "problem": problem}
+    else:
+        body = equiv_config()
+    cfg = write_config(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: verification mismatch: search winner {field}=")
 
 
 # ---------------------------------------------------------------------------

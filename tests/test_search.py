@@ -30,6 +30,7 @@ from cascade_secrecy.search import (
     InnerSearchProblem,
     RateBudget,
     SearchResult,
+    VerificationError,
     equivocation_sweep,
     min_key_rate,
     search_equivocation,
@@ -280,14 +281,68 @@ def test_fast_evaluator_matches_reference(dims, secret, stochastic, seed):
     rng = np.random.default_rng(seed)
     pairs = search_mod._finite_pairs(problem)
     struct = search_mod._sample_structure(rng, dims, problem, pairs, stochastic)
-    layout = search_mod._ThetaLayout(dims)
-    w4 = layout.weights(layout.pack(rng), normalized=True)
+    w4 = search_mod._start_weights(dims, rng)
     fast = search_mod._InnerEvaluator(struct, problem).stats(w4)
     cand = search_mod._assemble_inner(struct, w4, problem)
     ref = eval_inner_tuple(cand, problem.side, problem.payoff, check=False)
     for tag in ("r0", "r1", "r2", "pi"):
         got, want = getattr(fast, tag), getattr(ref, tag)
         assert got == want or abs(got - want) <= 1e-9, (tag, got, want)
+
+
+_FLAT_DIMS = [d for d in _EVAL_DIMS if (d[1] == 1 or d[2] == 1) and math.prod(d) > 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from(_FLAT_DIMS),
+    secret=st.sampled_from([None] + _LOG_LOSS_SECRETS),
+    stochastic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refiner_gradients_match_central_differences(dims, secret, stochastic, seed):
+    # the flat LP refiner linearizes the rates and the log-loss payoff with
+    # the evaluator's gradients; along simplex-tangent directions at an
+    # interior point they must match central differences of stats, and the
+    # table-payoff epigraph must reproduce the payoff
+    if secret is None:
+        problem = ternary_problem(RateBudget(1.0, 1.6, 0.6))
+    else:
+        problem = InnerSearchProblem(
+            p_x=EX.p_x,
+            payoff=LogLossPayoff(secret),
+            side=EX.side,
+            budget=RateBudget(1.0, 1.6, 0.6),
+            caps=CardinalityCaps(6, 3, 27, 9),
+            y2_alphabet=EX.payoff.y2_alphabet,
+            y3_alphabet=EX.payoff.y3_alphabet,
+        )
+    rng = np.random.default_rng(seed)
+    pairs = search_mod._finite_pairs(problem)
+    struct = search_mod._sample_structure(rng, dims, problem, pairs, stochastic)
+    ev = search_mod._InnerEvaluator(struct, problem)
+    n = math.prod(dims)
+    w = 0.5 * search_mod._start_weights(dims, rng).reshape(-1) + 0.5 / n
+    fields = ["r0", "r1", "r2"]
+    grads = list(ev.rate_grads(w.reshape(dims)))
+    if secret is not None:
+        fields.append("pi")
+        grads.append(ev.payoff_grad(w.reshape(dims)))
+    h = 1e-6
+    for _ in range(3):
+        d = rng.normal(size=n)
+        d -= d.mean()
+        d /= np.abs(d).max()
+        plus = ev.stats((w + h * d).reshape(dims))
+        minus = ev.stats((w - h * d).reshape(dims))
+        for tag, g in zip(fields, grads):
+            fd = (getattr(plus, tag) - getattr(minus, tag)) / (2 * h)
+            assert abs(fd - g @ d) <= 1e-6 * (1.0 + abs(fd)), (tag, fd, g @ d)
+    if secret is None:
+        stats = ev.stats(w.reshape(dims))
+        if math.isfinite(stats.pi):
+            per_u = (w[:, None] * ev.pi_cz).reshape(dims[0] * dims[1], -1, ev.pi_cz.shape[1])
+            assert abs(per_u.sum(axis=1).min(axis=1).sum() - stats.pi) <= 1e-9
 
 
 def test_search_deterministic_across_worker_counts():
@@ -403,6 +458,21 @@ def test_equivocation_witness_is_a_family_member():
     assert report.passed, str(report)
     direct = equivocation_value(res.candidate, ("X",), 1.0, check=False)
     assert abs(direct - res.value) < 1e-9
+
+
+def test_equivocation_search_certifies_the_published_winner(monkeypatch):
+    # the winner is re-derived by the reference evaluator before it is
+    # published, as for the inner search
+    stats = search_mod._equiv_stats
+
+    def shifted(params, problem, r0):
+        out = stats(params, problem, r0)
+        out.value += 1e-6
+        return out
+
+    monkeypatch.setattr(search_mod, "_equiv_stats", shifted)
+    with pytest.raises(VerificationError, match="value="):
+        search_equivocation(binary_equiv_problem(0.0, 1.0), restarts=4, seed=0)
 
 
 def test_equivocation_infeasible_distortion():

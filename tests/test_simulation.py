@@ -169,6 +169,13 @@ def test_codebook_cap_exceeded():
         run_system_exact(corner_spec(2, BITS_N2), cell_cap=1000)
 
 
+def test_posterior_engine_cap_exceeded():
+    # the codebooks are small at n = 40, but the encoder table over the
+    # 3**40 source sequences is not: the cap must stop it before numpy does
+    with pytest.raises(CapExceededError, match="encoder table needs"):
+        mc_estimate(corner_spec(40, IndexBits(1, 1, 1, 1, 1)), EX.payoff, 2, 0)
+
+
 def test_key_prefix_property():
     """Doubling the key space extends the codebooks without moving them."""
     base = IndexBits(1, 1, 2, 1, 1)
@@ -306,7 +313,7 @@ def test_system_constraint_audit(idx):
 def test_table_requires_full_coverage():
     # auto-sized spaces at n=2 are too small for the deterministic
     # corner-1 encoder: some source pairs have no consistent codeword
-    with pytest.raises(ZeroProbabilityError):
+    with pytest.raises(ZeroProbabilityError, match=r"x\^n=\(\d, \d\) has no codeword at key \d"):
         run_system_exact(corner_spec(2, auto_index_bits(CORNER, 2, key=4)))
 
 
