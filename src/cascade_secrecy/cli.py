@@ -375,6 +375,8 @@ def _run_bounds(run: _Run) -> int:
             _as_number(g, f"problem.r0_grid[{i}]", allow_inf=True)
             for i, g in enumerate(_as_list(grid, "problem.r0_grid"))
         ]
+        if not grid:
+            raise SchemaError("problem.r0_grid", "expected at least one key rate")
         results = [
             (g, search_inner(replace(prob, budget=replace(prob.budget, r0=g)), **search_kwargs))
             for g in grid

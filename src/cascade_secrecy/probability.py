@@ -14,7 +14,6 @@ fails with :class:`CapExceededError` instead of exhausting memory.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -531,8 +530,3 @@ def joint_from_json(obj: Mapping) -> JointDistribution:
     shape = tuple(a.size for _, a in variables)
     table = np.array(obj["table"], dtype=np.float64).reshape(shape)
     return JointDistribution(variables, table)
-
-
-def joint_dumps(dist: JointDistribution) -> str:
-    """Canonical one-line JSON text for hashing and on-disk artifacts."""
-    return json.dumps(joint_to_json(dist), separators=(",", ":"), sort_keys=True)

@@ -19,13 +19,18 @@ payoff's forbidden set) and Dirichlet weights.  When |A| or |B| is 1 the
 weights form one flat simplex, and a trust-region sequential LP refines
 them under the source-marginal equalities and linearized rate cuts; other
 structures compete at their start weights.  When the space of
-deterministic channel maps is small enough the search enumerates it
-exhaustively instead of sampling.
+deterministic channel maps is at most ``enum_limit``, the search also
+enumerates every map.
 
-Results are merged by payoff and then by candidate hash, so the outcome
-is a deterministic function of (problem, seed, restarts).  The winner is
-re-derived by the reference evaluator in :mod:`cascade_secrecy.bounds`
-before it is published.
+Sampled restarts, enumerated maps and seed-independent anchors form one
+pool, each candidate scored once: sampled restarts at their start
+weights, maps and anchors at uniform weights.  One stable ranking by
+relaxed score picks what is refined: the best ``refine_top`` restarts,
+every anchor, and the top 256 maps (every map when there are at most
+2,048).  The winner is the best payoff in the pool, ties broken by
+candidate hash, so the outcome is a deterministic function of (problem,
+seed, restarts).  It is re-derived by the reference evaluator in
+:mod:`cascade_secrecy.bounds` before it is published.
 
 The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
@@ -607,12 +612,13 @@ class _InnerEvaluator:
         return _InnerStats(r0, r1, r2, pi, forbidden, gap)
 
 
-def _rate_ok(stats: _InnerStats, budget: RateBudget, slack: float = _RATE_SLACK) -> bool:
-    return (
-        stats.r0 <= budget.r0 + slack
-        and stats.r1 <= budget.r1 + slack
-        and stats.r2 <= budget.r2 + slack
-    )
+def _rate_limits(stats: _InnerStats, budget: RateBudget) -> tuple:
+    """(value, cap) of each of r0, r1 and r2."""
+    return ((stats.r0, budget.r0), (stats.r1, budget.r1), (stats.r2, budget.r2))
+
+
+def _within(limits) -> bool:
+    return all(got <= cap + _RATE_SLACK for got, cap in limits)
 
 
 def _is_feasible(stats: _InnerStats, budget: RateBudget) -> bool:
@@ -620,20 +626,23 @@ def _is_feasible(stats: _InnerStats, budget: RateBudget) -> bool:
         not stats.forbidden
         and math.isfinite(stats.pi)
         and stats.marginal_gap <= _MARGINAL_SLACK
-        and _rate_ok(stats, budget)
+        and _within(_rate_limits(stats, budget))
     )
 
 
-def _relaxed_score(stats: _InnerStats, budget: RateBudget) -> float:
-    """Ranking score for picking refinement candidates: payoff minus
-    heavy penalties for budget/marginal violations."""
-    if stats.forbidden or not math.isfinite(stats.pi):
-        return -math.inf
-    pen = stats.marginal_gap
-    for got, cap in ((stats.r0, budget.r0), (stats.r1, budget.r1), (stats.r2, budget.r2)):
+def _penalized(value: float, limits, pen: float = 0.0) -> float:
+    """Ranking score for picking refinement candidates: ``value`` minus
+    heavy penalties for the excess over each finite cap, added to ``pen``."""
+    for got, cap in limits:
         if math.isfinite(cap):
             pen += max(0.0, got - cap)
-    return stats.pi - 100.0 * pen
+    return value - 100.0 * pen
+
+
+def _relaxed_score(stats: _InnerStats, budget: RateBudget) -> float:
+    if stats.forbidden or not math.isfinite(stats.pi):
+        return -math.inf
+    return _penalized(stats.pi, _rate_limits(stats, budget), stats.marginal_gap)
 
 
 def _refine_flat_slp(
@@ -661,11 +670,8 @@ def _refine_flat_slp(
         return evaluator.stats(point.reshape(dims))
 
     def violation(stats: _InnerStats) -> float:
-        return sum(
-            max(0.0, rk - cap)
-            for rk, cap in zip((stats.r0, stats.r1, stats.r2), caps)
-            if math.isfinite(cap)
-        )
+        limits = _rate_limits(stats, budget)
+        return sum(max(0.0, got - cap) for got, cap in limits if math.isfinite(cap))
 
     def rate_cuts(stats: _InnerStats) -> list[tuple[np.ndarray, float]]:
         """Linearized rate constraints g @ x <= rhs at w, finite caps only."""
@@ -832,6 +838,19 @@ def _candidate_digest(cand: InnerCandidate | EquivocationCandidate) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _ranked(pool: list, score) -> list:
+    """The pool by descending score; the sort is stable, so ties keep pool order."""
+    return sorted(pool, key=lambda entry: -score(entry))
+
+
+def _pick_winner(pool: list, value, assemble) -> tuple:
+    """(candidate, entry) of the highest value, exact ties broken by the
+    smallest candidate digest, so the pick does not depend on pool order."""
+    best = max(value(entry) for entry in pool)
+    finalists = [(assemble(entry), entry) for entry in pool if value(entry) == best]
+    return min(finalists, key=lambda pair: _candidate_digest(pair[0]))
+
+
 @dataclass
 class _Scored:
     stats: _InnerStats
@@ -931,50 +950,47 @@ def search_inner(
     decomps = _decompositions(problem.caps)
     pairs_by_y3 = _finite_pairs(problem)
 
-    # stage 0: exhaustive enumeration of deterministic channel maps
-    enum_jobs: list[tuple[_Structure, bool]] = []  # (structure, refine?)
+    def scored(struct: _Structure, w4: np.ndarray) -> _Scored:
+        return _Scored(_InnerEvaluator(struct, problem).stats(w4), struct, w4)
+
+    def ranked(pool: list[_Scored]) -> list[_Scored]:
+        return _ranked(pool, lambda s: _relaxed_score(s.stats, budget))
+
+    # every deterministic channel map when few enough, scored once at
+    # uniform weights; all are refined up to _ENUM_REFINE_ALL maps, else
+    # the best _ENUM_REFINE_TOP
     total_maps = sum(_map_space_size(problem, d, pairs_by_y3) for d in decomps)
+    enumerated: list[_Scored] = []
     if 0 < total_maps <= enum_limit:
-        structures = [
-            s for d in decomps for s in _enumerate_structures(problem, d, pairs_by_y3)
+        enumerated = [
+            scored(s, _start_weights(s.dims))
+            for d in decomps
+            for s in _enumerate_structures(problem, d, pairs_by_y3)
         ]
-        if total_maps <= _ENUM_REFINE_ALL:
-            enum_jobs = [(s, True) for s in structures]
-        else:
-            screened = []
-            for s in structures:
-                stats = _InnerEvaluator(s, problem).stats(_start_weights(s.dims))
-                screened.append((_relaxed_score(stats, budget), len(screened), s))
-            screened.sort(key=lambda t: (-t[0], t[1]))
-            enum_jobs = [(s, True) for _, _, s in screened[:_ENUM_REFINE_TOP]]
-            enum_jobs += [(s, False) for _, _, s in screened[_ENUM_REFINE_TOP:]]
+    enum_top = total_maps if total_maps <= _ENUM_REFINE_ALL else _ENUM_REFINE_TOP
+    to_refine = ranked(enumerated)[:enum_top]
 
     # seed-independent anchors: the no-information candidate (stochastic
-    # source row, so never covered by the deterministic enumeration) plus
-    # balanced maps over the leading decompositions
-    canon_jobs: list[_Structure] = [_blind_structure(problem)]
-    if total_maps == 0 or total_maps > _ENUM_REFINE_ALL:
-        seen: set[bytes] = set()
+    # source row, so never covered by the deterministic enumeration) plus,
+    # unless every map was enumerated and refined, balanced maps over the
+    # leading decompositions
+    anchors = [_blind_structure(problem)]
+    if not 0 < len(to_refine) == total_maps:
+        balanced: dict[tuple, _Structure] = {}  # one per distinct structure
         # every (c_u2, c_a, 1, 1) decomposition pins V1 = U1, hence key
         # rate identically zero: the natural anchors for small budgets
         anchor_dims = decomps[:16] + [d for d in decomps if d[2] == 1 and d[3] == 1]
         for dims in anchor_dims:
             for shift in (0, 1):
                 struct = _balanced_structure(dims, problem, pairs_by_y3, shift)
-                if struct is None:
-                    continue
-                key = (
-                    repr(dims).encode()
-                    + struct.px_rows.tobytes()
-                    + struct.py2_rows.tobytes()
-                    + struct.py3_rows.tobytes()
-                )
-                if key not in seen:
-                    seen.add(key)
-                    canon_jobs.append(struct)
+                if struct is not None:
+                    rows = (struct.px_rows, struct.py2_rows, struct.py3_rows)
+                    balanced.setdefault((dims,) + tuple(r.tobytes() for r in rows), struct)
+        anchors += balanced.values()
+    anchored = [scored(s, _start_weights(s.dims)) for s in anchors]
+    to_refine += anchored
 
-    # stage 1: sample and score restarts (cheap, no refinement yet)
-    def sample_one(index: int):
+    def sample_one(index: int) -> _Scored:
         rng = _rng_for(seed, index)
         dims = decomps[index % len(decomps)]
         stochastic = rng.random() < 0.25
@@ -984,35 +1000,22 @@ def search_inner(
             w0 = _concentrated_weights(rng, struct, problem.p_x.probs, budget.r0)
         if w0 is None:
             w0 = _start_weights(dims, None if rng.random() < 0.15 else rng)
-        return (index, _Scored(_InnerEvaluator(struct, problem).stats(w0), struct, w0))
+        return scored(struct, w0)
 
     sampled = [sample_one(i) for i in range(restarts)]
+    to_refine += ranked(sampled)[:refine_top]
 
-    # stage 2: refine the most promising restarts plus the enumerated maps;
     # only flat layouts have a refiner, the rest compete at their start
-    def uniform(struct: _Structure) -> _Scored:
-        w4 = _start_weights(struct.dims)
-        return _Scored(_InnerEvaluator(struct, problem).stats(w4), struct, w4)
-
-    ranked = sorted(sampled, key=lambda t: (-_relaxed_score(t[1].stats, budget), t[0]))
-    refine_jobs = [scored for _, scored in ranked[:refine_top]]
-    refine_jobs += [uniform(struct) for struct in canon_jobs]
-    keep_unrefined = [scored for _, scored in sampled]
-    for struct, do_refine in enum_jobs:
-        (refine_jobs if do_refine else keep_unrefined).append(uniform(struct))
-
-    def refine_one(scored: _Scored) -> list[_Scored]:
-        struct = scored.struct
+    def refined(start: _Scored) -> list[_Scored]:
+        struct = start.struct
         if not _is_flat(struct.dims) or struct.n_v1 == 1:
-            return [scored]
+            return []
         evaluator = _InnerEvaluator(struct, problem)
-        w1 = _refine_flat_slp(evaluator, budget, scored.w4)
-        if w1 is None:
-            return [scored]
-        return [scored, _Scored(evaluator.stats(w1), struct, w1)]
+        w1 = _refine_flat_slp(evaluator, budget, start.w4)
+        return [] if w1 is None else [_Scored(evaluator.stats(w1), struct, w1)]
 
-    pool_all = keep_unrefined + [s for job in refine_jobs for s in refine_one(job)]
-    feasible = [s for s in pool_all if _is_feasible(s.stats, budget)]
+    pool = enumerated + anchored + sampled + [r for s in to_refine for r in refined(s)]
+    feasible = [s for s in pool if _is_feasible(s.stats, budget)]
     wall = time.perf_counter() - started
     if not feasible:
         return SearchResult(
@@ -1025,21 +1028,13 @@ def search_inner(
             "infeasible: no candidate met the rate budget within tolerance",
         )
 
-    # deterministic merge: best payoff, ties by candidate digest
-    best_pi = max(s.stats.pi for s in feasible)
-    finalists = [s for s in feasible if s.stats.pi >= best_pi - 1e-12]
-    assembled = [(_assemble_inner(s.struct, s.w4, problem), s) for s in finalists]
-    assembled.sort(key=lambda pair: (-pair[1].stats.pi, _candidate_digest(pair[0])))
-    winner_cand, winner = assembled[0]
-    tup = RatePayoffTuple(
-        winner.stats.r0,
-        winner.stats.r1,
-        winner.stats.r2,
-        winner.stats.pi,
-        winner.stats.forbidden,
+    winner_cand, winner = _pick_winner(
+        feasible, lambda s: s.stats.pi, lambda s: _assemble_inner(s.struct, s.w4, problem)
     )
+    st = winner.stats
+    tup = RatePayoffTuple(st.r0, st.r1, st.r2, st.pi, st.forbidden)
     _certify_inner(winner_cand, tup, problem)
-    msg = f"source-marginal gap {winner.stats.marginal_gap:.2e}"
+    msg = f"source-marginal gap {st.marginal_gap:.2e}"
     return SearchResult(True, tup, winner_cand, seed, restarts, wall, msg)
 
 
@@ -1158,13 +1153,18 @@ def _equiv_stats(params: _EquivParams, problem: EquivocationProblem, r0: float) 
     return _EquivStats(value, h_s, leak, ed1, ed2, i_xv1, i_xv2)
 
 
-def _equiv_feasible(stats: _EquivStats, problem: EquivocationProblem) -> bool:
+def _equiv_limits(stats: _EquivStats, problem: EquivocationProblem) -> tuple:
+    """(value, cap) of each distortion and message-rate budget."""
     return (
-        stats.ed1 <= problem.max_d1 + _RATE_SLACK
-        and stats.ed2 <= problem.max_d2 + _RATE_SLACK
-        and stats.i_xv1 <= problem.r1 + _RATE_SLACK
-        and stats.i_xv2 <= problem.r2 + _RATE_SLACK
+        (stats.ed1, problem.max_d1),
+        (stats.ed2, problem.max_d2),
+        (stats.i_xv1, problem.r1),
+        (stats.i_xv2, problem.r2),
     )
+
+
+def _equiv_feasible(stats: _EquivStats, problem: EquivocationProblem) -> bool:
+    return _within(_equiv_limits(stats, problem))
 
 
 def _assemble_equiv(params: _EquivParams, problem: EquivocationProblem) -> EquivocationCandidate:
@@ -1194,16 +1194,12 @@ def _assemble_equiv(params: _EquivParams, problem: EquivocationProblem) -> Equiv
 
 
 def _equiv_enumeration_size(problem: EquivocationProblem) -> int:
-    n_x = problem.p_x.alphabet.size
-    try:
-        total = (
-            problem.cap_v1**n_x
-            * problem.cap_v2**problem.cap_v1
-            * problem.y2_alphabet.size**problem.cap_v1
-            * problem.y3_alphabet.size**problem.cap_v2
-        )
-    except OverflowError:
-        return 2**62
+    total = (
+        problem.cap_v1**problem.p_x.alphabet.size
+        * problem.cap_v2**problem.cap_v1
+        * problem.y2_alphabet.size**problem.cap_v1
+        * problem.y3_alphabet.size**problem.cap_v2
+    )
     return min(total, 2**62)
 
 
@@ -1348,31 +1344,16 @@ def search_equivocation(
             if _equiv_feasible(stats, problem):
                 pool.append((stats, params))
 
-    def run_restart(index: int):
-        rng = _rng_for(seed, index)
-        params = _sample_equiv(rng, problem)
-        return (index, params, _equiv_stats(params, problem, problem.r0))
+    sampled = []
+    for index in range(restarts):
+        params = _sample_equiv(_rng_for(seed, index), problem)
+        sampled.append((_equiv_stats(params, problem, problem.r0), params))
 
-    sampled = [run_restart(i) for i in range(restarts)]
+    def relaxed(entry: tuple[_EquivStats, _EquivParams]) -> float:
+        return _penalized(entry[0].value, _equiv_limits(entry[0], problem))
 
-    def relaxed(stats: _EquivStats) -> float:
-        pen = 0.0
-        for got, cap in (
-            (stats.ed1, problem.max_d1),
-            (stats.ed2, problem.max_d2),
-            (stats.i_xv1, problem.r1),
-            (stats.i_xv2, problem.r2),
-        ):
-            if math.isfinite(cap):
-                pen += max(0.0, got - cap)
-        return stats.value - 100.0 * pen
-
-    for _, params, stats in sampled:
-        if _equiv_feasible(stats, problem):
-            pool.append((stats, params))
-    ranked = sorted(sampled, key=lambda t: (-relaxed(t[2]), t[0]))
-
-    for _, params, _ in ranked[:_EQUIV_REFINE_TOP]:
+    pool += [entry for entry in sampled if _equiv_feasible(entry[0], problem)]
+    for _, params in _ranked(sampled, relaxed)[:_EQUIV_REFINE_TOP]:
         better = _refine_equiv(params, problem, problem.r0)
         if better is not None:
             st = _equiv_stats(better, problem, problem.r0)
@@ -1390,11 +1371,9 @@ def search_equivocation(
             wall,
             "infeasible: no candidate met the distortion/rate budget",
         )
-    best_value = max(st.value for st, _ in pool)
-    finalists = [(st, p) for st, p in pool if st.value >= best_value - 1e-12]
-    assembled = [(_assemble_equiv(p, problem), st) for st, p in finalists]
-    assembled.sort(key=lambda pair: (-pair[1].value, _candidate_digest(pair[0])))
-    cand, st = assembled[0]
+    cand, (st, _) = _pick_winner(
+        pool, lambda entry: entry[0].value, lambda entry: _assemble_equiv(entry[1], problem)
+    )
     _raise_on_failures(check_equivocation_membership(cand, p_x=problem.p_x, tol=_MARGINAL_SLACK))
     ref = equivocation_value(cand, problem.secret_set, problem.r0, check=False)
     _raise_on_mismatch("value", st.value, ref)
@@ -1463,12 +1442,14 @@ def min_key_rate(
     """Smallest key budget (within ``tol``) whose search clears ``target_pi``.
 
     Bisects the R0 budget, reusing the search at each midpoint.  Requires
-    a finite R0 budget in ``problem`` as the upper end.  ``workers`` is
-    accepted for compatibility; has no effect.
+    a finite R0 budget in ``problem`` as the upper end and ``tol > 0``.
+    ``workers`` is accepted for compatibility; has no effect.
     """
     hi = problem.budget.r0
     if not math.isfinite(hi):
         raise ValueError("min_key_rate needs a finite r0 budget as the upper end")
+    if not tol > 0:  # the bisection would never close; NaN fails too
+        raise ValueError(f"min_key_rate needs tol > 0, got {tol}")
 
     def attempt(r0: float, step: int) -> SearchResult:
         budget = RateBudget(r0, problem.budget.r1, problem.budget.r2)

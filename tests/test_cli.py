@@ -111,12 +111,22 @@ def test_schema_error_paths(tmp_path, capsys, body, needle):
     assert needle in capsys.readouterr().err
 
 
-def test_budget_field_path(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "field,value,needle",
+    [
+        ("budget", {"r0": "oops", "r1": "inf", "r2": "inf"}, "problem.budget.r0"),
+        ("r0_grid", [], "problem.r0_grid"),
+    ],
+    ids=["budget", "empty_r0_grid"],
+)
+def test_budget_field_path(tmp_path, capsys, field, value, needle):
     problem = bounds_problem({"u1": 1, "u2": 1, "v1": 1, "v2": 1})
-    problem["budget"] = {"r0": "oops", "r1": "inf", "r2": "inf"}
+    problem[field] = value
     cfg = write_config(tmp_path, {"seed": 0, "problem": problem})
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "problem.budget.r0" in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
+    # rejected before any search or output
+    assert not (tmp_path / "bounds_result.json").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

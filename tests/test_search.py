@@ -142,12 +142,21 @@ GRID_CAPS = CardinalityCaps(4, 3, 12, 6)  # the benchmark's inner_grid caps
             0.563227,
             id="inner_grid_r0_1.3",
         ),
+        pytest.param(
+            RateBudget(1.0, math.inf, math.inf),
+            CardinalityCaps(3, 1, 6, 3),
+            {"restarts": 8, "refine_top": 2},
+            0.4999999,
+            id="enumerated_maps",
+        ),
     ],
 )
 def test_ternary_unit_key_reaches_half(budget, caps, kwargs, floor):
     # optimum 1/2 is reachable within caps; the balanced anchors make the
     # outcome independent of sampling luck.  The inner_grid budgets pin the
-    # payoffs the flat LP refiner reaches at r0 = 0.5 and 1.3.
+    # payoffs the flat LP refiner reaches at r0 = 0.5 and 1.3.  At caps
+    # (3,1,6,3) only the 5,994 enumerated maps reach 1/2: sampling alone
+    # finds no feasible candidate there.
     problem = ternary_problem(budget, caps=caps)
     res = search_inner(problem, seed=0, **kwargs)
     assert res.feasible
@@ -423,6 +432,19 @@ def test_min_key_rate_needs_finite_budget():
     problem = ternary_problem(RateBudget(math.inf, 1.6, 0.6))
     with pytest.raises(ValueError):
         min_key_rate(problem, 0.4)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_min_key_rate_needs_positive_tol(monkeypatch, tol):
+    # with tol <= 0 the bisection never closes (adjacent floats have a
+    # midpoint equal to one end) and a NaN tol skips it; the check comes
+    # before any search
+    calls = []
+    monkeypatch.setattr(search_mod, "search_inner", lambda *a, **k: calls.append(a))
+    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6))
+    with pytest.raises(ValueError, match="tol"):
+        min_key_rate(problem, 0.4, tol=tol)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
