@@ -320,13 +320,17 @@ def _budget_from_json(obj, path: str) -> RateBudget:
     )
 
 
+_CAP_TAGS = ("u1", "u2", "v1", "v2")
+
+
 def _caps_from_json(obj, path: str) -> CardinalityCaps:
     obj = _as_dict(obj, path)
-    kwargs = {tag: _as_int(_get(obj, tag, path), f"{path}.{tag}", minimum=1) for tag in ("u1", "u2", "v1", "v2")}
-    for tag in ("y2", "y3"):
-        if obj.get(tag) is not None:
-            kwargs[tag] = _as_int(obj[tag], f"{path}.{tag}", minimum=1)
-    return _built(lambda _: CardinalityCaps(**kwargs), None, path)
+    for tag in obj:
+        if tag not in _CAP_TAGS:
+            raise SchemaError(f"{path}.{tag}", f"unknown cap, expected one of {_CAP_TAGS}")
+    return CardinalityCaps(
+        *(_as_int(_get(obj, tag, path), f"{path}.{tag}", minimum=1) for tag in _CAP_TAGS)
+    )
 
 
 def _inner_problem(problem: dict) -> InnerSearchProblem:
@@ -348,6 +352,20 @@ def _inner_problem(problem: dict) -> InnerSearchProblem:
     )
 
 
+def _r0_grid(problem: dict) -> list[float] | None:
+    """The optional ``problem.r0_grid``: a nonempty list of key rates."""
+    grid = problem.get("r0_grid")
+    if grid is None:
+        return None
+    grid = [
+        _as_number(g, f"problem.r0_grid[{i}]", allow_inf=True)
+        for i, g in enumerate(_as_list(grid, "problem.r0_grid"))
+    ]
+    if not grid:
+        raise SchemaError("problem.r0_grid", "expected at least one key rate")
+    return grid
+
+
 def _strip_result(obj: dict, keep_candidate: bool) -> dict:
     out = dict(obj)
     out.pop("wall_time", None)  # timing is not part of the reproducible record
@@ -367,16 +385,10 @@ def _run_bounds(run: _Run) -> int:
         if tag in run.problem:
             search_kwargs[tag] = _as_int(run.problem[tag], f"problem.{tag}", minimum=0)
 
-    grid = run.problem.get("r0_grid")
+    grid = _r0_grid(run.problem)
     if grid is None:
         results = [(prob.budget.r0, search_inner(prob, **search_kwargs))]
     else:
-        grid = [
-            _as_number(g, f"problem.r0_grid[{i}]", allow_inf=True)
-            for i, g in enumerate(_as_list(grid, "problem.r0_grid"))
-        ]
-        if not grid:
-            raise SchemaError("problem.r0_grid", "expected at least one key rate")
         results = [
             (g, search_inner(replace(prob, budget=replace(prob.budget, r0=g)), **search_kwargs))
             for g in grid
@@ -556,6 +568,7 @@ def _equiv_problem(problem: dict) -> EquivocationProblem:
 
 def _run_equivocation(run: _Run) -> int:
     prob = _equiv_problem(run.problem)
+    grid = _r0_grid(run.problem)
     kwargs = {
         "restarts": run.control["restarts"],
         "seed": run.seed,
@@ -563,12 +576,7 @@ def _run_equivocation(run: _Run) -> int:
     }
     result = search_equivocation(prob, **kwargs)
     payload = {"result": _strip_result(result.to_json(), keep_candidate=True)}
-    grid = run.problem.get("r0_grid")
     if grid is not None:
-        grid = [
-            _as_number(g, f"problem.r0_grid[{i}]", allow_inf=True)
-            for i, g in enumerate(_as_list(grid, "problem.r0_grid"))
-        ]
         points = equivocation_sweep(prob, grid, **kwargs)
         payload["sweep"] = [{"r0": p.r0, "value": p.value} for p in points]
     json_path = run.write_json("equivocation_result.json", payload)

@@ -35,8 +35,10 @@ seed, restarts).  It is re-derived by the reference evaluator in
 The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
 exact by construction; only distortion and message-rate budgets remain
-as optimizer constraints.  Its winner is re-derived the same way, by
-family membership and the reference equivocation value.
+as optimizer constraints.  None of them involves the key rate, so each
+call screens the enumerable family once, and a sweep re-scores only its
+feasible members at each grid point.  Each winner is re-derived the same
+way, by family membership and the reference equivocation value.
 
 A winner the reference path does not reproduce raises
 :class:`VerificationError`; the ``bounds`` and ``equivocation`` commands
@@ -121,26 +123,16 @@ class RateBudget:
 
 @dataclass(frozen=True)
 class CardinalityCaps:
-    """Alphabet-size caps for the searched variables.
-
-    ``y2``/``y3`` default to the payoff's action alphabets; smaller values
-    restrict the system to a prefix of the action symbols.
-    """
+    """Alphabet-size caps for the searched variables."""
 
     u1: int
     u2: int
     v1: int
     v2: int
-    y2: int | None = None
-    y3: int | None = None
 
     def __post_init__(self) -> None:
         for tag in ("u1", "u2", "v1", "v2"):
             if getattr(self, tag) < 1:
-                raise ValueError(f"cap {tag} must be >= 1")
-        for tag in ("y2", "y3"):
-            v = getattr(self, tag)
-            if v is not None and v < 1:
                 raise ValueError(f"cap {tag} must be >= 1")
 
 
@@ -168,18 +160,6 @@ class InnerSearchProblem:
         ):
             if ch.input_alphabets[0].size != size:
                 raise ValueError(f"side-info {tag} input does not match the {tag[-1]} alphabet")
-        if self.caps.y2 is not None and self.caps.y2 > self.y2_alphabet.size:
-            raise ValueError("y2 cap exceeds the action alphabet")
-        if self.caps.y3 is not None and self.caps.y3 > self.y3_alphabet.size:
-            raise ValueError("y3 cap exceeds the action alphabet")
-
-    @property
-    def y2_used(self) -> int:
-        return self.caps.y2 or self.y2_alphabet.size
-
-    @property
-    def y3_used(self) -> int:
-        return self.caps.y3 or self.y3_alphabet.size
 
 
 @dataclass(frozen=True)
@@ -238,10 +218,6 @@ class _Structure:
         c = self.dims
         return c[0] * c[1] * c[2] * c[3]
 
-    @property
-    def n_v2(self) -> int:
-        return self.dims[0] * self.dims[2]
-
 
 def _decompositions(caps: CardinalityCaps) -> list[tuple[int, int, int, int]]:
     """All (|U2|, |A|, |B|, |C|) splits consistent with the caps.
@@ -262,13 +238,13 @@ def _decompositions(caps: CardinalityCaps) -> list[tuple[int, int, int, int]]:
 
 def _finite_pairs(problem: InnerSearchProblem) -> list[list[np.ndarray]]:
     """For each y3 symbol, the (x, y2) pairs with all-z-finite payoff."""
-    n_x = problem.p_x.alphabet.size
     if isinstance(problem.payoff, LogLossPayoff):
-        mask = np.ones((n_x, problem.y2_used, problem.y3_used), dtype=bool)
+        sizes = (problem.p_x.alphabet.size, problem.y2_alphabet.size, problem.y3_alphabet.size)
+        mask = np.ones(sizes, dtype=bool)
     else:
-        mask = problem.payoff.finite_mask[:, : problem.y2_used, : problem.y3_used]
+        mask = problem.payoff.finite_mask
     out = []
-    for y3 in range(problem.y3_used):
+    for y3 in range(mask.shape[2]):
         pairs = np.argwhere(mask[:, :, y3])
         out.append([pairs[i] for i in range(len(pairs))])
     return out
@@ -278,6 +254,26 @@ def _one_hot(indices: np.ndarray, width: int) -> np.ndarray:
     rows = np.zeros((len(indices), width))
     rows[np.arange(len(indices)), indices] = 1.0
     return rows
+
+
+def _v2_cells(dims: tuple[int, int, int, int]) -> np.ndarray:
+    """The V2 cell (u2, b) of every V1 cell (u2, a, b, c), in cell order."""
+    i, _, k, _ = np.indices(dims).reshape(4, -1)
+    return i * dims[2] + k
+
+
+def _deterministic_structure(
+    dims: tuple[int, int, int, int], problem: InnerSearchProblem, xy, y3_of_v2
+) -> _Structure:
+    """One-hot channels: V1 cell c emits the pair xy[c] = (x, y2), V2 cell
+    v2 the action y3_of_v2[v2]."""
+    xy = np.asarray(xy).reshape(-1, 2)
+    return _Structure(
+        dims,
+        _one_hot(xy[:, 0], problem.p_x.alphabet.size),
+        _one_hot(xy[:, 1], problem.y2_alphabet.size),
+        _one_hot(np.asarray(y3_of_v2), problem.y3_alphabet.size),
+    )
 
 
 def _balanced_structure(
@@ -293,22 +289,14 @@ def _balanced_structure(
     which random one-hot assignments often miss.  These seed-independent
     structures anchor the restart pool.
     """
-    c_u2, c_a, c_b, c_c = dims
-    n_v1, n_v2 = c_u2 * c_a * c_b * c_c, c_u2 * c_b
-    n_x = problem.p_x.alphabet.size
-    n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
-    y3_of = [(v2 + shift) % problem.y3_used for v2 in range(n_v2)]
+    c_u2, _, c_b, _ = dims
+    y3_of = [(v2 + shift) % problem.y3_alphabet.size for v2 in range(c_u2 * c_b)]
     if any(not pairs_by_y3[y] for y in set(y3_of)):
         return None
-    px = np.zeros((n_v1, n_x))
-    py2 = np.zeros((n_v1, n_y2))
-    for v1 in range(n_v1):
-        i, j, k, l = (int(v) for v in np.unravel_index(v1, dims))
-        pairs = pairs_by_y3[y3_of[i * c_b + k]]
-        x0, y0 = pairs[(i + j + k + l + shift) % len(pairs)]
-        px[v1, x0] = 1.0
-        py2[v1, y0] = 1.0
-    return _Structure(dims, px, py2, _one_hot(np.array(y3_of), n_y3))
+    i, j, k, l = np.indices(dims).reshape(4, -1)
+    options = [pairs_by_y3[y3_of[v2]] for v2 in i * c_b + k]
+    xy = [pairs[turn % len(pairs)] for pairs, turn in zip(options, i + j + k + l + shift)]
+    return _deterministic_structure(dims, problem, xy, y3_of)
 
 
 def _blind_structure(problem: InnerSearchProblem) -> _Structure:
@@ -323,8 +311,8 @@ def _blind_structure(problem: InnerSearchProblem) -> _Structure:
     n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
     px = problem.p_x.probs[None, :]
     best = None
-    for y2 in range(problem.y2_used):
-        for y3 in range(problem.y3_used):
+    for y2 in range(n_y2):
+        for y3 in range(n_y3):
             struct = _Structure(
                 dims, px, _one_hot(np.array([y2]), n_y2), _one_hot(np.array([y3]), n_y3)
             )
@@ -343,23 +331,20 @@ def _sample_structure(
 ) -> _Structure:
     c_u2, c_a, c_b, c_c = dims
     n_v1, n_v2 = c_u2 * c_a * c_b * c_c, c_u2 * c_b
-    n_x = problem.p_x.alphabet.size
-    n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
+    n_x, n_y2 = problem.p_x.alphabet.size, problem.y2_alphabet.size
 
-    y3_of_v2 = rng.integers(problem.y3_used, size=n_v2)
-    py3 = _one_hot(y3_of_v2, n_y3)
+    y3_of_v2 = rng.integers(problem.y3_alphabet.size, size=n_v2)
+    py3 = _one_hot(y3_of_v2, problem.y3_alphabet.size)
 
     px = np.zeros((n_v1, n_x))
     py2 = np.zeros((n_v1, n_y2))
     spread_x = stochastic and bool(rng.integers(2))
-    for v1 in range(n_v1):
-        i, _, k, _ = np.unravel_index(v1, dims)
-        y3 = int(y3_of_v2[i * c_b + k])
-        pairs = pairs_by_y3[y3]
+    for v1, v2 in enumerate(_v2_cells(dims)):
+        pairs = pairs_by_y3[int(y3_of_v2[v2])]
         if pairs:
             x0, y0 = pairs[int(rng.integers(len(pairs)))]
         else:  # no finite triple exists for this y3; candidate is doomed
-            x0, y0 = int(rng.integers(n_x)), int(rng.integers(problem.y2_used))
+            x0, y0 = int(rng.integers(n_x)), int(rng.integers(n_y2))
         if not stochastic:
             px[v1, x0] = 1.0
             py2[v1, y0] = 1.0
@@ -368,7 +353,7 @@ def _sample_structure(
             px[v1, support] = rng.dirichlet(np.ones(len(support)))
             py2[v1, y0] = 1.0
         else:
-            support = [y for y in range(problem.y2_used) if any(p[0] == x0 and p[1] == y for p in pairs)] or [y0]
+            support = [y for y in range(n_y2) if any(p[0] == x0 and p[1] == y for p in pairs)] or [y0]
             py2[v1, support] = rng.dirichlet(np.ones(len(support)))
             px[v1, x0] = 1.0
     return _Structure(dims, px, py2, py3)
@@ -673,35 +658,44 @@ def _refine_flat_slp(
         limits = _rate_limits(stats, budget)
         return sum(max(0.0, got - cap) for got, cap in limits if math.isfinite(cap))
 
-    def rate_cuts(stats: _InnerStats) -> list[tuple[np.ndarray, float]]:
+    def rate_cuts(stats: _InnerStats) -> tuple[np.ndarray, np.ndarray]:
         """Linearized rate constraints g @ x <= rhs at w, finite caps only."""
         grads = evaluator.rate_grads(w.reshape(dims))
-        return [
-            (gk, max(cap - _BACKOFF, 0.0) - rk + float(gk @ w))
-            for rk, gk, cap in zip((stats.r0, stats.r1, stats.r2), grads, caps)
-            if math.isfinite(cap)
-        ]
+        rates = (stats.r0, stats.r1, stats.r2)
+        finite = [k for k in range(3) if math.isfinite(caps[k])]
+        g = np.array([grads[k] for k in finite]).reshape(len(finite), n_v1)
+        rhs = [max(caps[k] - _BACKOFF, 0.0) - rates[k] + float(grads[k] @ w) for k in finite]
+        return g, np.array(rhs)
 
-    def feasibility_step(stats: _InnerStats, delta: float) -> np.ndarray | None:
-        """One LP step minimizing linearized rate violation on the manifold."""
-        cuts = rate_cuts(stats)
-        n_s = len(cuts)
-        a_ub = np.zeros((n_s, n_v1 + n_s))
-        b_ub = np.zeros(n_s)
-        for s, (gk, rhs) in enumerate(cuts):
-            a_ub[s, :n_v1] = gk
-            a_ub[s, n_v1 + s] = -1.0
-            b_ub[s] = rhs
-        c = np.concatenate([np.zeros(n_v1), np.ones(n_s)])
+    def lp_step(cost, a_ub, b_ub, extra_bounds, delta: float) -> np.ndarray | None:
+        """One LP over (w, extra variables) in the trust region around w and
+        on the source-marginal manifold; the new w normalized, or ``None``."""
+        n_extra = len(cost) - n_v1
         lo = np.maximum(w - delta, 0.0)
         hi = np.minimum(w + delta, 1.0)
-        bounds = list(zip(lo, hi)) + [(0.0, None)] * n_s
-        eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], n_s))])
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=eq, b_eq=b_eq, bounds=bounds, method="highs")
+        bounds = list(zip(lo, hi)) + [extra_bounds] * n_extra
+        eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], n_extra))])
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=eq, b_eq=b_eq, bounds=bounds, method="highs")
         if not res.success:
             return None
         out = np.clip(res.x[:n_v1], 0.0, None)
         return out / out.sum()
+
+    def feasibility_step(stats: _InnerStats, delta: float) -> np.ndarray | None:
+        """Minimize the linearized rate violation: one slack per cut."""
+        g, rhs = rate_cuts(stats)
+        n_s = len(rhs)
+        cost = np.concatenate([np.zeros(n_v1), np.ones(n_s)])
+        return lp_step(cost, np.hstack([g, np.diag(np.full(n_s, -1.0))]), rhs, (0.0, None), delta)
+
+    # climb-phase epigraph rows: t_u <= sum of pi_cz[c, z] w_c over the
+    # cells c of u1 = u, for each action z (none for log loss)
+    epigraph = np.zeros((n_t, 0 if pi_cz is None else pi_cz.shape[1], n_v1 + n_t))
+    if pi_cz is not None:
+        cells = np.arange(n_v1)
+        epigraph[cells // group, :, cells] = -pi_cz
+        epigraph[np.arange(n_t), :, n_v1 + np.arange(n_t)] = 1.0
+    epigraph = epigraph.reshape(-1, n_v1 + n_t)
 
     best_w, best_pi = None, -math.inf
     start_stats = stats_at(w)
@@ -740,44 +734,18 @@ def _refine_flat_slp(
             continue
 
         # climb phase: exact piecewise-linear payoff, linearized rate cuts
-        rows = []
-        rhs = []
-        for gk, bound in rate_cuts(stats):
-            row = np.zeros(n_v1 + n_t)
-            row[:n_v1] = gk
-            rows.append(row)
-            rhs.append(bound)
-        if pi_cz is not None:
-            for u in range(n_t):
-                cells = slice(u * group, (u + 1) * group)
-                for z in range(pi_cz.shape[1]):
-                    row = np.zeros(n_v1 + n_t)
-                    row[cells] = -pi_cz[cells, z]
-                    row[n_v1 + u] = 1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-            c = np.concatenate([np.zeros(n_v1), -np.ones(n_t)])
+        g, rhs = rate_cuts(stats)
+        if pi_cz is None:
+            cost = -evaluator.payoff_grad(w.reshape(dims))
         else:
-            c = -evaluator.payoff_grad(w.reshape(dims))
-        lo = np.maximum(w - delta, 0.0)
-        hi = np.minimum(w + delta, 1.0)
-        bounds = list(zip(lo, hi)) + [(None, None)] * n_t
-        eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], n_t))]) if n_t else a_eq
-        res = linprog(
-            c,
-            A_ub=np.vstack(rows) if rows else None,
-            b_ub=np.array(rhs) if rows else None,
-            A_eq=eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method="highs",
-        )
-        if not res.success:
+            cost = np.concatenate([np.zeros(n_v1), -np.ones(n_t)])
+        a_ub = np.vstack([np.hstack([g, np.zeros((len(rhs), n_t))]), epigraph])
+        b_ub = np.concatenate([rhs, np.zeros(len(epigraph))])
+        target = lp_step(cost, a_ub, b_ub, (None, None), delta)
+        if target is None:
             delta *= 0.5
             stall += 1
             continue
-        target = np.clip(res.x[:n_v1], 0.0, None)
-        target /= target.sum()
         # backtrack toward w: I(X;V2) is convex along the on-manifold
         # segment, so a short enough step re-enters the feasible region
         accepted = False
@@ -874,31 +842,14 @@ def _enumerate_structures(
     problem: InnerSearchProblem, dims, pairs_by_y3
 ) -> list[_Structure]:
     """All support-aware deterministic channel assignments for one split."""
-    c_u2, c_a, c_b, c_c = dims
-    n_v1, n_v2 = c_u2 * c_a * c_b * c_c, c_u2 * c_b
-    n_x = problem.p_x.alphabet.size
-    n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
+    v2_cells = _v2_cells(dims)
     out = []
-    for y3_map in itertools.product(range(problem.y3_used), repeat=n_v2):
-        options = []
-        feasible = True
-        for v1 in range(n_v1):
-            i, _, k, _ = np.unravel_index(v1, dims)
-            pairs = pairs_by_y3[y3_map[i * c_b + k]]
-            if not pairs:
-                feasible = False
-                break
-            options.append(pairs)
-        if not feasible:
-            continue
-        py3 = _one_hot(np.array(y3_map), n_y3)
-        for combo in itertools.product(*options):
-            px = np.zeros((n_v1, n_x))
-            py2 = np.zeros((n_v1, n_y2))
-            for v1, (x0, y0) in enumerate(combo):
-                px[v1, x0] = 1.0
-                py2[v1, y0] = 1.0
-            out.append(_Structure(dims, px, py2, py3))
+    for y3_map in itertools.product(range(problem.y3_alphabet.size), repeat=dims[0] * dims[2]):
+        options = [pairs_by_y3[y3_map[v2]] for v2 in v2_cells]
+        out += [
+            _deterministic_structure(dims, problem, xy, y3_map)
+            for xy in itertools.product(*options)
+        ]
     return out
 
 
@@ -945,6 +896,8 @@ def search_inner(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if refine_top < 0:
+        raise ValueError(f"refine_top must be >= 0, got {refine_top}")
     started = time.perf_counter()
     budget = problem.budget
     decomps = _decompositions(problem.caps)
@@ -1320,6 +1273,65 @@ def _refine_equiv(
     return _EquivParams(norm(refined.e_rows), norm(refined.py2), norm(refined.py3), params.g)
 
 
+def _equivocation_searches(
+    problem: EquivocationProblem, r0_grid, restarts: int, seed: int
+) -> list[EquivocationSearchResult]:
+    """One certified search per key rate over a single screening of the family.
+
+    Family membership and every distortion and rate budget are free of R0,
+    so the enumerable family is screened once, at ``problem.r0``; any other
+    rate re-scores only the feasible members.  Each rate draws its own
+    restarts (seed ``seed + 7919 i`` at grid point i), refines the best of
+    them, then picks and certifies a winner.
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    started = time.perf_counter()
+    screened: list[tuple[_EquivStats, _EquivParams]] = []
+    if _equiv_enumeration_size(problem) <= DEFAULT_ENUM_LIMIT:
+        scored = ((_equiv_stats(p, problem, problem.r0), p) for p in _enumerate_equiv(problem))
+        screened = [entry for entry in scored if _equiv_feasible(entry[0], problem)]
+
+    def relaxed(entry: tuple[_EquivStats, _EquivParams]) -> float:
+        return _penalized(entry[0].value, _equiv_limits(entry[0], problem))
+
+    results = []
+    for gi, r0 in enumerate(r0_grid):
+        at = replace(problem, r0=float(r0))
+        rate_seed = seed + 7919 * gi
+        pool = [
+            (st if at.r0 == problem.r0 else _equiv_stats(params, at, at.r0), params)
+            for st, params in screened
+        ]
+        sampled = []
+        for index in range(restarts):
+            params = _sample_equiv(_rng_for(rate_seed, index), at)
+            sampled.append((_equiv_stats(params, at, at.r0), params))
+        pool += [entry for entry in sampled if _equiv_feasible(entry[0], at)]
+        for _, params in _ranked(sampled, relaxed)[:_EQUIV_REFINE_TOP]:
+            better = _refine_equiv(params, at, at.r0)
+            if better is not None:
+                st = _equiv_stats(better, at, at.r0)
+                if _equiv_feasible(st, at):
+                    pool.append((st, better))
+
+        wall = time.perf_counter() - started
+        if not pool:
+            message = "infeasible: no candidate met the distortion/rate budget"
+            results.append(
+                EquivocationSearchResult(False, None, None, rate_seed, restarts, wall, message)
+            )
+            continue
+        cand, (st, _) = _pick_winner(
+            pool, lambda entry: entry[0].value, lambda entry: _assemble_equiv(entry[1], at)
+        )
+        _raise_on_failures(check_equivocation_membership(cand, p_x=at.p_x, tol=_MARGINAL_SLACK))
+        ref = equivocation_value(cand, at.secret_set, at.r0, check=False)
+        _raise_on_mismatch("value", st.value, ref)
+        results.append(EquivocationSearchResult(True, st.value, cand, rate_seed, restarts, wall))
+    return results
+
+
 def search_equivocation(
     problem: EquivocationProblem,
     *,
@@ -1333,51 +1345,7 @@ def search_equivocation(
     that the reference evaluator does not reproduce raises
     :class:`VerificationError`.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    started = time.perf_counter()
-    pool: list[tuple[_EquivStats, _EquivParams]] = []
-
-    if _equiv_enumeration_size(problem) <= DEFAULT_ENUM_LIMIT:
-        for params in _enumerate_equiv(problem):
-            stats = _equiv_stats(params, problem, problem.r0)
-            if _equiv_feasible(stats, problem):
-                pool.append((stats, params))
-
-    sampled = []
-    for index in range(restarts):
-        params = _sample_equiv(_rng_for(seed, index), problem)
-        sampled.append((_equiv_stats(params, problem, problem.r0), params))
-
-    def relaxed(entry: tuple[_EquivStats, _EquivParams]) -> float:
-        return _penalized(entry[0].value, _equiv_limits(entry[0], problem))
-
-    pool += [entry for entry in sampled if _equiv_feasible(entry[0], problem)]
-    for _, params in _ranked(sampled, relaxed)[:_EQUIV_REFINE_TOP]:
-        better = _refine_equiv(params, problem, problem.r0)
-        if better is not None:
-            st = _equiv_stats(better, problem, problem.r0)
-            if _equiv_feasible(st, problem):
-                pool.append((st, better))
-
-    wall = time.perf_counter() - started
-    if not pool:
-        return EquivocationSearchResult(
-            False,
-            None,
-            None,
-            seed,
-            restarts,
-            wall,
-            "infeasible: no candidate met the distortion/rate budget",
-        )
-    cand, (st, _) = _pick_winner(
-        pool, lambda entry: entry[0].value, lambda entry: _assemble_equiv(entry[1], problem)
-    )
-    _raise_on_failures(check_equivocation_membership(cand, p_x=problem.p_x, tol=_MARGINAL_SLACK))
-    ref = equivocation_value(cand, problem.secret_set, problem.r0, check=False)
-    _raise_on_mismatch("value", st.value, ref)
-    return EquivocationSearchResult(True, st.value, cand, seed, restarts, wall)
+    return _equivocation_searches(problem, [problem.r0], restarts, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -1396,19 +1364,13 @@ def equivocation_sweep(
 ) -> list[SweepPoint]:
     """The value curve over a grid of key rates.
 
-    Witnesses found at any grid point are pooled: family membership does
-    not involve R0, so every witness is valid at every R0 and the curve
-    is nondecreasing by construction.  ``workers`` is accepted for
-    compatibility; has no effect.
+    The family is screened once for the whole grid.  Witnesses found at
+    any grid point are pooled: family membership does not involve R0, so
+    every witness is valid at every R0 and the curve is nondecreasing by
+    construction.  ``workers`` is accepted for compatibility; has no effect.
     """
     witnesses: list[tuple[float, float]] = []  # (h_s, leak)
-    for gi, r0 in enumerate(r0_grid):
-        res = search_equivocation(
-            replace(problem, r0=float(r0)),
-            restarts=restarts,
-            seed=seed + 7919 * gi,
-            workers=workers,
-        )
+    for res in _equivocation_searches(problem, r0_grid, restarts, seed):
         if res.feasible:
             h_s = equivocation_value(res.candidate, problem.secret_set, 10**9, check=False)
             leak = h_s - equivocation_value(res.candidate, problem.secret_set, 0.0, check=False)

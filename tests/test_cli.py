@@ -116,8 +116,9 @@ def test_schema_error_paths(tmp_path, capsys, body, needle):
     [
         ("budget", {"r0": "oops", "r1": "inf", "r2": "inf"}, "problem.budget.r0"),
         ("r0_grid", [], "problem.r0_grid"),
+        ("caps", {"u1": 1, "u2": 1, "v1": 1, "v2": 1, "u3": 7}, "problem.caps.u3"),
     ],
-    ids=["budget", "empty_r0_grid"],
+    ids=["budget", "empty_r0_grid", "unknown_cap"],
 )
 def test_budget_field_path(tmp_path, capsys, field, value, needle):
     problem = bounds_problem({"u1": 1, "u2": 1, "v1": 1, "v2": 1})
@@ -298,6 +299,14 @@ def test_equivocation_sweep(tmp_path):
     values = [p["value"] for p in result["sweep"]]
     assert [p["r0"] for p in result["sweep"]] == [0.0, 0.5, 1.0]
     assert values == sorted(values)
+
+
+def test_equivocation_empty_r0_grid(tmp_path, capsys):
+    # rejected before any search or output, as for bounds
+    cfg = write_config(tmp_path, equiv_config(r0_grid=[]))
+    assert main(["equivocation", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "problem.r0_grid" in capsys.readouterr().err
+    assert not (tmp_path / "equivocation_result.json").exists()
 
 
 def test_equivocation_field_path(tmp_path, capsys):

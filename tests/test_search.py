@@ -6,6 +6,7 @@ deterministic run must land there.  Binary Hamming configurations give the
 equivocation search closed-form targets.
 """
 
+import dataclasses
 import json
 import math
 
@@ -90,6 +91,17 @@ def test_search_inner_rejects_zero_restarts():
     problem = ternary_problem(RateBudget(1.0, 1.6, 0.6))
     with pytest.raises(ValueError):
         search_inner(problem, restarts=0)
+
+
+def test_search_inner_rejects_negative_refine_top(monkeypatch):
+    # a negative refine_top would slice off the worst restarts and refine
+    # the rest; the check comes before any work
+    calls = []
+    monkeypatch.setattr(search_mod, "_decompositions", lambda caps: calls.append(caps))
+    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(2, 2, 8, 4))
+    with pytest.raises(ValueError, match="refine_top"):
+        search_inner(problem, restarts=8, refine_top=-1, enum_limit=0)
+    assert calls == []
 
 
 def test_equivocation_problem_validates_distortion_shape():
@@ -495,6 +507,30 @@ def test_equivocation_search_certifies_the_published_winner(monkeypatch):
     monkeypatch.setattr(search_mod, "_equiv_stats", shifted)
     with pytest.raises(VerificationError, match="value="):
         search_equivocation(binary_equiv_problem(0.0, 1.0), restarts=4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda prob: equivocation_sweep(prob, [0.0, 0.5, 1.0], restarts=2, seed=0),
+        lambda prob: search_equivocation(prob, restarts=2, seed=0),
+    ],
+    ids=["sweep", "search"],
+)
+def test_equivocation_family_is_enumerated_once_per_call(monkeypatch, run):
+    # membership and the budgets do not involve R0, so one screening
+    # serves every grid point
+    enumerate_equiv = search_mod._enumerate_equiv
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return enumerate_equiv(problem)
+
+    monkeypatch.setattr(search_mod, "_enumerate_equiv", counted)
+    prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=2, cap_v2=2)
+    run(prob)
+    assert len(calls) == 1
 
 
 def test_equivocation_infeasible_distortion():
