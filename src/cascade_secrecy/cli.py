@@ -47,7 +47,7 @@ from .search import (
     InnerSearchProblem,
     RateBudget,
     VerificationError,
-    equivocation_sweep,
+    _search_and_sweep,
     search_equivocation,
     search_inner,
 )
@@ -111,7 +111,7 @@ def _as_int(value, path: str, *, minimum=None, maximum=None) -> int:
 def _as_number(value, path: str, *, allow_inf: bool = False) -> float:
     if value == "inf" and allow_inf:
         return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise SchemaError(path, f"expected a number, got {value!r}")
     return float(value)
 
@@ -569,15 +569,13 @@ def _equiv_problem(problem: dict) -> EquivocationProblem:
 def _run_equivocation(run: _Run) -> int:
     prob = _equiv_problem(run.problem)
     grid = _r0_grid(run.problem)
-    kwargs = {
-        "restarts": run.control["restarts"],
-        "seed": run.seed,
-        "workers": run.control["workers"],
-    }
-    result = search_equivocation(prob, **kwargs)
+    restarts = run.control["restarts"]
+    if grid is None:
+        result, points = search_equivocation(prob, restarts=restarts, seed=run.seed), None
+    else:  # one screening of the family serves the search and the sweep
+        result, points = _search_and_sweep(prob, grid, restarts=restarts, seed=run.seed)
     payload = {"result": _strip_result(result.to_json(), keep_candidate=True)}
-    if grid is not None:
-        points = equivocation_sweep(prob, grid, **kwargs)
+    if points is not None:
         payload["sweep"] = [{"r0": p.r0, "value": p.value} for p in points]
     json_path = run.write_json("equivocation_result.json", payload)
     print(f"wrote {json_path} (feasible={result.feasible})")

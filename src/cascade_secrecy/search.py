@@ -36,9 +36,14 @@ The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
 exact by construction; only distortion and message-rate budgets remain
 as optimizer constraints.  None of them involves the key rate, so each
-call screens the enumerable family once, and a sweep re-scores only its
-feasible members at each grid point.  Each winner is re-derived the same
-way, by family membership and the reference equivocation value.
+call screens the enumerable family once: one batch kernel scores it in
+chunks of at most 1,024 deterministic members, built by index
+arithmetic, and keeps the feasible ones as arrays.  At any other key rate
+a kept member's value is re-rated in closed form, H(S) - [I(S;V1) - R0]+,
+from its stored H(S) and I(S;V1).  SLSQP refines the best sampled
+restarts with analytic Jacobians of the value and of every budget, by the
+chain rule through the joint.  Each winner is re-derived the same way,
+by family membership and the reference equivocation value.
 
 A winner the reference path does not reproduce raises
 :class:`VerificationError`; the ``bounds`` and ``equivocation`` commands
@@ -52,10 +57,11 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog, minimize, nnls
 
 from .bounds import (
@@ -101,6 +107,9 @@ _LP_MAXITER = 40  # LP refinement steps; they converge within this when at all
 _CERTIFY_TOL = 1e-9  # published tuple vs the reference evaluator
 _EQUIV_REFINE_TOP = 16  # equivocation restarts refined by SLSQP
 _EQUIV_MAXITER = 80  # SLSQP iterations per equivocation refinement
+_EQUIV_CHUNK = 1024  # enumerated family members per batch-kernel call
+#: (statistic, cap) of each equivocation budget: two distortions, two message rates
+_EQUIV_BUDGETS = (("ed1", "max_d1"), ("ed2", "max_d2"), ("i_xv1", "r1"), ("i_xv2", "r2"))
 
 
 class VerificationError(RuntimeError):
@@ -1031,6 +1040,9 @@ class EquivocationProblem:
         object.__setattr__(self, "d2", d2)
         if self.cap_v1 < 1 or self.cap_v2 < 1:
             raise ValueError("cardinality caps must be >= 1")
+        for tag in ("max_d1", "max_d2", "r0", "r1", "r2"):
+            if math.isnan(getattr(self, tag)):
+                raise ValueError(f"{tag} must not be NaN")
         for tag in ("r0", "r1", "r2"):
             if getattr(self, tag) < 0:
                 raise ValueError(f"rate {tag} must be >= 0")
@@ -1060,79 +1072,185 @@ class EquivocationSearchResult:
 
 @dataclass
 class _EquivParams:
-    """One candidate of the family: P(v1|x) rows, emission rows, V2 map."""
+    """A stack of family members, one per entry of the leading axis: P(v1|x)
+    rows, emission rows and the V2 map.  One member is a stack of one."""
 
-    e_rows: np.ndarray  # (|X|, nV1)
-    py2: np.ndarray  # (nV1, |Y2|)
-    py3: np.ndarray  # (nV2, |Y3|)
-    g: np.ndarray  # (nV1,) -> v2 index
+    e_rows: np.ndarray  # (n, |X|, nV1)
+    py2: np.ndarray  # (n, nV1, |Y2|)
+    py3: np.ndarray  # (n, nV2, |Y3|)
+    g: np.ndarray  # (n, nV1) -> v2 index
 
 
 @dataclass
 class _EquivStats:
-    value: float
-    h_s: float
-    leak: float
-    ed1: float
-    ed2: float
-    i_xv1: float
-    i_xv2: float
+    """Statistics of a stack of members, one array entry per member."""
+
+    value: np.ndarray
+    h_s: np.ndarray
+    leak: np.ndarray
+    ed1: np.ndarray
+    ed2: np.ndarray
+    i_xv1: np.ndarray
+    i_xv2: np.ndarray
+
+
+def _take(stack, index):
+    """The members ``index`` (a mask or index array) of a params or stats stack."""
+    return type(stack)(*(getattr(stack, f.name)[index] for f in fields(stack)))
+
+
+def _concat(stacks: list):
+    """One stack of all members of ``stacks``, in order."""
+    return type(stacks[0])(
+        *(np.concatenate([getattr(s, f.name) for s in stacks]) for f in fields(stacks[0]))
+    )
+
+
+def _entropies(tables: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each table of a stack, bit for bit what
+    :func:`_entropy_of` gives it alone: the tables with k positive cells
+    are summed as one (rows, k) array of those cells, in order."""
+    if len(tables) == 1:  # a stack of one, as inside SLSQP
+        return np.array([_entropy_of(tables)])
+    t = tables.reshape(len(tables), -1)
+    positive = t > 0.0
+    count = positive.sum(axis=1)
+    out = np.zeros(len(t))
+    for k in set(count.tolist()) - {0}:
+        rows = count == k
+        p = t[rows][positive[rows]].reshape(-1, k)
+        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    return out
+
+
+def _equiv_tables(params: _EquivParams, problem: EquivocationProblem) -> dict:
+    """The joint f over (x, v1, y2, y3) of each member and the marginals the
+    statistics need; the first axis of every table is the member."""
+    p_x = problem.p_x.probs
+    n_v2 = params.py3.shape[1]
+    jxv = p_x[None, :, None] * params.e_rows  # (n, x, v1)
+    py3_v1 = np.take_along_axis(params.py3, params.g[:, :, None], axis=1)  # (n, v1, y3)
+    f = jxv[:, :, :, None, None] * params.py2[:, None, :, :, None] * py3_v1[:, None, :, None, :]
+    axis_of = {"X": 1, "Y2": 3, "Y3": 4}
+    s_axes = tuple(axis_of[s] for s in problem.secret_set)
+    drop = tuple(ax for ax in (1, 3, 4) if ax not in s_axes)
+    g_onehot = (params.g[:, :, None] == np.arange(n_v2)).astype(float)  # (n, v1, v2)
+    jxv2 = np.zeros((len(jxv), len(p_x), n_v2))
+    for v1 in range(jxv.shape[2]):  # in V1 order, as a scatter-add would
+        jxv2 += jxv[:, :, v1, None] * g_onehot[:, None, v1, :]
+    return {
+        "jxv": jxv,
+        "py3_v1": py3_v1,
+        "f": f,
+        "g_onehot": g_onehot,
+        "keep_s": f.sum(axis=drop + (2,), keepdims=True),
+        "keep_sv": f.sum(axis=drop, keepdims=True),
+        "pv1": jxv.sum(axis=1),
+        "jxv2": jxv2,
+        "pv2": jxv2.sum(axis=1),
+    }
 
 
 def _equiv_stats(params: _EquivParams, problem: EquivocationProblem, r0: float) -> _EquivStats:
-    p_x = problem.p_x.probs
-    jxv = p_x[:, None] * params.e_rows  # (x, v1)
-    f = jxv[:, :, None, None] * params.py2[None, :, :, None] * params.py3[params.g][None, :, None, :]
-    # f axes: (x, v1, y2, y3)
-    axis_of = {"X": 0, "Y2": 2, "Y3": 3}
-    s_axes = tuple(axis_of[s] for s in problem.secret_set)
-    keep_s = f.sum(axis=tuple(ax for ax in (0, 2, 3) if ax not in s_axes) + (1,))
-    keep_sv = f.sum(axis=tuple(ax for ax in (0, 2, 3) if ax not in s_axes))
-    h_s = _entropy_of(keep_s)
-    pv1 = jxv.sum(axis=0)
-    leak = max(0.0, h_s + _entropy_of(pv1) - _entropy_of(keep_sv))
-    value = h_s - max(0.0, leak - r0)
+    """The batch kernel: value, distortions and message rates of every member."""
+    t = _equiv_tables(params, problem)
+    h_s = _entropies(t["keep_s"])
+    h_v1 = _entropies(t["pv1"])
+    leak = np.maximum(0.0, h_s + h_v1 - _entropies(t["keep_sv"]))
+    ed1 = (t["f"].sum(axis=(2, 4)) * problem.d1).sum(axis=(1, 2))
+    ed2 = (t["f"].sum(axis=(2, 3)) * problem.d2).sum(axis=(1, 2))
+    h_x = _entropy_of(problem.p_x.probs)
+    i_xv1 = np.maximum(0.0, h_x + h_v1 - _entropies(t["jxv"]))
+    i_xv2 = np.maximum(0.0, h_x + _entropies(t["pv2"]) - _entropies(t["jxv2"]))
+    return _EquivStats(_rerated(h_s, leak, r0), h_s, leak, ed1, ed2, i_xv1, i_xv2)
 
-    pxy2 = f.sum(axis=(1, 3))
-    pxy3 = f.sum(axis=(1, 2))
-    ed1 = float((pxy2 * problem.d1).sum())
-    ed2 = float((pxy3 * problem.d2).sum())
-    h_x = _entropy_of(p_x)
-    i_xv1 = max(0.0, h_x + _entropy_of(pv1) - _entropy_of(jxv))
-    n_v2 = params.py3.shape[0]
-    jxv2 = np.zeros((len(p_x), n_v2))
-    np.add.at(jxv2.T, params.g, jxv.T)
-    i_xv2 = max(0.0, h_x + _entropy_of(jxv2.sum(axis=0)) - _entropy_of(jxv2))
-    return _EquivStats(value, h_s, leak, ed1, ed2, i_xv1, i_xv2)
+
+def _rerated(h_s: np.ndarray, leak: np.ndarray, r0: float) -> np.ndarray:
+    """H(S) - [I(S;V1) - R0]+ from the two R0-free statistics."""
+    return h_s - np.maximum(0.0, leak - r0)
+
+
+def _equiv_grads(
+    params: _EquivParams, problem: EquivocationProblem, stats: _EquivStats, r0: float
+) -> dict:
+    """Gradients of the value and of each budget statistic in every
+    member's rows: name -> (d/d e_rows, d/d py2, d/d py3).
+
+    The chain rule through the kernel's tables, as
+    :meth:`_InnerEvaluator.rate_grads` does; ``stats`` (the kernel's, at
+    ``r0``) tells which side of each ``max(0, .)`` a member is on.
+    """
+    t = _equiv_tables(params, problem)
+    f, jxv, py3_v1, g_onehot = t["f"], t["jxv"], t["py3_v1"], t["g_onehot"]
+    p_x = problem.p_x.probs[None, :, None]
+
+    def dh(table):  # the entropy's gradient in the table's cells
+        return -_log2_clamped(table) - _LOG2E
+
+    def pullback(df, d_e=0.0):  # from the joint's cells to the rows
+        df = np.broadcast_to(df, f.shape)
+        d_py3_v1 = np.einsum("nxvab,nxv,nva->nvb", df, jxv, params.py2)
+        return (
+            d_e + p_x * np.einsum("nxvab,nva,nvb->nxv", df, params.py2, py3_v1),
+            np.einsum("nxvab,nxv,nvb->nva", df, jxv, py3_v1),
+            np.einsum("nvb,nvw->nwb", d_py3_v1, g_onehot),
+        )
+
+    # past the key rate the value is H(S|V1) + R0, below it H(S)
+    leaking = (stats.leak > r0)[:, None, None]
+    i_xv1 = (stats.i_xv1 > 0.0)[:, None, None]
+    i_xv2 = (stats.i_xv2 > 0.0)[:, None, None]
+    d_pv2 = np.einsum("nxw,nvw->nxv", dh(t["pv2"])[:, None, :] - dh(t["jxv2"]), g_onehot)
+    rows_only = (np.zeros_like(params.py2), np.zeros_like(params.py3))
+    return {
+        "value": pullback(
+            np.where(leaking[..., None, None], dh(t["keep_sv"]), dh(t["keep_s"])),
+            np.where(leaking, -p_x * dh(t["pv1"])[:, None, :], 0.0),
+        ),
+        "ed1": pullback(problem.d1[None, :, None, :, None]),
+        "ed2": pullback(problem.d2[None, :, None, None, :]),
+        "i_xv1": (np.where(i_xv1, p_x * (dh(t["pv1"])[:, None, :] - dh(jxv)), 0.0),) + rows_only,
+        "i_xv2": (np.where(i_xv2, p_x * d_pv2, 0.0),) + rows_only,
+    }
 
 
 def _equiv_limits(stats: _EquivStats, problem: EquivocationProblem) -> tuple:
     """(value, cap) of each distortion and message-rate budget."""
-    return (
-        (stats.ed1, problem.max_d1),
-        (stats.ed2, problem.max_d2),
-        (stats.i_xv1, problem.r1),
-        (stats.i_xv2, problem.r2),
-    )
+    return tuple((getattr(stats, got), getattr(problem, cap)) for got, cap in _EQUIV_BUDGETS)
 
 
-def _equiv_feasible(stats: _EquivStats, problem: EquivocationProblem) -> bool:
-    return _within(_equiv_limits(stats, problem))
+def _equiv_feasible(
+    stats: _EquivStats, members: _EquivParams, problem: EquivocationProblem
+) -> tuple[_EquivStats, _EquivParams]:
+    """The members that meet every budget within the slack, with their statistics."""
+    limits = _equiv_limits(stats, problem)
+    ok = np.logical_and.reduce([got <= cap + _RATE_SLACK for got, cap in limits])
+    return _take(stats, ok), _take(members, ok)
+
+
+def _equiv_relaxed(stats: _EquivStats, problem: EquivocationProblem) -> np.ndarray:
+    """Per member: the value minus heavy penalties for each budget's excess,
+    as :func:`_penalized` scores one candidate."""
+    limits = _equiv_limits(stats, problem)
+    pen = sum(np.maximum(0.0, got - cap) for got, cap in limits if math.isfinite(cap))
+    return stats.value - 100.0 * pen
 
 
 def _assemble_equiv(params: _EquivParams, problem: EquivocationProblem) -> EquivocationCandidate:
-    n_v1 = params.e_rows.shape[1]
-    n_v2 = params.py3.shape[0]
+    """The candidate joint of a stack of one."""
+    e_rows, py2, py3, g = params.e_rows[0], params.py2[0], params.py3[0], params.g[0]
+    n_v1 = e_rows.shape[1]
+    n_v2 = py3.shape[0]
     p_x = problem.p_x.probs
     table = np.zeros(
         (len(p_x), problem.y2_alphabet.size, problem.y3_alphabet.size, n_v1, n_v2)
     )
     for v1 in range(n_v1):
-        v2 = int(params.g[v1])
+        v2 = int(g[v1])
         table[:, :, :, v1, v2] = (
-            (p_x * params.e_rows[:, v1])[:, None, None]
-            * params.py2[v1][None, :, None]
-            * params.py3[v2][None, None, :]
+            (p_x * e_rows[:, v1])[:, None, None]
+            * py2[v1][None, :, None]
+            * py3[v2][None, None, :]
         )
     table = np.clip(table, 0.0, None)
     table /= table.sum()
@@ -1157,178 +1275,196 @@ def _equiv_enumeration_size(problem: EquivocationProblem) -> int:
 
 
 def _enumerate_equiv(problem: EquivocationProblem):
+    """Every deterministic member, in stacks of at most ``_EQUIV_CHUNK``.
+
+    Member i has the mixed-radix digits of i over the V1 map of X, the V2
+    map of V1, the Y2 map of V1 and the Y3 map of V2, last digit fastest:
+    the order of ``itertools.product`` over the four maps.
+    """
     n_x = problem.p_x.alphabet.size
     n_v1, n_v2 = problem.cap_v1, problem.cap_v2
     n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
-    eye_v1 = np.eye(n_v1)
-    eye_y2 = np.eye(n_y2)
-    eye_y3 = np.eye(n_y3)
-    for m in itertools.product(range(n_v1), repeat=n_x):
-        e_rows = eye_v1[list(m)]
-        for g in itertools.product(range(n_v2), repeat=n_v1):
-            g_arr = np.array(g)
-            for h2 in itertools.product(range(n_y2), repeat=n_v1):
-                py2 = eye_y2[list(h2)]
-                for h3 in itertools.product(range(n_y3), repeat=n_v2):
-                    yield _EquivParams(e_rows, py2, eye_y3[list(h3)], g_arr)
+    radices = (n_v1,) * n_x + (n_v2,) * n_v1 + (n_y2,) * n_v1 + (n_y3,) * n_v2
+    cuts = (n_x, n_x + n_v1, n_x + 2 * n_v1)
+    total = math.prod(radices)
+    for start in range(0, total, _EQUIV_CHUNK):
+        rest = np.arange(start, min(start + _EQUIV_CHUNK, total))
+        digits = np.empty((len(rest), len(radices)), dtype=np.intp)
+        for j in range(len(radices) - 1, -1, -1):
+            rest, digits[:, j] = np.divmod(rest, radices[j])
+        m, g, h2, h3 = np.split(digits, cuts, axis=1)
+        yield _EquivParams(np.eye(n_v1)[m], np.eye(n_y2)[h2], np.eye(n_y3)[h3], g)
 
 
 def _sample_equiv(rng: np.random.Generator, problem: EquivocationProblem) -> _EquivParams:
+    """One random member (a stack of one): all rows one-hot or all Dirichlet."""
     n_x = problem.p_x.alphabet.size
     n_v1, n_v2 = problem.cap_v1, problem.cap_v2
     n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
 
     def rows(n, k, deterministic):
         if deterministic:
-            return _one_hot(rng.integers(k, size=n), k)
-        return rng.dirichlet(np.ones(k), size=n)
+            return _one_hot(rng.integers(k, size=n), k)[None]
+        return rng.dirichlet(np.ones(k), size=n)[None]
 
     det = rng.random() < 0.5
     return _EquivParams(
         rows(n_x, n_v1, det),
         rows(n_v1, n_y2, det),
         rows(n_v2, n_y3, det),
-        rng.integers(n_v2, size=n_v1),
+        rng.integers(n_v2, size=n_v1)[None],
     )
+
+
+def _equiv_program(params: _EquivParams, problem: EquivocationProblem, r0: float):
+    """SLSQP's program over the free rows of one member (a stack of one).
+
+    Returns ``(theta0, split, (fun, jac), constraints)``: the start point,
+    the map from a point back to a member, the negated value with its
+    gradient, and the constraints with their Jacobians: each free row sums
+    to one (a constant Jacobian) and each finite budget holds.  Rows of a
+    single cell are fixed, negative entries of a point read as zero, and a
+    member without a free row gives None.
+    """
+    rows = (params.e_rows[0], params.py2[0], params.py3[0])
+    free = [i for i, block in enumerate(rows) if block.shape[1] > 1]
+    if not free:
+        return None
+    cuts = np.cumsum([rows[i].size for i in free])[:-1]
+    theta0 = np.concatenate([rows[i].reshape(-1) for i in free])
+    sums = block_diag(*(np.kron(np.eye(len(rows[i])), np.ones(rows[i].shape[1])) for i in free))
+    budgets = [(got, getattr(problem, cap)) for got, cap in _EQUIV_BUDGETS]
+    budgets = [(got, cap) for got, cap in budgets if math.isfinite(cap)]
+
+    def split(theta):
+        parts = list(rows)
+        for i, block in zip(free, np.split(theta, cuts)):
+            parts[i] = np.clip(block, 0.0, None).reshape(rows[i].shape)
+        return _EquivParams(*(part[None] for part in parts), params.g)
+
+    last: dict = {}  # SLSQP asks for values, then Jacobians, at one point
+
+    def at(theta, grads=False) -> dict:
+        key = theta.tobytes()
+        if last.get("key") != key:
+            member = split(theta)
+            last.clear()
+            last.update(key=key, member=member, stats=_equiv_stats(member, problem, r0))
+        if grads and "grads" not in last:
+            by_rows = _equiv_grads(last["member"], problem, last["stats"], r0)
+            last["grads"] = {
+                name: np.concatenate([d[i][0].reshape(-1) for i in free])
+                for name, d in by_rows.items()
+            }
+        return last
+
+    constraints = [{"type": "eq", "fun": lambda th: sums @ th - 1.0, "jac": lambda th: sums}]
+    if budgets:
+        caps = np.array([cap for _, cap in budgets])
+        constraints.append({
+            "type": "ineq",
+            "fun": lambda th: caps - np.array([getattr(at(th)["stats"], g)[0] for g, _ in budgets]),
+            "jac": lambda th: -np.stack([at(th, grads=True)["grads"][g] for g, _ in budgets]),
+        })
+    objective = (
+        lambda th: -float(at(th)["stats"].value[0]),
+        lambda th: -at(th, grads=True)["grads"]["value"],
+    )
+    return theta0, split, objective, constraints
 
 
 def _refine_equiv(
     params: _EquivParams, problem: EquivocationProblem, r0: float
 ) -> _EquivParams | None:
-    n_x = problem.p_x.alphabet.size
-    n_v1, n_v2 = params.e_rows.shape[1], params.py3.shape[0]
-    n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
-    blocks = []
-    if n_v1 > 1:
-        blocks.append(("e", n_x, n_v1))
-    if n_y2 > 1:
-        blocks.append(("y2", n_v1, n_y2))
-    if n_y3 > 1:
-        blocks.append(("y3", n_v2, n_y3))
-    size = sum(r * c for _, r, c in blocks)
-    if size == 0:
+    """SLSQP from one member (a stack of one), rows renormalized exactly;
+    None when the member has no free row or SLSQP fails."""
+    program = _equiv_program(params, problem, r0)
+    if program is None:
         return None
-
-    def split(theta):
-        parts = {"e": params.e_rows, "y2": params.py2, "y3": params.py3}
-        at = 0
-        for key, rows, cols in blocks:
-            parts[key] = np.clip(theta[at : at + rows * cols], 0.0, None).reshape(rows, cols)
-            at += rows * cols
-        return _EquivParams(parts["e"], parts["y2"], parts["y3"], params.g)
-
-    cache: dict[bytes, _EquivStats] = {}
-
-    def stats_at(theta):
-        key = theta.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) > 8192:
-                cache.clear()
-            hit = _equiv_stats(split(theta), problem, r0)
-            cache[key] = hit
-        return hit
-
-    theta0 = np.concatenate(
-        [
-            {"e": params.e_rows, "y2": params.py2, "y3": params.py3}[key].reshape(-1)
-            for key, _, _ in blocks
-        ]
-    )
-    cons = []
-    at = 0
-    for _, rows, cols in blocks:
-        for r in range(rows):
-            sl = slice(at + r * cols, at + (r + 1) * cols)
-            cons.append({"type": "eq", "fun": (lambda th, s=sl: th[s].sum() - 1.0)})
-        at += rows * cols
-    for attr, cap in (
-        ("ed1", problem.max_d1),
-        ("ed2", problem.max_d2),
-        ("i_xv1", problem.r1),
-        ("i_xv2", problem.r2),
-    ):
-        if math.isfinite(cap):
-            cons.append(
-                {"type": "ineq", "fun": (lambda th, a=attr, c=cap: c - getattr(stats_at(th), a))}
-            )
+    theta0, split, (fun, jac), constraints = program
     try:
         res = minimize(
-            lambda th: -stats_at(th).value,
+            fun,
             theta0,
+            jac=jac,
             method="SLSQP",
-            bounds=[(0.0, 1.0)] * size,
-            constraints=cons,
+            bounds=[(0.0, 1.0)] * theta0.size,
+            constraints=constraints,
             options={"maxiter": _EQUIV_MAXITER, "ftol": 1e-12},
         )
     except (ValueError, FloatingPointError):
         return None
     refined = split(np.asarray(res.x))
-    # renormalize rows exactly
+
     def norm(rows_arr):
-        s = rows_arr.sum(axis=1, keepdims=True)
+        s = rows_arr.sum(axis=-1, keepdims=True)
         s[s == 0.0] = 1.0
         return rows_arr / s
 
     return _EquivParams(norm(refined.e_rows), norm(refined.py2), norm(refined.py3), params.g)
 
 
+def _screen_equiv(problem: EquivocationProblem) -> tuple[_EquivStats, _EquivParams] | None:
+    """The feasible members of the enumerable family with their statistics
+    at ``problem.r0``, or None when the family is too large to enumerate."""
+    if _equiv_enumeration_size(problem) > DEFAULT_ENUM_LIMIT:
+        return None
+    kept = [
+        _equiv_feasible(_equiv_stats(chunk, problem, problem.r0), chunk, problem)
+        for chunk in _enumerate_equiv(problem)
+    ]
+    return _concat([s for s, _ in kept]), _concat([m for _, m in kept])
+
+
 def _equivocation_searches(
-    problem: EquivocationProblem, r0_grid, restarts: int, seed: int
+    problem: EquivocationProblem, rates: list[tuple[float, int]], restarts: int
 ) -> list[EquivocationSearchResult]:
-    """One certified search per key rate over a single screening of the family.
+    """One certified search per (key rate, seed) over a single screening.
 
     Family membership and every distortion and rate budget are free of R0,
-    so the enumerable family is screened once, at ``problem.r0``; any other
-    rate re-scores only the feasible members.  Each rate draws its own
-    restarts (seed ``seed + 7919 i`` at grid point i), refines the best of
-    them, then picks and certifies a winner.
+    so the enumerable family is screened once, at ``problem.r0``; at any
+    other rate a feasible member's value is re-rated in closed form from
+    its H(S) and I(S;V1).  Each rate draws its own restarts, refines the
+    best of them, then picks and certifies a winner.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     started = time.perf_counter()
-    screened: list[tuple[_EquivStats, _EquivParams]] = []
-    if _equiv_enumeration_size(problem) <= DEFAULT_ENUM_LIMIT:
-        scored = ((_equiv_stats(p, problem, problem.r0), p) for p in _enumerate_equiv(problem))
-        screened = [entry for entry in scored if _equiv_feasible(entry[0], problem)]
-
-    def relaxed(entry: tuple[_EquivStats, _EquivParams]) -> float:
-        return _penalized(entry[0].value, _equiv_limits(entry[0], problem))
-
+    screened = _screen_equiv(problem)
     results = []
-    for gi, r0 in enumerate(r0_grid):
-        at = replace(problem, r0=float(r0))
-        rate_seed = seed + 7919 * gi
-        pool = [
-            (st if at.r0 == problem.r0 else _equiv_stats(params, at, at.r0), params)
-            for st, params in screened
-        ]
-        sampled = []
-        for index in range(restarts):
-            params = _sample_equiv(_rng_for(rate_seed, index), at)
-            sampled.append((_equiv_stats(params, at, at.r0), params))
-        pool += [entry for entry in sampled if _equiv_feasible(entry[0], at)]
-        for _, params in _ranked(sampled, relaxed)[:_EQUIV_REFINE_TOP]:
-            better = _refine_equiv(params, at, at.r0)
-            if better is not None:
-                st = _equiv_stats(better, at, at.r0)
-                if _equiv_feasible(st, at):
-                    pool.append((st, better))
+    for r0, rate_seed in rates:
+        at = replace(problem, r0=r0)
+        sampled = _concat([_sample_equiv(_rng_for(rate_seed, i), at) for i in range(restarts)])
+        order = np.argsort(-_equiv_relaxed(_equiv_stats(sampled, at, r0), problem), kind="stable")
+        refined = [_refine_equiv(_take(sampled, [i]), at, r0) for i in order[:_EQUIV_REFINE_TOP]]
+        members = _concat([sampled] + [p for p in refined if p is not None])
+        stats, members = _equiv_feasible(_equiv_stats(members, at, r0), members, at)
+        pool = [(stats.value, members)]  # (values, members) of the feasible candidates
+        if screened is not None:
+            stats, members = screened
+            values = stats.value if r0 == problem.r0 else _rerated(stats.h_s, stats.leak, r0)
+            pool.append((values, members))
 
         wall = time.perf_counter() - started
-        if not pool:
+        if not any(len(values) for values, _ in pool):
             message = "infeasible: no candidate met the distortion/rate budget"
             results.append(
                 EquivocationSearchResult(False, None, None, rate_seed, restarts, wall, message)
             )
             continue
-        cand, (st, _) = _pick_winner(
-            pool, lambda entry: entry[0].value, lambda entry: _assemble_equiv(entry[1], at)
+        best = max(values.max() for values, _ in pool if len(values))
+        finalists = [
+            (float(values[i]), _take(members, [i]))
+            for values, members in pool
+            for i in np.flatnonzero(values == best)
+        ]
+        cand, (value, _) = _pick_winner(
+            finalists, lambda entry: entry[0], lambda entry: _assemble_equiv(entry[1], at)
         )
         _raise_on_failures(check_equivocation_membership(cand, p_x=at.p_x, tol=_MARGINAL_SLACK))
         ref = equivocation_value(cand, at.secret_set, at.r0, check=False)
-        _raise_on_mismatch("value", st.value, ref)
-        results.append(EquivocationSearchResult(True, st.value, cand, rate_seed, restarts, wall))
+        _raise_on_mismatch("value", value, ref)
+        results.append(EquivocationSearchResult(True, value, cand, rate_seed, restarts, wall))
     return results
 
 
@@ -1345,13 +1481,43 @@ def search_equivocation(
     that the reference evaluator does not reproduce raises
     :class:`VerificationError`.
     """
-    return _equivocation_searches(problem, [problem.r0], restarts, seed)[0]
+    return _equivocation_searches(problem, [(float(problem.r0), seed)], restarts)[0]
 
 
 @dataclass(frozen=True)
 class SweepPoint:
     r0: float
     value: float
+
+
+def _sweep_rates(r0_grid, seed: int) -> list[tuple[float, int]]:
+    """(r0, seed) of each grid point, seed ``seed + 7919 i`` at point i; a
+    NaN or negative rate is rejected before any screening."""
+    rates = []
+    for i, r0 in enumerate(r0_grid):
+        if math.isnan(r0) or r0 < 0:
+            raise ValueError(f"r0_grid[{i}] must be a key rate >= 0, got {r0}")
+        rates.append((float(r0), seed + 7919 * i))
+    return rates
+
+
+def _sweep_points(
+    problem: EquivocationProblem, r0_grid, results: list[EquivocationSearchResult]
+) -> list[SweepPoint]:
+    """The curve over ``r0_grid`` from the winners of its searches, pooled:
+    family membership does not involve R0, so every witness is valid at
+    every R0 and the curve is nondecreasing by construction."""
+    witnesses: list[tuple[float, float]] = []  # (h_s, leak)
+    for res in results:
+        if res.feasible:
+            h_s = equivocation_value(res.candidate, problem.secret_set, 10**9, check=False)
+            leak = h_s - equivocation_value(res.candidate, problem.secret_set, 0.0, check=False)
+            witnesses.append((h_s, leak))
+    out = []
+    for r0 in r0_grid:
+        vals = [h - max(0.0, leak - r0) for h, leak in witnesses]
+        out.append(SweepPoint(float(r0), max(vals) if vals else -math.inf))
+    return out
 
 
 def equivocation_sweep(
@@ -1364,22 +1530,23 @@ def equivocation_sweep(
 ) -> list[SweepPoint]:
     """The value curve over a grid of key rates.
 
-    The family is screened once for the whole grid.  Witnesses found at
-    any grid point are pooled: family membership does not involve R0, so
-    every witness is valid at every R0 and the curve is nondecreasing by
-    construction.  ``workers`` is accepted for compatibility; has no effect.
+    The family is screened once for the whole grid, and the witnesses
+    found at all grid points are pooled.  A NaN or negative grid point
+    raises ``ValueError`` before any work.  ``workers`` is accepted for
+    compatibility; has no effect.
     """
-    witnesses: list[tuple[float, float]] = []  # (h_s, leak)
-    for res in _equivocation_searches(problem, r0_grid, restarts, seed):
-        if res.feasible:
-            h_s = equivocation_value(res.candidate, problem.secret_set, 10**9, check=False)
-            leak = h_s - equivocation_value(res.candidate, problem.secret_set, 0.0, check=False)
-            witnesses.append((h_s, leak))
-    out = []
-    for r0 in r0_grid:
-        vals = [h - max(0.0, leak - r0) for h, leak in witnesses]
-        out.append(SweepPoint(float(r0), max(vals) if vals else -math.inf))
-    return out
+    rates = _sweep_rates(r0_grid, seed)
+    return _sweep_points(problem, r0_grid, _equivocation_searches(problem, rates, restarts))
+
+
+def _search_and_sweep(
+    problem: EquivocationProblem, r0_grid, *, restarts: int, seed: int
+) -> tuple[EquivocationSearchResult, list[SweepPoint]]:
+    """``search_equivocation`` and ``equivocation_sweep`` with the same
+    arguments, on one screening of the family."""
+    rates = [(float(problem.r0), seed)] + _sweep_rates(r0_grid, seed)
+    first, *rest = _equivocation_searches(problem, rates, restarts)
+    return first, _sweep_points(problem, r0_grid, rest)
 
 
 @dataclass(frozen=True)

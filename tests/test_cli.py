@@ -5,6 +5,7 @@ output dirs); one subprocess test covers the ``python -m`` wiring.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -299,6 +300,36 @@ def test_equivocation_sweep(tmp_path):
     values = [p["value"] for p in result["sweep"]]
     assert [p["r0"] for p in result["sweep"]] == [0.0, 0.5, 1.0]
     assert values == sorted(values)
+
+
+def test_equivocation_screens_the_family_once(tmp_path, monkeypatch):
+    # the search at problem.r0 and the sweep share one screening
+    enumerate_equiv = search_mod._enumerate_equiv
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return enumerate_equiv(problem)
+
+    monkeypatch.setattr(search_mod, "_enumerate_equiv", counted)
+    cfg = write_config(tmp_path, equiv_config(r0_grid=[0.0, 0.5, 1.0]))
+    assert main(["equivocation", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "r0, r0_grid, path",
+    [(math.nan, None, "problem.r0"), (1.0, [0.0, math.nan], "problem.r0_grid[1]")],
+    ids=["r0", "r0_grid"],
+)
+def test_equivocation_nan_key_rate(tmp_path, capsys, r0, r0_grid, path):
+    # JSON's NaN would otherwise publish full equivocation
+    body = equiv_config(r0_grid=r0_grid)
+    body["problem"]["r0"] = r0
+    cfg = write_config(tmp_path, body)
+    assert main(["equivocation", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "equivocation_result.json").exists()
 
 
 def test_equivocation_empty_r0_grid(tmp_path, capsys):

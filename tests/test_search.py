@@ -7,12 +7,13 @@ equivocation search closed-form targets.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cascade_secrecy import search as search_mod
@@ -24,7 +25,7 @@ from cascade_secrecy.bounds import (
     eval_inner_tuple,
 )
 from cascade_secrecy.payoff import LogLossPayoff, PayoffTable
-from cascade_secrecy.probability import Alphabet, Pmf
+from cascade_secrecy.probability import Alphabet, Pmf, _entropy_of, mutual_information
 from cascade_secrecy.search import (
     CardinalityCaps,
     EquivocationProblem,
@@ -101,6 +102,23 @@ def test_search_inner_rejects_negative_refine_top(monkeypatch):
     problem = ternary_problem(RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(2, 2, 8, 4))
     with pytest.raises(ValueError, match="refine_top"):
         search_inner(problem, restarts=8, refine_top=-1, enum_limit=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["r0", "r1", "r2", "max_d1", "max_d2"])
+def test_equivocation_problem_rejects_nan(field):
+    # a NaN key rate would publish full equivocation: every comparison
+    # with it is false, so no budget or leak term could bind
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(binary_equiv_problem(0.0, 1.0), **{field: math.nan})
+
+
+def test_equivocation_sweep_rejects_nan_before_screening(monkeypatch):
+    calls = []
+    monkeypatch.setattr(search_mod, "_enumerate_equiv", lambda problem: calls.append(problem))
+    prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=2, cap_v2=2)
+    with pytest.raises(ValueError, match=r"r0_grid\[1\]"):
+        equivocation_sweep(prob, [0.0, math.nan, 1.0], restarts=2, seed=0)
     assert calls == []
 
 
@@ -560,3 +578,170 @@ def test_equivocation_deterministic_across_worker_counts():
         obj.pop("wall_time")
         blobs.append(json.dumps(obj, sort_keys=True))
     assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# equivocation batch kernel, enumeration order and SLSQP Jacobians
+
+
+_EQUIV_SECRETS = [("X",), ("Y2",), ("X", "Y3")]
+
+
+def random_equiv_problem(rng, secret, cap_v1, cap_v2):
+    n_x, n_y2, n_y3 = (int(n) for n in rng.integers(2, 4, size=3))
+    return EquivocationProblem(
+        p_x=Pmf(Alphabet("X", n_x), rng.dirichlet(np.ones(n_x))),
+        secret_set=secret,
+        y2_alphabet=Alphabet("Y2", n_y2),
+        y3_alphabet=Alphabet("Y3", n_y3),
+        d1=rng.random((n_x, n_y2)),
+        d2=rng.random((n_x, n_y3)),
+        max_d1=0.5,
+        max_d2=0.5,
+        r0=0.0,
+        r1=1.0,
+        r2=1.0,
+        cap_v1=cap_v1,
+        cap_v2=cap_v2,
+    )
+
+
+def random_member(rng, problem, rows, g):
+    """A stack of one whose rows come from ``rows(n, k)``."""
+    n_x = problem.p_x.alphabet.size
+    n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
+    return search_mod._EquivParams(
+        rows(n_x, problem.cap_v1)[None],
+        rows(problem.cap_v1, n_y2)[None],
+        rows(problem.cap_v2, n_y3)[None],
+        np.asarray(g)[None],
+    )
+
+
+def loop_stats(one, problem, r0):
+    """The former per-member kernel, the reference for the batch kernel's
+    arithmetic: (value, h_s, leak, ed1, ed2, i_xv1, i_xv2) of a stack of one."""
+    e_rows, py2, py3, g = one.e_rows[0], one.py2[0], one.py3[0], one.g[0]
+    p_x = problem.p_x.probs
+    jxv = p_x[:, None] * e_rows
+    f = jxv[:, :, None, None] * py2[None, :, :, None] * py3[g][None, :, None, :]
+    axis_of = {"X": 0, "Y2": 2, "Y3": 3}
+    s_axes = tuple(axis_of[s] for s in problem.secret_set)
+    keep_s = f.sum(axis=tuple(ax for ax in (0, 2, 3) if ax not in s_axes) + (1,))
+    keep_sv = f.sum(axis=tuple(ax for ax in (0, 2, 3) if ax not in s_axes))
+    h_s = _entropy_of(keep_s)
+    pv1 = jxv.sum(axis=0)
+    leak = max(0.0, h_s + _entropy_of(pv1) - _entropy_of(keep_sv))
+    ed1 = float((f.sum(axis=(1, 3)) * problem.d1).sum())
+    ed2 = float((f.sum(axis=(1, 2)) * problem.d2).sum())
+    h_x = _entropy_of(p_x)
+    i_xv1 = max(0.0, h_x + _entropy_of(pv1) - _entropy_of(jxv))
+    jxv2 = np.zeros((len(p_x), py3.shape[0]))
+    np.add.at(jxv2.T, g, jxv.T)
+    i_xv2 = max(0.0, h_x + _entropy_of(jxv2.sum(axis=0)) - _entropy_of(jxv2))
+    return (h_s - max(0.0, leak - r0), h_s, leak, ed1, ed2, i_xv1, i_xv2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    secret=st.sampled_from(_EQUIV_SECRETS),
+    cap_v1=st.integers(1, 4),
+    cap_v2=st.integers(1, 4),
+    one_hot=st.lists(st.booleans(), min_size=1, max_size=6),
+    r0=st.sampled_from([0.0, 0.25, 1.0, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equivocation_kernel_matches_reference(secret, cap_v1, cap_v2, one_hot, r0, seed):
+    # the batch kernel scores a whole stack at once; each member's
+    # statistics must equal the former per-member loop bit for bit, and its
+    # value, distortions and message rates must match the reference path on
+    # the member's assembled joint
+    rng = np.random.default_rng(seed)
+    problem = random_equiv_problem(rng, secret, cap_v1, cap_v2)
+
+    def member(deterministic):
+        def rows(n, k):
+            if deterministic:
+                return np.eye(k)[rng.integers(k, size=n)]
+            return rng.dirichlet(np.ones(k), size=n)
+
+        return random_member(rng, problem, rows, rng.integers(cap_v2, size=cap_v1))
+
+    members = [member(d) for d in one_hot]
+    stats = search_mod._equiv_stats(search_mod._concat(members), problem, r0)
+    fields = ("value", "h_s", "leak", "ed1", "ed2", "i_xv1", "i_xv2")
+    for i, one in enumerate(members):
+        assert tuple(getattr(stats, tag)[i] for tag in fields) == loop_stats(one, problem, r0)
+        cand = search_mod._assemble_equiv(one, problem)
+        table = cand.joint.table  # (X, Y2, Y3, V1, V2)
+        want = {
+            "value": equivocation_value(cand, secret, r0, check=False),
+            "ed1": float((table.sum(axis=(2, 3, 4)) * problem.d1).sum()),
+            "ed2": float((table.sum(axis=(1, 3, 4)) * problem.d2).sum()),
+            "i_xv1": mutual_information(cand.joint, "X", "V1"),
+            "i_xv2": mutual_information(cand.joint, "X", "V2"),
+        }
+        for tag, value in want.items():
+            got = getattr(stats, tag)[i]
+            assert abs(got - value) <= 1e-12, (tag, i, got, value)
+
+
+def product_members(problem):
+    """The family in the order of the former screening loop, one member at a time."""
+    n_x = problem.p_x.alphabet.size
+    n_v1, n_v2 = problem.cap_v1, problem.cap_v2
+    n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
+    for m in itertools.product(range(n_v1), repeat=n_x):
+        for g in itertools.product(range(n_v2), repeat=n_v1):
+            for h2 in itertools.product(range(n_y2), repeat=n_v1):
+                for h3 in itertools.product(range(n_y3), repeat=n_v2):
+                    yield np.eye(n_v1)[list(m)], np.eye(n_y2)[list(h2)], np.eye(n_y3)[list(h3)], g
+
+
+@pytest.mark.parametrize("cap_v1, cap_v2, chunks", [(3, 2, [1024, 1024, 256]), (2, 2, [256])])
+def test_equivocation_enumeration_follows_product_order(cap_v1, cap_v2, chunks):
+    # 2,304 members fill two chunks and part of a third
+    prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=cap_v1, cap_v2=cap_v2)
+    stacks = list(search_mod._enumerate_equiv(prob))
+    assert [len(s.g) for s in stacks] == chunks
+    got = search_mod._concat(stacks)
+    for i, (e_rows, py2, py3, g) in enumerate(product_members(prob)):
+        assert np.array_equal(got.e_rows[i], e_rows)
+        assert np.array_equal(got.py2[i], py2)
+        assert np.array_equal(got.py3[i], py3)
+        assert tuple(got.g[i]) == g
+    assert i + 1 == sum(chunks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    secret=st.sampled_from(_EQUIV_SECRETS),
+    cap_v1=st.integers(2, 4),
+    cap_v2=st.integers(2, 4),
+    past_key=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equivocation_jacobians_match_central_differences(secret, cap_v1, cap_v2, past_key, seed):
+    # SLSQP gets analytic Jacobians of the objective and of every
+    # constraint; at an interior point away from the max(0, .) kinks they
+    # must match central differences along random directions
+    rng = np.random.default_rng(seed)
+    problem = random_equiv_problem(rng, secret, cap_v1, cap_v2)
+    g = np.concatenate([[0, 1], rng.integers(cap_v2, size=cap_v1 - 2)])  # two V2 cells used
+    def interior(n, k):
+        return 0.5 * rng.dirichlet(np.ones(k), size=n) + 0.5 / k
+
+    one = random_member(rng, problem, interior, g)
+    stats = search_mod._equiv_stats(one, problem, 0.0)
+    assume(min(stats.leak[0], stats.i_xv1[0], stats.i_xv2[0]) > 1e-4)
+    r0 = float(stats.leak[0]) * (0.5 if past_key else 1.5)  # the kink sits at leak == r0
+    theta, _, objective, constraints = search_mod._equiv_program(one, problem, r0)
+    assert len(constraints) == 2  # row sums and the four finite budgets
+    h = 1e-6
+    for _ in range(3):
+        d = rng.normal(size=theta.size)
+        d /= np.abs(d).max()
+        for fun, jac in [objective] + [(c["fun"], c["jac"]) for c in constraints]:
+            fd = (np.asarray(fun(theta + h * d)) - np.asarray(fun(theta - h * d))) / (2 * h)
+            an = np.asarray(jac(theta)) @ d
+            assert np.all(np.abs(fd - an) <= 1e-6 * (1.0 + np.abs(fd))), (fd, an)
