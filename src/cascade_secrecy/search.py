@@ -23,14 +23,15 @@ deterministic channel maps is at most ``enum_limit``, the search also
 enumerates every map.
 
 Sampled restarts, enumerated maps and seed-independent anchors form one
-pool, each candidate scored once: sampled restarts at their start
-weights, maps and anchors at uniform weights.  One stable ranking by
-relaxed score picks what is refined: the best ``refine_top`` restarts,
-every anchor, and the top 256 maps (every map when there are at most
-2,048).  The winner is the best payoff in the pool, ties broken by
-candidate hash, so the outcome is a deterministic function of (problem,
-seed, restarts).  It is re-derived by the reference evaluator in
-:mod:`cascade_secrecy.bounds` before it is published.
+pool, each candidate scored once by one kernel: restarts at their start
+weights, maps and anchors at uniform weights.  Maps are scored in stacks
+built by index arithmetic, and only two sets of them stay: the feasible
+maps that tie for the best payoff, and the top 256 by relaxed score
+(every map when there are at most 2,048), refined with every anchor and
+the best ``refine_top`` restarts.  The winner is the best payoff in the
+pool, ties broken by candidate hash, so the outcome is a deterministic
+function of (problem, seed, restarts).  It is re-derived by the reference
+evaluator in :mod:`cascade_secrecy.bounds` before it is published.
 
 The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
@@ -57,7 +58,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -108,6 +109,9 @@ _CERTIFY_TOL = 1e-9  # published tuple vs the reference evaluator
 _EQUIV_REFINE_TOP = 16  # equivocation restarts refined by SLSQP
 _EQUIV_MAXITER = 80  # SLSQP iterations per equivocation refinement
 _EQUIV_CHUNK = 1024  # enumerated family members per batch-kernel call
+_CELL_BUDGET = 1 << 20  # P(w | v1) cells per screened stack of inner maps
+#: (statistic, cap) of each inner-search budget: the key and the two message rates
+_INNER_BUDGETS = (("r0", "r0"), ("r1", "r1"), ("r2", "r2"))
 #: (statistic, cap) of each equivocation budget: two distortions, two message rates
 _EQUIV_BUDGETS = (("ed1", "max_d1"), ("ed2", "max_d2"), ("i_xv1", "r1"), ("i_xv2", "r2"))
 
@@ -215,17 +219,12 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 
 @dataclass
 class _Structure:
-    """One restart's discrete choices: dimensions and emission channels."""
+    """Dimensions and emission channels of one structure, or of a stack of them."""
 
     dims: tuple[int, int, int, int]  # (cU2, cA, cB, cC)
-    px_rows: np.ndarray  # (nV1, |X|)
-    py2_rows: np.ndarray  # (nV1, |Y2|)
-    py3_rows: np.ndarray  # (nV2, |Y3|)
-
-    @property
-    def n_v1(self) -> int:
-        c = self.dims
-        return c[0] * c[1] * c[2] * c[3]
+    px_rows: np.ndarray  # ([n,] nV1, |X|)
+    py2_rows: np.ndarray  # ([n,] nV1, |Y2|)
+    py3_rows: np.ndarray  # ([n,] nV2, |Y3|)
 
 
 def _decompositions(caps: CardinalityCaps) -> list[tuple[int, int, int, int]]:
@@ -245,24 +244,14 @@ def _decompositions(caps: CardinalityCaps) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _finite_pairs(problem: InnerSearchProblem) -> list[list[np.ndarray]]:
-    """For each y3 symbol, the (x, y2) pairs with all-z-finite payoff."""
+def _finite_pairs(problem: InnerSearchProblem) -> list[np.ndarray]:
+    """For each y3 symbol, the (x, y2) pairs with all-z-finite payoff, (k, 2)."""
     if isinstance(problem.payoff, LogLossPayoff):
         sizes = (problem.p_x.alphabet.size, problem.y2_alphabet.size, problem.y3_alphabet.size)
         mask = np.ones(sizes, dtype=bool)
     else:
         mask = problem.payoff.finite_mask
-    out = []
-    for y3 in range(mask.shape[2]):
-        pairs = np.argwhere(mask[:, :, y3])
-        out.append([pairs[i] for i in range(len(pairs))])
-    return out
-
-
-def _one_hot(indices: np.ndarray, width: int) -> np.ndarray:
-    rows = np.zeros((len(indices), width))
-    rows[np.arange(len(indices)), indices] = 1.0
-    return rows
+    return [np.argwhere(mask[:, :, y3]) for y3 in range(mask.shape[2])]
 
 
 def _v2_cells(dims: tuple[int, int, int, int]) -> np.ndarray:
@@ -274,21 +263,21 @@ def _v2_cells(dims: tuple[int, int, int, int]) -> np.ndarray:
 def _deterministic_structure(
     dims: tuple[int, int, int, int], problem: InnerSearchProblem, xy, y3_of_v2
 ) -> _Structure:
-    """One-hot channels: V1 cell c emits the pair xy[c] = (x, y2), V2 cell
-    v2 the action y3_of_v2[v2]."""
-    xy = np.asarray(xy).reshape(-1, 2)
+    """One-hot channels: V1 cell c emits the pair xy[..., c, :] = (x, y2),
+    V2 cell v2 the action y3_of_v2[..., v2]; leading axes make a stack."""
+    xy = np.asarray(xy)
     return _Structure(
         dims,
-        _one_hot(xy[:, 0], problem.p_x.alphabet.size),
-        _one_hot(xy[:, 1], problem.y2_alphabet.size),
-        _one_hot(np.asarray(y3_of_v2), problem.y3_alphabet.size),
+        np.eye(problem.p_x.alphabet.size)[xy[..., 0]],
+        np.eye(problem.y2_alphabet.size)[xy[..., 1]],
+        np.eye(problem.y3_alphabet.size)[np.asarray(y3_of_v2)],
     )
 
 
 def _balanced_structure(
     dims: tuple[int, int, int, int],
     problem: InnerSearchProblem,
-    pairs_by_y3: list[list[np.ndarray]],
+    pairs_by_y3: list[np.ndarray],
     shift: int,
 ) -> _Structure | None:
     """Deterministic channel maps that spread actions evenly.
@@ -300,7 +289,7 @@ def _balanced_structure(
     """
     c_u2, _, c_b, _ = dims
     y3_of = [(v2 + shift) % problem.y3_alphabet.size for v2 in range(c_u2 * c_b)]
-    if any(not pairs_by_y3[y] for y in set(y3_of)):
+    if any(len(pairs_by_y3[y]) == 0 for y in set(y3_of)):
         return None
     i, j, k, l = np.indices(dims).reshape(4, -1)
     options = [pairs_by_y3[y3_of[v2]] for v2 in i * c_b + k]
@@ -318,24 +307,18 @@ def _blind_structure(problem: InnerSearchProblem) -> _Structure:
     """
     dims = (1, 1, 1, 1)
     n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
-    px = problem.p_x.probs[None, :]
-    best = None
-    for y2 in range(n_y2):
-        for y3 in range(n_y3):
-            struct = _Structure(
-                dims, px, _one_hot(np.array([y2]), n_y2), _one_hot(np.array([y3]), n_y3)
-            )
-            stats = _InnerEvaluator(struct, problem).stats(np.ones(dims))
-            if best is None or stats.pi > best[0]:
-                best = (stats.pi, struct)
-    return best[1]
+    y2, y3 = _digits(np.arange(n_y2 * n_y3), (n_y2, n_y3)).T
+    px = np.broadcast_to(problem.p_x.probs, (len(y2), 1, problem.p_x.alphabet.size))
+    stack = _Structure(dims, px, np.eye(n_y2)[y2, None], np.eye(n_y3)[y3, None])
+    best = np.argmax(_InnerEvaluator(stack, problem).stats(np.ones(dims)).pi)  # first of ties
+    return _Structure(dims, problem.p_x.probs[None, :], stack.py2_rows[best], stack.py3_rows[best])
 
 
 def _sample_structure(
     rng: np.random.Generator,
     dims: tuple[int, int, int, int],
     problem: InnerSearchProblem,
-    pairs_by_y3: list[list[np.ndarray]],
+    pairs_by_y3: list[np.ndarray],
     stochastic: bool,
 ) -> _Structure:
     c_u2, c_a, c_b, c_c = dims
@@ -343,14 +326,14 @@ def _sample_structure(
     n_x, n_y2 = problem.p_x.alphabet.size, problem.y2_alphabet.size
 
     y3_of_v2 = rng.integers(problem.y3_alphabet.size, size=n_v2)
-    py3 = _one_hot(y3_of_v2, problem.y3_alphabet.size)
+    py3 = np.eye(problem.y3_alphabet.size)[y3_of_v2]
 
     px = np.zeros((n_v1, n_x))
     py2 = np.zeros((n_v1, n_y2))
     spread_x = stochastic and bool(rng.integers(2))
     for v1, v2 in enumerate(_v2_cells(dims)):
         pairs = pairs_by_y3[int(y3_of_v2[v2])]
-        if pairs:
+        if len(pairs):
             x0, y0 = pairs[int(rng.integers(len(pairs)))]
         else:  # no finite triple exists for this y3; candidate is doomed
             x0, y0 = int(rng.integers(n_x)), int(rng.integers(n_y2))
@@ -414,12 +397,18 @@ def _start_weights(
 
 @dataclass
 class _InnerStats:
+    """Statistics of one structure, or arrays over a stack; pi is -inf if forbidden."""
+
     r0: float
     r1: float
     r2: float
     pi: float
-    forbidden: bool
     marginal_gap: float
+
+
+def _member(stats: _InnerStats, i: int) -> _InnerStats:
+    """Member ``i`` of a stack's statistics, as floats."""
+    return _InnerStats(*(v.item(i) for v in vars(stats).values()))
 
 
 def _concentrated_weights(
@@ -436,7 +425,7 @@ def _concentrated_weights(
     cells and fit the cell weights to the source marginal with NNLS;
     resample the support a few times if the fit fails.
     """
-    if not _is_flat(struct.dims) or struct.n_v1 == 1:
+    if not _is_flat(struct.dims) or len(struct.px_rows) == 1:
         return None
     c_u2, c_a, c_b, c_c = struct.dims
     group = c_a * c_b * c_c  # cells per U2 value
@@ -449,7 +438,7 @@ def _concentrated_weights(
         rhs = np.concatenate([p_x, [1.0]])
         sol, residual = nnls(m, rhs)
         if residual < 1e-8:
-            theta = np.zeros(struct.n_v1)
+            theta = np.zeros(len(struct.px_rows))
             jitter = rng.dirichlet(np.ones(len(support)))
             theta[support] = np.clip(sol, 0.0, None) + 0.02 * jitter
             # normalized twice: the seeded search outputs depend on the
@@ -466,13 +455,30 @@ def _log2_clamped(q: np.ndarray) -> np.ndarray:
 _LOG2E = 1.0 / math.log(2.0)  # d(-q log2 q)/dq = -log2 q - _LOG2E
 
 
+def _entropies(tables: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each table of a stack, bit for bit what
+    :func:`_entropy_of` gives it alone: the tables with k positive cells
+    are summed as one (rows, k) array of those cells, in order."""
+    if len(tables) == 1:  # a stack of one, as in every refiner step
+        return np.array([_entropy_of(tables)])
+    t = tables.reshape(len(tables), -1)
+    positive = t > 0.0
+    count = positive.sum(axis=1)
+    out = np.zeros(len(t))
+    for k in set(count.tolist()) - {0}:
+        rows = count == k
+        p = t[rows][positive[rows]].reshape(-1, k)
+        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    return out
+
+
 class _InnerEvaluator:
-    """Exact rate/payoff statistics of one structure, and the gradients the
-    flat-layout LP refiner linearizes.
+    """Exact rate/payoff statistics of a structure or of a stack sharing one
+    decomposition, and the gradients the flat-layout LP refiner linearizes.
 
     ``stats`` mirrors :func:`cascade_secrecy.bounds.eval_inner_tuple` on the
-    factored family, but works on raw tensors so the search can call it
-    thousands of times; the reference evaluator re-checks the winner.
+    factored family, but works on raw tensors so the search can score
+    every enumerated map; the reference evaluator re-checks the winner.
 
     With a flat weight simplex the payoff sum_u min_z <pi_uz, w> is concave
     piecewise-linear (an exact LP epigraph over ``pi_cz``), and I(W;V1|U1)
@@ -486,42 +492,41 @@ class _InnerEvaluator:
     """
 
     def __init__(self, struct: _Structure, problem: InnerSearchProblem):
-        c_u2, c_a, c_b, c_c = struct.dims
         self.struct = struct
-        self.dims = struct.dims
-        self.px4 = struct.px_rows.reshape(c_u2, c_a, c_b, c_c, -1)
-        self.py24 = struct.py2_rows.reshape(c_u2, c_a, c_b, c_c, -1)
-        self.py32 = struct.py3_rows.reshape(c_u2, c_b, -1)
+        self.dims = dims = struct.dims
+        self.single = struct.px_rows.ndim == 2
+        n = 1 if self.single else len(struct.px_rows)  # a leading member axis on every array
+        self.px4 = struct.px_rows.reshape((n,) + dims + (-1,))
+        self.py24 = struct.py2_rows.reshape((n,) + dims + (-1,))
+        self.py32 = struct.py3_rows.reshape(n, dims[0], dims[2], -1)
         self.p_x = problem.p_x.probs
         # side information enters through per-coordinate channel matrices
-        self.wx = np.einsum("ijklx,xp->ijklp", self.px4, problem.side.ch1.rows)
-        self.wy2 = np.einsum("ijkly,yq->ijklq", self.py24, problem.side.ch2.rows)
-        self.wy3 = np.einsum("ikt,tr->ikr", self.py32, problem.side.ch3.rows)
+        self.wx = np.einsum("...x,xp->...p", self.px4, problem.side.ch1.rows)
+        self.wy2 = np.einsum("...y,yq->...q", self.py24, problem.side.ch2.rows)
+        self.wy3 = np.einsum("...t,tr->...r", self.py32, problem.side.ch3.rows)
         self.payoff = problem.payoff
-        if isinstance(self.payoff, LogLossPayoff):
-            axes = {"X": 2, "Y2": 3, "Y3": 4}  # axes of the (i,j,x,y,t) array
-            self.secret_axes = tuple(axes[s] for s in self.payoff.secret_set)
+        if isinstance(self.payoff, LogLossPayoff):  # public roles leave the (n,i,j,x,y,t) joint
+            public = {"X": 3, "Y2": 4, "Y3": 5}.items()
+            self.public_axes = tuple(ax for s, ax in public if s not in self.payoff.secret_set)
 
     @cached_property
     def _pw4(self) -> np.ndarray:
         """P(w | v1) of every cell, (u2, a, b, c, |W|)."""
-        pw = np.einsum("ijklp,ijklq,ikr->ijklpqr", self.wx, self.wy2, self.wy3)
+        pw = np.einsum("ijklp,ijklq,ikr->ijklpqr", self.wx[0], self.wy2[0], self.wy3[0])
         return pw.reshape(self.dims + (-1,))
 
     @cached_property
     def _h_w_cell(self) -> np.ndarray:
-        rows = self._pw4.reshape(self.struct.n_v1, -1)
-        return np.array([_entropy_of(r) for r in rows]).reshape(self.dims)
+        return _entropies(self._pw4.reshape(-1, self._pw4.shape[-1])).reshape(self.dims)
 
     @cached_property
     def _h_x_cell(self) -> np.ndarray:
-        return np.array([_entropy_of(r) for r in self.struct.px_rows]).reshape(self.dims)
+        return _entropies(self.struct.px_rows).reshape(self.dims)
 
     @cached_property
     def _py3_cells(self) -> np.ndarray:
         """P(y3 | v1) of every cell, (nV1, |Y3|)."""
-        shape = self.dims + (self.py32.shape[-1],)
-        return np.broadcast_to(self.py32[:, None, :, None, :], shape).reshape(self.struct.n_v1, -1)
+        return self.struct.py3_rows[_v2_cells(self.dims)]
 
     @cached_property
     def _ps4(self) -> np.ndarray:
@@ -551,15 +556,16 @@ class _InnerEvaluator:
 
     def rate_grads(self, w4: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gradients of (r0, r1, r2) in the cell weights, flattened."""
-        vx = w4[..., None] * self.px4
+        px4 = self.px4[0]
+        vx = w4[..., None] * px4
         g_u1 = -_log2_clamped(w4.sum(axis=(2, 3)))[:, :, None, None] - _LOG2E
         log_wu = _log2_clamped((w4[..., None] * self._pw4).sum(axis=(2, 3)))
         g_wu = -(self._pw4 * log_wu[:, :, None, None, :]).sum(axis=-1) - _LOG2E
         log_x = _log2_clamped(vx.sum(axis=(0, 1, 2, 3)))
-        g_x = -(self.px4 * log_x).sum(axis=-1) - _LOG2E
+        g_x = -(px4 * log_x).sum(axis=-1) - _LOG2E
         g_v2 = -_log2_clamped(w4.sum(axis=(1, 3)))[:, None, :, None] - _LOG2E
         log_xv2 = _log2_clamped(vx.sum(axis=(1, 3)))
-        g_xv2 = -(self.px4 * log_xv2[:, None, :, None, :]).sum(axis=-1) - _LOG2E
+        g_xv2 = -(px4 * log_xv2[:, None, :, None, :]).sum(axis=-1) - _LOG2E
         g_r0 = g_wu - g_u1 - self._h_w_cell
         g_r1 = g_x - self._h_x_cell
         g_r2 = g_x + g_v2 - g_xv2
@@ -574,69 +580,68 @@ class _InnerEvaluator:
         return (g_su - g_u1).reshape(-1)
 
     def stats(self, w4: np.ndarray) -> _InnerStats:
-        vx = w4[..., None] * self.px4
-        xm = vx.sum(axis=(0, 1, 2, 3))
-        gap = float(np.abs(xm - self.p_x).max())
-        h_x = _entropy_of(xm)
-        r1 = max(0.0, h_x + _entropy_of(w4) - _entropy_of(vx))
-        v2x = vx.sum(axis=(1, 3))
-        r2 = max(0.0, h_x + _entropy_of(w4.sum(axis=(1, 3))) - _entropy_of(v2x))
+        """Statistics at w[u2, a, b, c], shared or one per member; floats for one structure."""
+        w = w4.reshape((-1,) + self.dims)
+        vx = w[..., None] * self.px4
+        xm = vx.sum(axis=(1, 2, 3, 4))
+        gap = np.abs(xm - self.p_x).max(axis=1)
+        h_x = _entropies(xm)
+        h_w = _entropies(w)
+        r1 = np.maximum(0.0, h_x + h_w - _entropies(vx))
+        v2x = vx.sum(axis=(2, 4))
+        r2 = np.maximum(0.0, h_x + _entropies(w.sum(axis=(2, 4))) - _entropies(v2x))
 
-        t_wv = np.einsum("ijkl,ijklp,ijklq,ikr->ijklpqr", w4, self.wx, self.wy2, self.wy3)
-        t_wu = t_wv.sum(axis=(2, 3))
-        h_u1 = _entropy_of(w4.sum(axis=(2, 3)))
-        r0 = max(
-            0.0,
-            (_entropy_of(t_wu) - h_u1) - (_entropy_of(t_wv) - _entropy_of(w4)),
-        )
+        # the joint of (w, v1): ((w wx) wy2) wy3 per cell, as einsum multiplies
+        t_wv = (w[..., None] * self.wx)[..., None] * self.wy2[..., None, :]
+        t_wv = t_wv[..., None] * self.wy3[:, :, None, :, None, None, None, :]
+        t_wu = t_wv.sum(axis=(3, 4))
+        h_u1 = _entropies(w.sum(axis=(3, 4)))
+        r0 = np.maximum(0.0, (_entropies(t_wu) - h_u1) - (_entropies(t_wv) - h_w))
 
-        j_sys = np.einsum("ijkl,ijklx,ijkly,ikt->ijxyt", w4, self.px4, self.py24, self.py32)
+        j_sys = np.einsum("nijkl,nijklx,nijkly,nikt->nijxyt", w, self.px4, self.py24, self.py32)
         if isinstance(self.payoff, LogLossPayoff):
-            keep = (0, 1) + self.secret_axes
-            drop = tuple(ax for ax in range(5) if ax not in keep)
-            j_su = j_sys.sum(axis=drop) if drop else j_sys
-            pi = _entropy_of(j_su) - h_u1
-            forbidden = False
+            pi = _entropies(j_sys.sum(axis=self.public_axes)) - h_u1
         else:
-            n_u1 = w4.shape[0] * w4.shape[1]
-            vals = _batched_values(j_sys.reshape(n_u1, -1), self.payoff)
-            per_u = vals.min(axis=1)
-            pi = float(per_u.sum())
-            forbidden = not math.isfinite(pi)
-        return _InnerStats(r0, r1, r2, pi, forbidden, gap)
+            n_u1 = self.dims[0] * self.dims[1]
+            # one (u1, action) matrix product per member, as for one structure
+            vals = _batched_values(j_sys.reshape(len(j_sys), n_u1, -1), self.payoff)
+            pi = vals.min(axis=2).sum(axis=1)
+        out = _InnerStats(r0, r1, r2, pi, gap)
+        return _member(out, 0) if self.single else out
 
 
-def _rate_limits(stats: _InnerStats, budget: RateBudget) -> tuple:
-    """(value, cap) of each of r0, r1 and r2."""
-    return ((stats.r0, budget.r0), (stats.r1, budget.r1), (stats.r2, budget.r2))
+def _limits(stats, caps, budgets) -> list:
+    """(value, cap) of each of ``budgets``: statistic of ``stats``, attribute of ``caps``."""
+    return [(getattr(stats, got), getattr(caps, cap)) for got, cap in budgets]
 
 
-def _within(limits) -> bool:
-    return all(got <= cap + _RATE_SLACK for got, cap in limits)
+def _within(limits):
+    """Whether every limit holds within the slack: a bool, or a mask over a stack."""
+    ok = True
+    for got, cap in limits:
+        ok = ok & (got <= cap + _RATE_SLACK)
+    return ok
 
 
-def _is_feasible(stats: _InnerStats, budget: RateBudget) -> bool:
-    return (
-        not stats.forbidden
-        and math.isfinite(stats.pi)
-        and stats.marginal_gap <= _MARGINAL_SLACK
-        and _within(_rate_limits(stats, budget))
-    )
-
-
-def _penalized(value: float, limits, pen: float = 0.0) -> float:
+def _penalized(value, limits, pen=0.0):
     """Ranking score for picking refinement candidates: ``value`` minus
     heavy penalties for the excess over each finite cap, added to ``pen``."""
     for got, cap in limits:
         if math.isfinite(cap):
-            pen += max(0.0, got - cap)
+            pen = pen + np.maximum(0.0, got - cap)
     return value - 100.0 * pen
 
 
-def _relaxed_score(stats: _InnerStats, budget: RateBudget) -> float:
-    if stats.forbidden or not math.isfinite(stats.pi):
-        return -math.inf
-    return _penalized(stats.pi, _rate_limits(stats, budget), stats.marginal_gap)
+def _inner_feasible(stats: _InnerStats, budget: RateBudget):
+    """The budget test plus the inner terms: an allowed payoff and the source marginal."""
+    ok = np.isfinite(stats.pi) & (stats.marginal_gap <= _MARGINAL_SLACK)
+    return ok & _within(_limits(stats, budget, _INNER_BUDGETS))
+
+
+def _inner_score(stats: _InnerStats, budget: RateBudget):
+    """The relaxed score with the marginal gap as a penalty; -inf for a forbidden payoff."""
+    score = _penalized(stats.pi, _limits(stats, budget, _INNER_BUDGETS), stats.marginal_gap)
+    return np.where(np.isfinite(stats.pi), score, -math.inf)
 
 
 def _refine_flat_slp(
@@ -652,7 +657,6 @@ def _refine_flat_slp(
     dims = evaluator.dims
     w = w0.reshape(-1)
     n_v1 = len(w)
-    caps = [budget.r0, budget.r1, budget.r2]
     pi_cz = evaluator.pi_cz
     n_t = dims[0] * dims[1] if pi_cz is not None else 0  # one epigraph variable per u1
     group = n_v1 // (dims[0] * dims[1])  # the cells of one u1 are contiguous
@@ -660,20 +664,16 @@ def _refine_flat_slp(
     a_eq = np.vstack([evaluator.struct.px_rows.T, np.ones((1, n_v1))])
     b_eq = np.concatenate([evaluator.p_x, [1.0]])
 
-    def stats_at(point: np.ndarray) -> _InnerStats:
-        return evaluator.stats(point.reshape(dims))
-
     def violation(stats: _InnerStats) -> float:
-        limits = _rate_limits(stats, budget)
+        limits = _limits(stats, budget, _INNER_BUDGETS)
         return sum(max(0.0, got - cap) for got, cap in limits if math.isfinite(cap))
 
     def rate_cuts(stats: _InnerStats) -> tuple[np.ndarray, np.ndarray]:
         """Linearized rate constraints g @ x <= rhs at w, finite caps only."""
-        grads = evaluator.rate_grads(w.reshape(dims))
-        rates = (stats.r0, stats.r1, stats.r2)
-        finite = [k for k in range(3) if math.isfinite(caps[k])]
-        g = np.array([grads[k] for k in finite]).reshape(len(finite), n_v1)
-        rhs = [max(caps[k] - _BACKOFF, 0.0) - rates[k] + float(grads[k] @ w) for k in finite]
+        limits = zip(evaluator.rate_grads(w.reshape(dims)), _limits(stats, budget, _INNER_BUDGETS))
+        cuts = [(grad, got, cap) for grad, (got, cap) in limits if math.isfinite(cap)]
+        g = np.array([grad for grad, _, _ in cuts]).reshape(len(cuts), n_v1)
+        rhs = [max(cap - _BACKOFF, 0.0) - got + float(grad @ w) for grad, got, cap in cuts]
         return g, np.array(rhs)
 
     def lp_step(cost, a_ub, b_ub, extra_bounds, delta: float) -> np.ndarray | None:
@@ -707,8 +707,8 @@ def _refine_flat_slp(
     epigraph = epigraph.reshape(-1, n_v1 + n_t)
 
     best_w, best_pi = None, -math.inf
-    start_stats = stats_at(w)
-    if _is_feasible(start_stats, budget):
+    start_stats = evaluator.stats(w)
+    if _inner_feasible(start_stats, budget):
         best_w, best_pi = w.copy(), start_stats.pi
     if start_stats.marginal_gap > 1e-9:
         # land exactly on the source-marginal manifold; every later step
@@ -721,15 +721,15 @@ def _refine_flat_slp(
     stall = 0
     fstall = 0
     for _ in range(_LP_MAXITER):
-        stats = stats_at(w)
-        if _is_feasible(stats, budget) and stats.pi > best_pi:
+        stats = evaluator.stats(w)
+        if _inner_feasible(stats, budget) and stats.pi > best_pi:
             best_w, best_pi = w.copy(), stats.pi
         if delta < 1e-5 or stall > 6 or fstall > 8:
             break
         over = violation(stats)
         if over > _RATE_SLACK:
             w_new = feasibility_step(stats, delta)
-            improved = over - violation(stats_at(w_new)) if w_new is not None else 0.0
+            improved = over - violation(evaluator.stats(w_new)) if w_new is not None else 0.0
             if improved > 1e-12:
                 w = w_new
                 delta = min(delta * 1.5, 0.4)
@@ -758,11 +758,11 @@ def _refine_flat_slp(
         # backtrack toward w: I(X;V2) is convex along the on-manifold
         # segment, so a short enough step re-enters the feasible region
         accepted = False
-        baseline = stats.pi if _is_feasible(stats, budget) else -math.inf
+        baseline = stats.pi if _inner_feasible(stats, budget) else -math.inf
         for t in (1.0, 0.5, 0.25, 0.125):
             w_try = w + t * (target - w)
-            try_stats = stats_at(w_try)
-            if _is_feasible(try_stats, budget) and try_stats.pi > baseline + 1e-12:
+            try_stats = evaluator.stats(w_try)
+            if _inner_feasible(try_stats, budget) and try_stats.pi > baseline + 1e-12:
                 w = w_try
                 delta = min(delta * 1.5, 0.4)
                 accepted = True
@@ -810,22 +810,36 @@ def _assemble_inner(
     )
 
 
-def _candidate_digest(cand: InnerCandidate | EquivocationCandidate) -> str:
+def _digested(cand: InnerCandidate | EquivocationCandidate) -> tuple:
+    """(candidate, sha256 of its JSON), the digest that breaks exact ties."""
     payload = json.dumps(candidate_to_json(cand), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _ranked(pool: list, score) -> list:
-    """The pool by descending score; the sort is stable, so ties keep pool order."""
-    return sorted(pool, key=lambda entry: -score(entry))
+    return cand, hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _pick_winner(pool: list, value, assemble) -> tuple:
     """(candidate, entry) of the highest value, exact ties broken by the
-    smallest candidate digest, so the pick does not depend on pool order."""
+    smallest candidate digest, so the pick does not depend on pool order;
+    ``assemble`` gives an entry's (candidate, digest)."""
     best = max(value(entry) for entry in pool)
     finalists = [(assemble(entry), entry) for entry in pool if value(entry) == best]
-    return min(finalists, key=lambda pair: _candidate_digest(pair[0]))
+    (cand, _), entry = min(finalists, key=lambda pair: pair[0][1])
+    return cand, entry
+
+
+def _certify(report, published: dict, reference) -> None:
+    """Raise :class:`VerificationError` unless a winner passes its reference
+    membership ``report`` and ``reference()`` (a dict) matches ``published``."""
+    if report.failures:
+        check = report.failures[0]
+        raise VerificationError(
+            f"search winner fails check {check.name!r}: {check.value!r} > tol {check.tol!r}"
+        )
+    want = reference()
+    for tag, got in published.items():
+        if not abs(got - want[tag]) <= _CERTIFY_TOL:
+            raise VerificationError(
+                f"search winner {tag}={got!r} but the reference evaluator gives {want[tag]!r}"
+            )
 
 
 @dataclass
@@ -835,56 +849,79 @@ class _Scored:
     w4: np.ndarray
 
 
-def _map_space_size(problem: InnerSearchProblem, dims, pairs_by_y3) -> int:
-    """Number of deterministic channel maps for one decomposition."""
-    c_u2, c_a, c_b, c_c = dims
-    fiber = c_a * c_c  # v1 cells sharing one v2 cell
-    n_pairs = np.array([len(p) for p in pairs_by_y3], dtype=float)
-    per_v2 = float((n_pairs**fiber).sum())
-    if per_v2 == 0.0:
-        return 0
-    total = per_v2 ** (c_u2 * c_b)
-    return int(total) if total < 2**62 else 2**62
+def _map_space_size(dims, pairs_by_y3) -> int:
+    """Number of deterministic channel maps for one decomposition: each V2
+    cell picks an action, and each of its |A| x |C| V1 cells a pair."""
+    per_v2 = sum(len(pairs) ** (dims[1] * dims[3]) for pairs in pairs_by_y3)
+    return per_v2 ** (dims[0] * dims[2])
 
 
-def _enumerate_structures(
-    problem: InnerSearchProblem, dims, pairs_by_y3
-) -> list[_Structure]:
-    """All support-aware deterministic channel assignments for one split."""
+def _digits(index: np.ndarray, radices) -> np.ndarray:
+    """Mixed-radix digits of each index, last digit fastest, as ``itertools.product``
+    orders them; ``np.unravel_index`` would cap the radices at 64."""
+    digits = np.empty((len(index), len(radices)), dtype=np.intp)
+    for j in range(len(radices) - 1, -1, -1):
+        index, digits[:, j] = np.divmod(index, radices[j])
+    return digits
+
+
+def _enumerate_maps(problem: InnerSearchProblem, dims, pairs_by_y3):
+    """Every support-aware deterministic channel map of one decomposition, in
+    ``itertools.product`` order over the y3 map, then each V1 cell's pair:
+    stacks ``(y3_map, xy)`` of each V2 cell's action and each V1 cell's
+    (x, y2) pair, of at most ``_CELL_BUDGET`` cells of P(w | v1) (|V1| x |W| a map)."""
+    side = problem.side
+    n_w = math.prod(ch.rows.shape[1] for ch in (side.ch1, side.ch2, side.ch3))
     v2_cells = _v2_cells(dims)
-    out = []
-    for y3_map in itertools.product(range(problem.y3_alphabet.size), repeat=dims[0] * dims[2]):
+    chunk = max(1, _CELL_BUDGET // (len(v2_cells) * n_w))
+    # actions without a finite pair admit no map
+    actions = [y for y, pairs in enumerate(pairs_by_y3) if len(pairs)]
+    for y3_map in itertools.product(actions, repeat=dims[0] * dims[2]):
         options = [pairs_by_y3[y3_map[v2]] for v2 in v2_cells]
-        out += [
-            _deterministic_structure(dims, problem, xy, y3_map)
-            for xy in itertools.product(*options)
-        ]
-    return out
+        radices = [len(pairs) for pairs in options]
+        total = math.prod(radices)
+        for start in range(0, total, chunk):
+            pick = _digits(np.arange(start, min(start + chunk, total)), radices)
+            xy = np.stack([pairs[pick[:, c]] for c, pairs in enumerate(options)], axis=1)
+            yield np.array(y3_map), xy
 
 
-def _certify_inner(
-    cand: InnerCandidate, tup: RatePayoffTuple, problem: InnerSearchProblem
-) -> None:
-    """Re-derive a winner by the reference path; raise if it disagrees."""
-    _raise_on_failures(check_inner_constraints(cand, p_x=problem.p_x, tol=_MARGINAL_SLACK))
-    ref = eval_inner_tuple(cand, problem.side, problem.payoff, check=False)
-    for tag in ("r0", "r1", "r2", "pi"):
-        _raise_on_mismatch(tag, getattr(tup, tag), getattr(ref, tag))
+def _screen_maps(problem, decomps, pairs_by_y3, keep: int) -> tuple[list[_Scored], list[_Scored]]:
+    """Score every deterministic channel map once, at uniform weights, a
+    stack at a time.  Keeps, and builds structures for, only the feasible
+    maps that tie for the best payoff and the best ``keep`` by relaxed
+    score, each in enumeration order as a stable sort leaves ties."""
+    budget = problem.budget
+    best, ties = -math.inf, []
+    top, top_scores = [], np.empty(0)  # (dims, y3 map, xy, stats, weights) by rank
+    for dims in decomps:
+        w4 = _start_weights(dims)
+        for y3_map, xy in _enumerate_maps(problem, dims, pairs_by_y3):
+            y3 = np.broadcast_to(y3_map, (len(xy), len(y3_map)))
+            stack = _deterministic_structure(dims, problem, xy, y3)
+            stats = _InnerEvaluator(stack, problem).stats(w4)
 
+            def kept(i: int) -> tuple:
+                return dims, y3_map, xy[i].copy(), _member(stats, i), w4
 
-def _raise_on_failures(report) -> None:
-    if report.failures:
-        check = report.failures[0]
-        raise VerificationError(
-            f"search winner fails check {check.name!r}: {check.value!r} > tol {check.tol!r}"
-        )
+            feasible = _inner_feasible(stats, budget)
+            if feasible.any():
+                pi = stats.pi[feasible].max()
+                if pi > best:
+                    best, ties = pi, []
+                if pi == best:
+                    ties += [kept(i) for i in np.flatnonzero(feasible & (stats.pi == best))]
+            scores = np.concatenate([top_scores, _inner_score(stats, budget)])
+            order = np.argsort(-scores, kind="stable")[:keep]
+            n_top = len(top)
+            top = [top[i] if i < n_top else kept(i - n_top) for i in order.tolist()]
+            top_scores = scores[order]
 
+    def scored(entry: tuple) -> _Scored:
+        dims, y3_map, xy, stats, w4 = entry
+        return _Scored(stats, _deterministic_structure(dims, problem, xy, y3_map), w4)
 
-def _raise_on_mismatch(tag: str, got: float, want: float) -> None:
-    if not abs(got - want) <= _CERTIFY_TOL:
-        raise VerificationError(
-            f"search winner {tag}={got!r} but the reference evaluator gives {want!r}"
-        )
+    return [scored(e) for e in ties], [scored(e) for e in top]
 
 
 def search_inner(
@@ -915,22 +952,14 @@ def search_inner(
     def scored(struct: _Structure, w4: np.ndarray) -> _Scored:
         return _Scored(_InnerEvaluator(struct, problem).stats(w4), struct, w4)
 
-    def ranked(pool: list[_Scored]) -> list[_Scored]:
-        return _ranked(pool, lambda s: _relaxed_score(s.stats, budget))
-
     # every deterministic channel map when few enough, scored once at
-    # uniform weights; all are refined up to _ENUM_REFINE_ALL maps, else
-    # the best _ENUM_REFINE_TOP
-    total_maps = sum(_map_space_size(problem, d, pairs_by_y3) for d in decomps)
-    enumerated: list[_Scored] = []
-    if 0 < total_maps <= enum_limit:
-        enumerated = [
-            scored(s, _start_weights(s.dims))
-            for d in decomps
-            for s in _enumerate_structures(problem, d, pairs_by_y3)
-        ]
+    # uniform weights: the best feasible maps compete for the win; all maps
+    # are refined up to _ENUM_REFINE_ALL, else the best _ENUM_REFINE_TOP
+    total_maps = sum(_map_space_size(d, pairs_by_y3) for d in decomps)
     enum_top = total_maps if total_maps <= _ENUM_REFINE_ALL else _ENUM_REFINE_TOP
-    to_refine = ranked(enumerated)[:enum_top]
+    best_maps, to_refine = [], []
+    if 0 < total_maps <= enum_limit:
+        best_maps, to_refine = _screen_maps(problem, decomps, pairs_by_y3, enum_top)
 
     # seed-independent anchors: the no-information candidate (stochastic
     # source row, so never covered by the deterministic enumeration) plus,
@@ -965,37 +994,37 @@ def search_inner(
         return scored(struct, w0)
 
     sampled = [sample_one(i) for i in range(restarts)]
-    to_refine += ranked(sampled)[:refine_top]
+    # a stable sort: ties keep pool order
+    to_refine += sorted(sampled, key=lambda s: -float(_inner_score(s.stats, budget)))[:refine_top]
 
     # only flat layouts have a refiner, the rest compete at their start
     def refined(start: _Scored) -> list[_Scored]:
         struct = start.struct
-        if not _is_flat(struct.dims) or struct.n_v1 == 1:
+        if not _is_flat(struct.dims) or len(struct.px_rows) == 1:
             return []
         evaluator = _InnerEvaluator(struct, problem)
         w1 = _refine_flat_slp(evaluator, budget, start.w4)
         return [] if w1 is None else [_Scored(evaluator.stats(w1), struct, w1)]
 
-    pool = enumerated + anchored + sampled + [r for s in to_refine for r in refined(s)]
-    feasible = [s for s in pool if _is_feasible(s.stats, budget)]
+    pool = best_maps + anchored + sampled + [r for s in to_refine for r in refined(s)]
+    feasible = [s for s in pool if _inner_feasible(s.stats, budget)]
     wall = time.perf_counter() - started
     if not feasible:
-        return SearchResult(
-            False,
-            None,
-            None,
-            seed,
-            restarts,
-            wall,
-            "infeasible: no candidate met the rate budget within tolerance",
-        )
+        message = "infeasible: no candidate met the rate budget within tolerance"
+        return SearchResult(False, None, None, seed, restarts, wall, message)
 
     winner_cand, winner = _pick_winner(
-        feasible, lambda s: s.stats.pi, lambda s: _assemble_inner(s.struct, s.w4, problem)
+        feasible,
+        lambda s: s.stats.pi,
+        lambda s: _digested(_assemble_inner(s.struct, s.w4, problem)),
     )
     st = winner.stats
-    tup = RatePayoffTuple(st.r0, st.r1, st.r2, st.pi, st.forbidden)
-    _certify_inner(winner_cand, tup, problem)
+    tup = RatePayoffTuple(st.r0, st.r1, st.r2, st.pi)  # feasible, so pi is finite
+    _certify(
+        check_inner_constraints(winner_cand, p_x=problem.p_x, tol=_MARGINAL_SLACK),
+        asdict(tup),
+        lambda: asdict(eval_inner_tuple(winner_cand, problem.side, problem.payoff, check=False)),
+    )
     msg = f"source-marginal gap {st.marginal_gap:.2e}"
     return SearchResult(True, tup, winner_cand, seed, restarts, wall, msg)
 
@@ -1106,23 +1135,6 @@ def _concat(stacks: list):
     )
 
 
-def _entropies(tables: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each table of a stack, bit for bit what
-    :func:`_entropy_of` gives it alone: the tables with k positive cells
-    are summed as one (rows, k) array of those cells, in order."""
-    if len(tables) == 1:  # a stack of one, as inside SLSQP
-        return np.array([_entropy_of(tables)])
-    t = tables.reshape(len(tables), -1)
-    positive = t > 0.0
-    count = positive.sum(axis=1)
-    out = np.zeros(len(t))
-    for k in set(count.tolist()) - {0}:
-        rows = count == k
-        p = t[rows][positive[rows]].reshape(-1, k)
-        out[rows] = -(p * np.log2(p)).sum(axis=1)
-    return out
-
-
 def _equiv_tables(params: _EquivParams, problem: EquivocationProblem) -> dict:
     """The joint f over (x, v1, y2, y3) of each member and the marginals the
     statistics need; the first axis of every table is the member."""
@@ -1214,28 +1226,6 @@ def _equiv_grads(
     }
 
 
-def _equiv_limits(stats: _EquivStats, problem: EquivocationProblem) -> tuple:
-    """(value, cap) of each distortion and message-rate budget."""
-    return tuple((getattr(stats, got), getattr(problem, cap)) for got, cap in _EQUIV_BUDGETS)
-
-
-def _equiv_feasible(
-    stats: _EquivStats, members: _EquivParams, problem: EquivocationProblem
-) -> tuple[_EquivStats, _EquivParams]:
-    """The members that meet every budget within the slack, with their statistics."""
-    limits = _equiv_limits(stats, problem)
-    ok = np.logical_and.reduce([got <= cap + _RATE_SLACK for got, cap in limits])
-    return _take(stats, ok), _take(members, ok)
-
-
-def _equiv_relaxed(stats: _EquivStats, problem: EquivocationProblem) -> np.ndarray:
-    """Per member: the value minus heavy penalties for each budget's excess,
-    as :func:`_penalized` scores one candidate."""
-    limits = _equiv_limits(stats, problem)
-    pen = sum(np.maximum(0.0, got - cap) for got, cap in limits if math.isfinite(cap))
-    return stats.value - 100.0 * pen
-
-
 def _assemble_equiv(params: _EquivParams, problem: EquivocationProblem) -> EquivocationCandidate:
     """The candidate joint of a stack of one."""
     e_rows, py2, py3, g = params.e_rows[0], params.py2[0], params.py3[0], params.g[0]
@@ -1264,34 +1254,25 @@ def _assemble_equiv(params: _EquivParams, problem: EquivocationProblem) -> Equiv
     return EquivocationCandidate(JointDistribution(variables, table))
 
 
-def _equiv_enumeration_size(problem: EquivocationProblem) -> int:
-    total = (
-        problem.cap_v1**problem.p_x.alphabet.size
-        * problem.cap_v2**problem.cap_v1
-        * problem.y2_alphabet.size**problem.cap_v1
-        * problem.y3_alphabet.size**problem.cap_v2
-    )
-    return min(total, 2**62)
+def _equiv_radices(problem: EquivocationProblem) -> tuple[int, ...]:
+    """The radix of each digit of a deterministic member: the V1 map of X,
+    the V2 map of V1, the Y2 map of V1 and the Y3 map of V2."""
+    n_x, n_v1, n_v2 = problem.p_x.alphabet.size, problem.cap_v1, problem.cap_v2
+    n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
+    return (n_v1,) * n_x + (n_v2,) * n_v1 + (n_y2,) * n_v1 + (n_y3,) * n_v2
 
 
 def _enumerate_equiv(problem: EquivocationProblem):
-    """Every deterministic member, in stacks of at most ``_EQUIV_CHUNK``.
-
-    Member i has the mixed-radix digits of i over the V1 map of X, the V2
-    map of V1, the Y2 map of V1 and the Y3 map of V2, last digit fastest:
-    the order of ``itertools.product`` over the four maps.
-    """
-    n_x = problem.p_x.alphabet.size
-    n_v1, n_v2 = problem.cap_v1, problem.cap_v2
+    """Every deterministic member, in stacks of at most ``_EQUIV_CHUNK``:
+    member i has the mixed-radix digits of i, in the order of
+    ``itertools.product`` over the four maps."""
+    n_x, n_v1 = problem.p_x.alphabet.size, problem.cap_v1
     n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
-    radices = (n_v1,) * n_x + (n_v2,) * n_v1 + (n_y2,) * n_v1 + (n_y3,) * n_v2
+    radices = _equiv_radices(problem)
     cuts = (n_x, n_x + n_v1, n_x + 2 * n_v1)
     total = math.prod(radices)
     for start in range(0, total, _EQUIV_CHUNK):
-        rest = np.arange(start, min(start + _EQUIV_CHUNK, total))
-        digits = np.empty((len(rest), len(radices)), dtype=np.intp)
-        for j in range(len(radices) - 1, -1, -1):
-            rest, digits[:, j] = np.divmod(rest, radices[j])
+        digits = _digits(np.arange(start, min(start + _EQUIV_CHUNK, total)), radices)
         m, g, h2, h3 = np.split(digits, cuts, axis=1)
         yield _EquivParams(np.eye(n_v1)[m], np.eye(n_y2)[h2], np.eye(n_y3)[h3], g)
 
@@ -1304,7 +1285,7 @@ def _sample_equiv(rng: np.random.Generator, problem: EquivocationProblem) -> _Eq
 
     def rows(n, k, deterministic):
         if deterministic:
-            return _one_hot(rng.integers(k, size=n), k)[None]
+            return np.eye(k)[rng.integers(k, size=n)][None]
         return rng.dirichlet(np.ones(k), size=n)[None]
 
     det = rng.random() < 0.5
@@ -1407,13 +1388,15 @@ def _refine_equiv(
 def _screen_equiv(problem: EquivocationProblem) -> tuple[_EquivStats, _EquivParams] | None:
     """The feasible members of the enumerable family with their statistics
     at ``problem.r0``, or None when the family is too large to enumerate."""
-    if _equiv_enumeration_size(problem) > DEFAULT_ENUM_LIMIT:
+    if math.prod(_equiv_radices(problem)) > DEFAULT_ENUM_LIMIT:
         return None
-    kept = [
-        _equiv_feasible(_equiv_stats(chunk, problem, problem.r0), chunk, problem)
-        for chunk in _enumerate_equiv(problem)
-    ]
-    return _concat([s for s, _ in kept]), _concat([m for _, m in kept])
+    stats, members = [], []
+    for chunk in _enumerate_equiv(problem):
+        chunk_stats = _equiv_stats(chunk, problem, problem.r0)
+        ok = _within(_limits(chunk_stats, problem, _EQUIV_BUDGETS))  # feasible members only
+        stats.append(_take(chunk_stats, ok))
+        members.append(_take(chunk, ok))
+    return _concat(stats), _concat(members)
 
 
 def _equivocation_searches(
@@ -1425,20 +1408,33 @@ def _equivocation_searches(
     so the enumerable family is screened once, at ``problem.r0``; at any
     other rate a feasible member's value is re-rated in closed form from
     its H(S) and I(S;V1).  Each rate draws its own restarts, refines the
-    best of them, then picks and certifies a winner.
+    best of them, then picks and certifies a winner.  A member's candidate
+    does not depend on R0, so each is assembled and hashed once per call.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     started = time.perf_counter()
     screened = _screen_equiv(problem)
+    assembled: dict[bytes, tuple] = {}  # member arrays -> (candidate, digest)
+
+    def assemble(member: _EquivParams) -> tuple:
+        key = b"".join(getattr(member, f.name).tobytes() for f in fields(member))
+        if key not in assembled:
+            assembled[key] = _digested(_assemble_equiv(member, problem))
+        return assembled[key]
+
     results = []
     for r0, rate_seed in rates:
         at = replace(problem, r0=r0)
         sampled = _concat([_sample_equiv(_rng_for(rate_seed, i), at) for i in range(restarts)])
-        order = np.argsort(-_equiv_relaxed(_equiv_stats(sampled, at, r0), problem), kind="stable")
+        stats = _equiv_stats(sampled, at, r0)
+        scores = _penalized(stats.value, _limits(stats, problem, _EQUIV_BUDGETS))
+        order = np.argsort(-scores, kind="stable")
         refined = [_refine_equiv(_take(sampled, [i]), at, r0) for i in order[:_EQUIV_REFINE_TOP]]
         members = _concat([sampled] + [p for p in refined if p is not None])
-        stats, members = _equiv_feasible(_equiv_stats(members, at, r0), members, at)
+        stats = _equiv_stats(members, at, r0)
+        ok = _within(_limits(stats, problem, _EQUIV_BUDGETS))
+        stats, members = _take(stats, ok), _take(members, ok)
         pool = [(stats.value, members)]  # (values, members) of the feasible candidates
         if screened is not None:
             stats, members = screened
@@ -1458,12 +1454,12 @@ def _equivocation_searches(
             for values, members in pool
             for i in np.flatnonzero(values == best)
         ]
-        cand, (value, _) = _pick_winner(
-            finalists, lambda entry: entry[0], lambda entry: _assemble_equiv(entry[1], at)
+        cand, (value, _) = _pick_winner(finalists, lambda entry: entry[0], lambda e: assemble(e[1]))
+        _certify(
+            check_equivocation_membership(cand, p_x=at.p_x, tol=_MARGINAL_SLACK),
+            {"value": value},
+            lambda: {"value": equivocation_value(cand, at.secret_set, at.r0, check=False)},
         )
-        _raise_on_failures(check_equivocation_membership(cand, p_x=at.p_x, tol=_MARGINAL_SLACK))
-        ref = equivocation_value(cand, at.secret_set, at.r0, check=False)
-        _raise_on_mismatch("value", value, ref)
         results.append(EquivocationSearchResult(True, value, cand, rate_seed, restarts, wall))
     return results
 

@@ -329,6 +329,51 @@ def test_fast_evaluator_matches_reference(dims, secret, stochastic, seed):
         assert got == want or abs(got - want) <= 1e-9, (tag, got, want)
 
 
+def eval_problem(secret):
+    """The ternary example's table payoff (secret None) or a log-loss payoff."""
+    if secret is None:
+        return ternary_problem(RateBudget(1.0, 1.6, 0.6))
+    return InnerSearchProblem(
+        p_x=EX.p_x,
+        payoff=LogLossPayoff(secret),
+        side=EX.side,
+        budget=RateBudget(1.0, 1.6, 0.6),
+        caps=CardinalityCaps(6, 3, 27, 9),
+        y2_alphabet=EX.payoff.y2_alphabet,
+        y3_alphabet=EX.payoff.y3_alphabet,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from(_EVAL_DIMS),
+    secret=st.sampled_from([None] + _LOG_LOSS_SECRETS),
+    stochastic=st.lists(st.booleans(), min_size=1, max_size=5),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inner_kernel_stack_matches_single(dims, secret, stochastic, shared, seed):
+    # screening scores a stack of maps in one kernel call; each member's
+    # statistics must equal its own single-structure call bit for bit,
+    # whether the stack shares one weight table or has one per member
+    problem = eval_problem(secret)
+    rng = np.random.default_rng(seed)
+    pairs = search_mod._finite_pairs(problem)
+    structs = [search_mod._sample_structure(rng, dims, problem, pairs, s) for s in stochastic]
+    weights = [search_mod._start_weights(dims, rng) for _ in structs]
+    if shared:
+        weights = weights[:1] * len(structs)
+    rows = ("px_rows", "py2_rows", "py3_rows")
+    stack = search_mod._Structure(dims, *(np.stack([getattr(s, r) for s in structs]) for r in rows))
+    stacked = weights[0] if shared else np.stack(weights)
+    stats = search_mod._InnerEvaluator(stack, problem).stats(stacked)
+    for i, (struct, w4) in enumerate(zip(structs, weights)):
+        one = search_mod._InnerEvaluator(struct, problem).stats(w4)
+        for field in dataclasses.fields(one):
+            got, want = getattr(stats, field.name)[i], getattr(one, field.name)
+            assert type(want) is float and got == want, (field.name, i, got, want)
+
+
 _FLAT_DIMS = [d for d in _EVAL_DIMS if (d[1] == 1 or d[2] == 1) and math.prod(d) > 1]
 
 
@@ -382,6 +427,51 @@ def test_refiner_gradients_match_central_differences(dims, secret, stochastic, s
         if math.isfinite(stats.pi):
             per_u = (w[:, None] * ev.pi_cz).reshape(dims[0] * dims[1], -1, ev.pi_cz.shape[1])
             assert abs(per_u.sum(axis=1).min(axis=1).sum() - stats.pi) <= 1e-9
+
+
+ENUM_CAPS = CardinalityCaps(3, 1, 6, 3)  # 5,994 deterministic maps
+
+
+@pytest.mark.parametrize("cell_budget", [None, 1000])
+def test_inner_enumeration_follows_product_order(monkeypatch, cell_budget):
+    # the screening stacks hold the maps of the former nested product over
+    # the y3 map and then each V1 cell's pair, in that order; a small cell
+    # budget splits one y3 map's pair choices over several stacks
+    if cell_budget is not None:
+        monkeypatch.setattr(search_mod, "_CELL_BUDGET", cell_budget)
+    problem = ternary_problem(RateBudget(1.0, math.inf, math.inf), caps=ENUM_CAPS)
+    pairs = search_mod._finite_pairs(problem)
+    got, want, split = [], [], False
+    for dims in search_mod._decompositions(problem.caps):
+        stacks = list(search_mod._enumerate_maps(problem, dims, pairs))
+        cells = math.prod(dims) * 27  # P(w | v1) cells of one map
+        assert all(len(xy) * cells <= search_mod._CELL_BUDGET for _, xy in stacks)
+        split |= any(np.array_equal(a, b) for (a, _), (b, _) in zip(stacks, stacks[1:]))
+        got += [(dims, tuple(y3.tolist()), xy.tolist()) for y3, stack in stacks for xy in stack]
+        v2_of = [u2 * dims[2] + b for u2, _, b, _ in itertools.product(*map(range, dims))]
+        for y3 in itertools.product(range(3), repeat=dims[0] * dims[2]):
+            for xy in itertools.product(*(pairs[y3[v2]] for v2 in v2_of)):
+                want.append((dims, y3, [pair.tolist() for pair in xy]))
+    assert len(want) == 5994
+    assert got == want
+    assert split == (cell_budget is not None)
+
+
+def test_enumerating_search_builds_few_structures(monkeypatch):
+    # screening keeps index arrays and builds a structure only for the maps
+    # it keeps, not one per map
+    created = []
+
+    class Counted(search_mod._Structure):
+        def __init__(self, *args):
+            created.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(search_mod, "_Structure", Counted)
+    problem = ternary_problem(RateBudget(1.0, math.inf, math.inf), caps=ENUM_CAPS)
+    res = search_inner(problem, restarts=8, seed=0, refine_top=2)
+    assert res.feasible
+    assert 0 < len(created) < 5994
 
 
 def test_search_deterministic_across_worker_counts():
@@ -549,6 +639,22 @@ def test_equivocation_family_is_enumerated_once_per_call(monkeypatch, run):
     prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=2, cap_v2=2)
     run(prob)
     assert len(calls) == 1
+
+
+def test_equivocation_assembles_each_member_once(monkeypatch):
+    # a member's candidate does not depend on the key rate, so a sweep
+    # assembles (and hashes) each tied finalist once, not at every grid rate
+    keys = []
+    assemble = search_mod._assemble_equiv
+
+    def counted(params, problem):
+        keys.append(b"".join(getattr(params, f.name).tobytes() for f in dataclasses.fields(params)))
+        return assemble(params, problem)
+
+    monkeypatch.setattr(search_mod, "_assemble_equiv", counted)
+    prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=3, cap_v2=3)
+    equivocation_sweep(prob, [i * 1.25 / 3 for i in range(4)], restarts=2, seed=0)
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_equivocation_infeasible_distortion():
