@@ -18,7 +18,10 @@ The restart stage samples channel structures (support-aware around the
 payoff's forbidden set) and Dirichlet weights.  When |A| or |B| is 1 the
 weights form one flat simplex, and a trust-region sequential LP refines
 them under the source-marginal equalities and linearized rate cuts; other
-structures compete at their start weights.  When the space of
+structures compete at their start weights.  Its LPs go straight to the
+HiGHS solver bundled with scipy, with the model and options that
+``linprog`` would pass: on LPs this small, ``linprog``'s per-call input
+checks cost more than the solve.  When the space of
 deterministic channel maps is at most ``enum_limit``, the search also
 enumerates every map.
 
@@ -63,7 +66,24 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.optimize import linprog, minimize, nnls
+from scipy.optimize import minimize, nnls
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsDebugLevel,
+        HighsLp,
+        HighsModelStatus,
+        HighsOptions,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+        simplex_constants,
+    )
+except ImportError as exc:  # scipy < 1.15 bundles HiGHS without these bindings
+    raise ImportError(
+        "cascade_secrecy.search needs scipy >= 1.15: it solves its LPs on the HiGHS "
+        "bindings in scipy.optimize._highspy._core"
+    ) from exc
 
 from .bounds import (
     EquivocationCandidate,
@@ -644,6 +664,53 @@ def _inner_score(stats: _InnerStats, budget: RateBudget):
     return np.where(np.isfinite(stats.pi), score, -math.inf)
 
 
+def _highs_options() -> HighsOptions:
+    """The options ``linprog(method="highs")`` passes HiGHS by default."""
+    options = HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return options
+
+
+_HIGHS_OPTIONS = _highs_options()
+
+
+def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub) -> np.ndarray | None:
+    """min c @ x subject to a_ub @ x <= b_ub, a_eq @ x == b_eq and
+    lb <= x <= ub (infinite bounds as ±kHighsInf); x at an optimum, else ``None``.
+
+    HiGHS gets the model and options ``linprog(method="highs")`` builds:
+    the stacked ``[a_ub; a_eq]`` rows column-wise, as ``csc_array`` orders
+    them, and a fresh solver per call.  Calling it directly skips
+    linprog's per-call input parsing, option validation and result checks,
+    which cost more than the solve on the refiner's small LPs.
+    """
+    a = np.vstack([a_ub, a_eq])
+    col, row = np.nonzero(a.T)
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=a.shape[1]))])
+    lp.a_matrix_.index_ = row
+    lp.a_matrix_.value_ = a.T[col, row]
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = np.concatenate([np.full(len(b_ub), -kHighsInf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    highs = _Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    highs.passModel(lp)
+    highs.run()
+    if highs.getModelStatus() != HighsModelStatus.kOptimal:
+        return None
+    return np.array(highs.getSolution().col_value)
+
+
 def _refine_flat_slp(
     evaluator: _InnerEvaluator, budget: RateBudget, w0: np.ndarray
 ) -> np.ndarray | None:
@@ -653,6 +720,10 @@ def _refine_flat_slp(
     phase (maximize the payoff subject to linearized rate cuts); every
     step is re-evaluated exactly before acceptance.  Takes and returns
     weights w[u2, a, b, c]; ``None`` when no feasible point was seen.
+
+    Each step's LP goes straight to scipy's bundled HiGHS through
+    :func:`_solve_lp`: a refinement makes dozens of LPs of a few dozen
+    variables, where ``linprog``'s wrapper costs more than the solve.
     """
     dims = evaluator.dims
     w = w0.reshape(-1)
@@ -676,18 +747,18 @@ def _refine_flat_slp(
         rhs = [max(cap - _BACKOFF, 0.0) - got + float(grad @ w) for grad, got, cap in cuts]
         return g, np.array(rhs)
 
-    def lp_step(cost, a_ub, b_ub, extra_bounds, delta: float) -> np.ndarray | None:
-        """One LP over (w, extra variables) in the trust region around w and
-        on the source-marginal manifold; the new w normalized, or ``None``."""
+    def lp_step(cost, a_ub, b_ub, extra_lo: float, delta: float) -> np.ndarray | None:
+        """One LP over (w, extra variables >= ``extra_lo``) in the trust region
+        around w and on the source-marginal manifold; the new w normalized,
+        or ``None``."""
         n_extra = len(cost) - n_v1
-        lo = np.maximum(w - delta, 0.0)
-        hi = np.minimum(w + delta, 1.0)
-        bounds = list(zip(lo, hi)) + [extra_bounds] * n_extra
+        lb = np.concatenate([np.maximum(w - delta, 0.0), np.full(n_extra, extra_lo)])
+        ub = np.concatenate([np.minimum(w + delta, 1.0), np.full(n_extra, kHighsInf)])
         eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], n_extra))])
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=eq, b_eq=b_eq, bounds=bounds, method="highs")
-        if not res.success:
+        x = _solve_lp(cost, a_ub, b_ub, eq, b_eq, lb, ub)
+        if x is None:
             return None
-        out = np.clip(res.x[:n_v1], 0.0, None)
+        out = np.clip(x[:n_v1], 0.0, None)
         return out / out.sum()
 
     def feasibility_step(stats: _InnerStats, delta: float) -> np.ndarray | None:
@@ -695,7 +766,7 @@ def _refine_flat_slp(
         g, rhs = rate_cuts(stats)
         n_s = len(rhs)
         cost = np.concatenate([np.zeros(n_v1), np.ones(n_s)])
-        return lp_step(cost, np.hstack([g, np.diag(np.full(n_s, -1.0))]), rhs, (0.0, None), delta)
+        return lp_step(cost, np.hstack([g, np.diag(np.full(n_s, -1.0))]), rhs, 0.0, delta)
 
     # climb-phase epigraph rows: t_u <= sum of pi_cz[c, z] w_c over the
     # cells c of u1 = u, for each action z (none for log loss)
@@ -750,7 +821,7 @@ def _refine_flat_slp(
             cost = np.concatenate([np.zeros(n_v1), -np.ones(n_t)])
         a_ub = np.vstack([np.hstack([g, np.zeros((len(rhs), n_t))]), epigraph])
         b_ub = np.concatenate([rhs, np.zeros(len(epigraph))])
-        target = lp_step(cost, a_ub, b_ub, (None, None), delta)
+        target = lp_step(cost, a_ub, b_ub, -kHighsInf, delta)
         if target is None:
             delta *= 0.5
             stall += 1

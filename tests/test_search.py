@@ -10,11 +10,14 @@ import dataclasses
 import itertools
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from cascade_secrecy import search as search_mod
 from cascade_secrecy.bounds import (
@@ -427,6 +430,107 @@ def test_refiner_gradients_match_central_differences(dims, secret, stochastic, s
         if math.isfinite(stats.pi):
             per_u = (w[:, None] * ev.pi_cz).reshape(dims[0] * dims[1], -1, ev.pi_cz.shape[1])
             assert abs(per_u.sum(axis=1).min(axis=1).sum() - stats.pi) <= 1e-9
+
+
+def _linprog_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
+    """``search._solve_lp`` through scipy's public wrapper: the reference it must match."""
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=list(zip(lb, ub)), method="highs")
+    return res.x if res.success else None
+
+
+@pytest.mark.parametrize("infeasible", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(
+    n_x=st.integers(1, 4),
+    n_w=st.integers(2, 12),
+    n_cuts=st.integers(0, 3),
+    extras=st.sampled_from(["none", "slack", "epigraph"]),
+    delta=st.sampled_from([1e-4, 0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_highs_matches_linprog(infeasible, n_x, n_w, n_cuts, extras, delta, seed):
+    # the refiner's LP shapes: source-marginal equalities plus a row of
+    # ones, linearized cut rows and a box of half-width delta around a point
+    # on the simplex, with nonnegative slacks or free epigraph variables;
+    # the direct binding must agree with linprog bit for bit
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(n_w))
+    px = rng.dirichlet(np.ones(n_x), size=n_w).T
+    a_eq = np.vstack([px, np.ones((1, n_w))])
+    b_eq = np.concatenate([px @ w, [1.0]])
+    g = rng.normal(size=(n_cuts, n_w))
+    rhs = g @ w + rng.normal(scale=0.1, size=n_cuts)
+    lb, ub = np.maximum(w - delta, 0.0), np.minimum(w + delta, 1.0)
+    if extras == "slack":
+        n_extra = n_cuts
+        cost = np.concatenate([np.zeros(n_w), np.ones(n_extra)])
+        a_ub = np.hstack([g, -np.eye(n_cuts)])
+        extra_lo = 0.0
+    elif extras == "epigraph":
+        groups = rng.integers(1, n_w + 1)
+        n_extra = groups
+        n_z = rng.integers(1, 4)
+        pi = rng.normal(size=(n_w, n_z))
+        epigraph = np.zeros((groups, n_z, n_w + groups))
+        cells = np.arange(n_w)
+        epigraph[cells * groups // n_w, :, cells] = -pi
+        epigraph[np.arange(groups), :, n_w + np.arange(groups)] = 1.0
+        cost = np.concatenate([np.zeros(n_w), -np.ones(groups)])
+        a_ub = np.vstack([np.hstack([g, np.zeros((n_cuts, groups))]), epigraph.reshape(-1, n_w + groups)])
+        rhs = np.concatenate([rhs, np.zeros(groups * n_z)])
+        extra_lo = -np.inf
+    else:
+        n_extra = 0
+        cost = rng.normal(size=n_w)
+        a_ub = g
+        extra_lo = 0.0
+    if infeasible:
+        # the weights sum to one, so they cannot also sum to at most 1/2
+        a_ub = np.vstack([a_ub, np.concatenate([np.ones(n_w), np.zeros(n_extra)])])
+        rhs = np.concatenate([rhs, [0.5]])
+    a_eq = np.hstack([a_eq, np.zeros((len(a_eq), n_extra))])
+    lb = np.concatenate([lb, np.full(n_extra, extra_lo)])
+    ub = np.concatenate([ub, np.full(n_extra, np.inf)])
+    got = search_mod._solve_lp(cost, a_ub, rhs, a_eq, b_eq, lb, ub)
+    want = _linprog_lp(cost, a_ub, rhs, a_eq, b_eq, lb, ub)
+    assert (got is None) == (want is None)
+    if infeasible:
+        assert got is None
+    else:
+        assert got is None or np.array_equal(got, want)
+
+
+def test_search_matches_linprog_refiner(monkeypatch):
+    # the same seeded search with every refiner LP solved by linprog gives
+    # the same record
+    problem = ternary_problem(RateBudget(1.0, math.inf, math.inf), caps=CardinalityCaps(3, 1, 6, 3))
+    blobs, calls = [], []
+
+    def reference(*lp):
+        calls.append(lp)
+        return _linprog_lp(*lp)
+
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(search_mod, "_solve_lp", reference)
+        obj = search_inner(problem, restarts=8, seed=0, refine_top=2).to_json()
+        obj.pop("wall_time")
+        blobs.append(json.dumps(obj, sort_keys=True))
+    assert calls
+    assert blobs[0] == blobs[1]
+
+
+def test_missing_highs_bindings_name_the_scipy_floor():
+    # an older scipy lacks the bundled HiGHS bindings the refiner calls;
+    # importing the search then names the scipy release that has them
+    code = (
+        "import sys, scipy.optimize\n"
+        "sys.modules['scipy.optimize._highspy._core'] = None\n"
+        "import cascade_secrecy.search\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "ImportError: cascade_secrecy.search needs scipy >= 1.15" in proc.stderr
 
 
 ENUM_CAPS = CardinalityCaps(3, 1, 6, 3)  # 5,994 deterministic maps
