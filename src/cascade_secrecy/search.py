@@ -15,26 +15,29 @@ satisfies every structural constraint identically:
 
 The only soft constraint left is the source marginal (X must match P_X).
 The restart stage samples channel structures (support-aware around the
-payoff's forbidden set) and Dirichlet weights.  When |A| or |B| is 1 the
-weights form one flat simplex, and a trust-region sequential LP refines
-them under the source-marginal equalities and linearized rate cuts; other
-structures compete at their start weights.  Its LPs go straight to the
-HiGHS solver bundled with scipy, with the model and options that
-``linprog`` would pass: on LPs this small, ``linprog``'s per-call input
-checks cost more than the solve.  When the space of
-deterministic channel maps is at most ``enum_limit``, the search also
-enumerates every map.
+payoff's forbidden set) and start weights: Dirichlet or uniform, or, for
+flat layouts, concentrated on about 2^R0 cells per U2 value and fitted to
+the source marginal by NNLS.  When |A| or |B| is 1 the weights form one
+flat simplex, and a trust-region sequential LP refines them under the
+source-marginal equalities and linearized rate cuts; other structures
+compete at their start weights.  Its LPs go straight to the HiGHS solver
+bundled with scipy, with the model and options that ``linprog`` would
+pass: on LPs this small, ``linprog``'s per-call input checks cost more
+than the solve.  When the space of deterministic channel maps is at most
+``enum_limit``, the search also enumerates every map.
 
 Sampled restarts, enumerated maps and seed-independent anchors form one
 pool, each candidate scored once by one kernel: restarts at their start
-weights, maps and anchors at uniform weights.  Maps are scored in stacks
-built by index arithmetic, and only two sets of them stay: the feasible
-maps that tie for the best payoff, and the top 256 by relaxed score
-(every map when there are at most 2,048), refined with every anchor and
-the best ``refine_top`` restarts.  The winner is the best payoff in the
-pool, ties broken by candidate hash, so the outcome is a deterministic
-function of (problem, seed, restarts).  It is re-derived by the reference
-evaluator in :mod:`cascade_secrecy.bounds` before it is published.
+weights, maps and anchors at uniform weights.  The anchors are the
+no-information candidate and one balanced deterministic map per anchor
+decomposition.  Maps are scored in stacks built by index arithmetic, and
+only two sets of them stay: the feasible maps that tie for the best
+payoff, and the top 256 by relaxed score (every map when there are at
+most 2,048), refined with every anchor and the best ``refine_top``
+restarts.  The winner is the best payoff in the pool, ties broken by
+candidate hash, so the outcome is a deterministic function of (problem,
+seed, restarts).  It is re-derived by the reference evaluator in
+:mod:`cascade_secrecy.bounds` before it is published.
 
 The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
@@ -42,8 +45,8 @@ exact by construction; only distortion and message-rate budgets remain
 as optimizer constraints.  None of them involves the key rate, so each
 call screens the enumerable family once: one batch kernel scores it in
 chunks of at most 1,024 deterministic members, built by index
-arithmetic, and keeps the feasible ones as arrays.  At any other key rate
-a kept member's value is re-rated in closed form, H(S) - [I(S;V1) - R0]+,
+arithmetic, and keeps the feasible ones as arrays.  At each key rate a
+kept member's value is re-rated in closed form, H(S) - [I(S;V1) - R0]+,
 from its stored H(S) and I(S;V1).  SLSQP refines the best sampled
 restarts with analytic Jacobians of the value and of every budget, by the
 chain rule through the joint.  Each winner is re-derived the same way,
@@ -165,8 +168,7 @@ class CardinalityCaps:
 
     def __post_init__(self) -> None:
         for tag in ("u1", "u2", "v1", "v2"):
-            if getattr(self, tag) < 1:
-                raise ValueError(f"cap {tag} must be >= 1")
+            object.__setattr__(self, tag, _count(getattr(self, tag), f"cap {tag}"))
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,13 @@ class SearchResult:
             "wall_time": self.wall_time,
             "message": self.message,
         }
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int >= 1, else ``ValueError`` naming ``name``; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -295,25 +304,23 @@ def _deterministic_structure(
 
 
 def _balanced_structure(
-    dims: tuple[int, int, int, int],
-    problem: InnerSearchProblem,
-    pairs_by_y3: list[np.ndarray],
-    shift: int,
+    dims: tuple[int, int, int, int], problem: InnerSearchProblem, pairs_by_y3: list[np.ndarray]
 ) -> _Structure | None:
-    """Deterministic channel maps that spread actions evenly.
+    """The deterministic channel map of ``dims`` that spreads actions evenly.
 
     Round-robin y3 over the V2 cells and alternating (x, y2) pair choices
     keep every action reachable and the source marginal inside the hull,
     which random one-hot assignments often miss.  These seed-independent
-    structures anchor the restart pool.
+    structures anchor the restart pool; ``None`` when a round-robin action
+    has no finite pair.
     """
     c_u2, _, c_b, _ = dims
-    y3_of = [(v2 + shift) % problem.y3_alphabet.size for v2 in range(c_u2 * c_b)]
+    y3_of = [v2 % problem.y3_alphabet.size for v2 in range(c_u2 * c_b)]
     if any(len(pairs_by_y3[y]) == 0 for y in set(y3_of)):
         return None
     i, j, k, l = np.indices(dims).reshape(4, -1)
     options = [pairs_by_y3[y3_of[v2]] for v2 in i * c_b + k]
-    xy = [pairs[turn % len(pairs)] for pairs, turn in zip(options, i + j + k + l + shift)]
+    xy = [pairs[turn % len(pairs)] for pairs, turn in zip(options, i + j + k + l)]
     return _deterministic_structure(dims, problem, xy, y3_of)
 
 
@@ -718,8 +725,12 @@ def _refine_flat_slp(
 
     Alternates a feasibility phase (shrink rate violations) with a climb
     phase (maximize the payoff subject to linearized rate cuts); every
-    step is re-evaluated exactly before acceptance.  Takes and returns
-    weights w[u2, a, b, c]; ``None`` when no feasible point was seen.
+    step is re-evaluated exactly before acceptance.  Each distinct point is
+    scored once: the loop revisits points (the accepted step at the loop
+    top, a trust-region retry that lands on a point already tried, the
+    backtracking trials at convergence), and those reuse its statistics.
+    Takes and returns weights w[u2, a, b, c]; ``None`` when no feasible
+    point was seen.
 
     Each step's LP goes straight to scipy's bundled HiGHS through
     :func:`_solve_lp`: a refinement makes dozens of LPs of a few dozen
@@ -734,6 +745,14 @@ def _refine_flat_slp(
 
     a_eq = np.vstack([evaluator.struct.px_rows.T, np.ones((1, n_v1))])
     b_eq = np.concatenate([evaluator.p_x, [1.0]])
+
+    seen: dict[bytes, _InnerStats] = {}  # weight bytes -> statistics
+
+    def stats_at(x: np.ndarray) -> _InnerStats:
+        key = x.tobytes()
+        if key not in seen:
+            seen[key] = evaluator.stats(x)
+        return seen[key]
 
     def violation(stats: _InnerStats) -> float:
         limits = _limits(stats, budget, _INNER_BUDGETS)
@@ -778,7 +797,7 @@ def _refine_flat_slp(
     epigraph = epigraph.reshape(-1, n_v1 + n_t)
 
     best_w, best_pi = None, -math.inf
-    start_stats = evaluator.stats(w)
+    start_stats = stats_at(w)
     if _inner_feasible(start_stats, budget):
         best_w, best_pi = w.copy(), start_stats.pi
     if start_stats.marginal_gap > 1e-9:
@@ -792,7 +811,7 @@ def _refine_flat_slp(
     stall = 0
     fstall = 0
     for _ in range(_LP_MAXITER):
-        stats = evaluator.stats(w)
+        stats = stats_at(w)
         if _inner_feasible(stats, budget) and stats.pi > best_pi:
             best_w, best_pi = w.copy(), stats.pi
         if delta < 1e-5 or stall > 6 or fstall > 8:
@@ -800,7 +819,7 @@ def _refine_flat_slp(
         over = violation(stats)
         if over > _RATE_SLACK:
             w_new = feasibility_step(stats, delta)
-            improved = over - violation(evaluator.stats(w_new)) if w_new is not None else 0.0
+            improved = over - violation(stats_at(w_new)) if w_new is not None else 0.0
             if improved > 1e-12:
                 w = w_new
                 delta = min(delta * 1.5, 0.4)
@@ -832,7 +851,7 @@ def _refine_flat_slp(
         baseline = stats.pi if _inner_feasible(stats, budget) else -math.inf
         for t in (1.0, 0.5, 0.25, 0.125):
             w_try = w + t * (target - w)
-            try_stats = evaluator.stats(w_try)
+            try_stats = stats_at(w_try)
             if _inner_feasible(try_stats, budget) and try_stats.pi > baseline + 1e-12:
                 w = w_try
                 delta = min(delta * 1.5, 0.4)
@@ -1011,8 +1030,7 @@ def search_inner(
     exception; a winner that the reference evaluator does not reproduce
     raises :class:`VerificationError`.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    restarts = _count(restarts, "restarts")
     if refine_top < 0:
         raise ValueError(f"refine_top must be >= 0, got {refine_top}")
     started = time.perf_counter()
@@ -1034,21 +1052,17 @@ def search_inner(
 
     # seed-independent anchors: the no-information candidate (stochastic
     # source row, so never covered by the deterministic enumeration) plus,
-    # unless every map was enumerated and refined, balanced maps over the
-    # leading decompositions
+    # unless every map was enumerated and refined, one balanced map for each
+    # of the leading decompositions and each zero-key one
     anchors = [_blind_structure(problem)]
     if not 0 < len(to_refine) == total_maps:
-        balanced: dict[tuple, _Structure] = {}  # one per distinct structure
         # every (c_u2, c_a, 1, 1) decomposition pins V1 = U1, hence key
         # rate identically zero: the natural anchors for small budgets
         anchor_dims = decomps[:16] + [d for d in decomps if d[2] == 1 and d[3] == 1]
-        for dims in anchor_dims:
-            for shift in (0, 1):
-                struct = _balanced_structure(dims, problem, pairs_by_y3, shift)
-                if struct is not None:
-                    rows = (struct.px_rows, struct.py2_rows, struct.py3_rows)
-                    balanced.setdefault((dims,) + tuple(r.tobytes() for r in rows), struct)
-        anchors += balanced.values()
+        for dims in dict.fromkeys(anchor_dims):
+            struct = _balanced_structure(dims, problem, pairs_by_y3)
+            if struct is not None:
+                anchors.append(struct)
     anchored = [scored(s, _start_weights(s.dims)) for s in anchors]
     to_refine += anchored
 
@@ -1138,8 +1152,8 @@ class EquivocationProblem:
             raise ValueError("distortion tables must be finite")
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "d2", d2)
-        if self.cap_v1 < 1 or self.cap_v2 < 1:
-            raise ValueError("cardinality caps must be >= 1")
+        for tag in ("cap_v1", "cap_v2"):
+            object.__setattr__(self, tag, _count(getattr(self, tag), tag))
         for tag in ("max_d1", "max_d2", "r0", "r1", "r2"):
             if math.isnan(getattr(self, tag)):
                 raise ValueError(f"{tag} must not be NaN")
@@ -1476,14 +1490,14 @@ def _equivocation_searches(
     """One certified search per (key rate, seed) over a single screening.
 
     Family membership and every distortion and rate budget are free of R0,
-    so the enumerable family is screened once, at ``problem.r0``; at any
-    other rate a feasible member's value is re-rated in closed form from
-    its H(S) and I(S;V1).  Each rate draws its own restarts, refines the
-    best of them, then picks and certifies a winner.  A member's candidate
-    does not depend on R0, so each is assembled and hashed once per call.
+    so the enumerable family is screened once; at each rate a feasible
+    member's value is re-rated in closed form from its H(S) and I(S;V1),
+    as the kernel rates it at ``problem.r0``.  Each rate draws its own
+    restarts, refines the best of them, then picks and certifies a winner.
+    A member's candidate does not depend on R0, so each is assembled and
+    hashed once per call.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    restarts = _count(restarts, "restarts")
     started = time.perf_counter()
     screened = _screen_equiv(problem)
     assembled: dict[bytes, tuple] = {}  # member arrays -> (candidate, digest)
@@ -1509,8 +1523,7 @@ def _equivocation_searches(
         pool = [(stats.value, members)]  # (values, members) of the feasible candidates
         if screened is not None:
             stats, members = screened
-            values = stats.value if r0 == problem.r0 else _rerated(stats.h_s, stats.leak, r0)
-            pool.append((values, members))
+            pool.append((_rerated(stats.h_s, stats.leak, r0), members))
 
         wall = time.perf_counter() - started
         if not any(len(values) for values, _ in pool):
@@ -1646,6 +1659,8 @@ def min_key_rate(
         raise ValueError("min_key_rate needs a finite r0 budget as the upper end")
     if not tol > 0:  # the bisection would never close; NaN fails too
         raise ValueError(f"min_key_rate needs tol > 0, got {tol}")
+    if math.isnan(target_pi):  # no payoff would clear it
+        raise ValueError("min_key_rate needs a target_pi that is not NaN")
 
     def attempt(r0: float, step: int) -> SearchResult:
         budget = RateBudget(r0, problem.budget.r1, problem.budget.r2)

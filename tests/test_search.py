@@ -91,6 +91,61 @@ def test_cardinality_caps_reject_nonpositive():
         CardinalityCaps(1, 1, -2, 1)
 
 
+@pytest.mark.parametrize(
+    "caps, field",
+    [
+        ((2.5, 1, 4, 2), "u1"),
+        ((True, 1, 4, 2), "u1"),
+        ((2, 1.0, 4, 2), "u2"),
+        ((2, 1, "4", 2), "v1"),
+        ((2, 1, 4, np.float64(2)), "v2"),
+    ],
+    ids=["u1_float", "u1_bool", "u2_float", "v1_str", "v2_numpy_float"],
+)
+def test_cardinality_caps_reject_non_integers(caps, field):
+    # checked at construction: a float cap fails deep inside the search, and
+    # True would search with a cap of 1
+    with pytest.raises(ValueError, match=f"cap {field} must be an integer >= 1"):
+        CardinalityCaps(*caps)
+
+
+def test_cardinality_caps_accept_numpy_integers():
+    caps = CardinalityCaps(np.int64(2), 1, np.int32(4), 2)
+    assert (caps.u1, caps.v1) == (2, 4)
+    assert type(caps.u1) is int and type(caps.v1) is int
+
+
+@pytest.mark.parametrize("field, value", [("cap_v1", 1.5), ("cap_v2", True), ("cap_v2", 2.0)])
+def test_equivocation_problem_rejects_non_integer_caps(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        dataclasses.replace(binary_equiv_problem(0.0, 1.0), **{field: value})
+
+
+@pytest.mark.parametrize("restarts", [2.5, True, "8", np.float64(8)])
+def test_search_inner_rejects_non_integer_restarts(monkeypatch, restarts):
+    # the check comes before any work
+    calls = []
+    monkeypatch.setattr(search_mod, "_decompositions", lambda caps: calls.append(caps))
+    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(2, 2, 8, 4))
+    with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
+        search_inner(problem, restarts=restarts, enum_limit=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("restarts", [2.5, True])
+@pytest.mark.parametrize("run", ["search", "sweep"])
+def test_equivocation_searches_reject_non_integer_restarts(monkeypatch, run, restarts):
+    calls = []
+    monkeypatch.setattr(search_mod, "_screen_equiv", lambda problem: calls.append(problem))
+    problem = binary_equiv_problem(0.0, 1.0)
+    with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
+        if run == "search":
+            search_equivocation(problem, restarts=restarts)
+        else:
+            equivocation_sweep(problem, [0.0, 1.0], restarts=restarts)
+    assert calls == []
+
+
 def test_search_inner_rejects_zero_restarts():
     problem = ternary_problem(RateBudget(1.0, 1.6, 0.6))
     with pytest.raises(ValueError):
@@ -169,6 +224,13 @@ GRID_CAPS = CardinalityCaps(4, 3, 12, 6)  # the benchmark's inner_grid caps
             id="inner_grid_r0_0.5",
         ),
         pytest.param(
+            RateBudget(0.1, math.inf, math.inf),
+            GRID_CAPS,
+            {"restarts": 64, "refine_top": 2},
+            0.0499999,
+            id="inner_grid_r0_0.1",
+        ),
+        pytest.param(
             RateBudget(1.3, math.inf, math.inf),
             GRID_CAPS,
             {"restarts": 64, "refine_top": 2},
@@ -187,7 +249,7 @@ GRID_CAPS = CardinalityCaps(4, 3, 12, 6)  # the benchmark's inner_grid caps
 def test_ternary_unit_key_reaches_half(budget, caps, kwargs, floor):
     # optimum 1/2 is reachable within caps; the balanced anchors make the
     # outcome independent of sampling luck.  The inner_grid budgets pin the
-    # payoffs the flat LP refiner reaches at r0 = 0.5 and 1.3.  At caps
+    # payoffs the flat LP refiner reaches at r0 = 0.1, 0.5 and 1.3.  At caps
     # (3,1,6,3) only the 5,994 enumerated maps reach 1/2: sampling alone
     # finds no feasible candidate there.
     problem = ternary_problem(budget, caps=caps)
@@ -203,6 +265,25 @@ def test_ternary_unit_key_reaches_half(budget, caps, kwargs, floor):
     again = eval_inner_tuple(res.candidate, EX.side, EX.payoff, check=False)
     assert abs(again.pi - res.tuple.pi) < 1e-9
     assert abs(again.r0 - res.tuple.r0) < 1e-9
+
+
+def test_concentrated_start_meets_a_tight_log_loss_budget():
+    # with secret Y2 and half a bit of key, this seeded search reaches the
+    # payoff 1/2 only from a restart whose weights sit on about 2**R0 cells
+    # per U2 value, fitted to the source marginal; from Dirichlet or uniform
+    # starts alone it ends at 0
+    problem = InnerSearchProblem(
+        p_x=EX.p_x,
+        payoff=LogLossPayoff(("Y2",)),
+        side=EX.side,
+        budget=RateBudget(0.5, math.inf, math.inf),
+        caps=CardinalityCaps(3, 1, 6, 3),
+        y2_alphabet=EX.payoff.y2_alphabet,
+        y3_alphabet=EX.payoff.y3_alphabet,
+    )
+    res = search_inner(problem, restarts=24, seed=0, refine_top=4, enum_limit=0)
+    assert res.feasible
+    assert res.tuple.pi >= 0.4999
 
 
 def test_ternary_zero_key_payoff_is_zero():
@@ -520,6 +601,35 @@ def test_search_matches_linprog_refiner(monkeypatch):
     assert blobs[0] == blobs[1]
 
 
+def test_refiner_scores_each_point_once(monkeypatch):
+    # within one refinement no weight vector reaches the kernel twice: not
+    # the accepted point at the loop top, not a trust-region retry, not the
+    # backtracking trials at convergence
+    refinements, active = [], []
+    stats, refine = search_mod._InnerEvaluator.stats, search_mod._refine_flat_slp
+
+    def counted_stats(self, w4):
+        if active:
+            refinements[-1].append((id(self), np.asarray(w4).tobytes()))
+        return stats(self, w4)
+
+    def counted_refine(*args):
+        refinements.append([])
+        active.append(True)
+        try:
+            return refine(*args)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(search_mod._InnerEvaluator, "stats", counted_stats)
+    monkeypatch.setattr(search_mod, "_refine_flat_slp", counted_refine)
+    problem = ternary_problem(RateBudget(1.3, math.inf, math.inf), caps=GRID_CAPS)
+    assert search_inner(problem, restarts=8, seed=0, refine_top=2, enum_limit=0).feasible
+    assert sum(map(len, refinements)) > len(refinements) > 0
+    for calls in refinements:
+        assert len(calls) == len(set(calls))
+
+
 def test_missing_highs_bindings_name_the_scipy_floor():
     # an older scipy lacks the bundled HiGHS bindings the refiner calls;
     # importing the search then names the scipy release that has them
@@ -656,6 +766,16 @@ def test_min_key_rate_needs_finite_budget():
     problem = ternary_problem(RateBudget(math.inf, 1.6, 0.6))
     with pytest.raises(ValueError):
         min_key_rate(problem, 0.4)
+
+
+def test_min_key_rate_rejects_nan_target(monkeypatch):
+    # no payoff clears a NaN target, so no search runs
+    calls = []
+    monkeypatch.setattr(search_mod, "search_inner", lambda *a, **k: calls.append(a))
+    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6))
+    with pytest.raises(ValueError, match="target_pi"):
+        min_key_rate(problem, math.nan)
+    assert calls == []
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
