@@ -18,13 +18,14 @@ The restart stage samples channel structures (support-aware around the
 payoff's forbidden set) and start weights: Dirichlet or uniform, or, for
 flat layouts, concentrated on about 2^R0 cells per U2 value and fitted to
 the source marginal by NNLS.  When |A| or |B| is 1 the weights form one
-flat simplex, and a trust-region sequential LP refines them under the
+flat simplex, and the trust-region sequential LP refines them under the
 source-marginal equalities and linearized rate cuts; other structures
-compete at their start weights.  Its LPs go straight to the HiGHS solver
-bundled with scipy, with the model and options that ``linprog`` would
-pass: on LPs this small, ``linprog``'s per-call input checks cost more
-than the solve.  When the space of deterministic channel maps is at most
-``enum_limit``, the search also enumerates every map.
+compete at their start weights.  The same loop refines both searches; its
+LPs go straight to the HiGHS solver bundled with scipy, with the model and
+options that ``linprog`` would pass: on LPs this small, ``linprog``'s
+per-call input checks cost more than the solve.  When the space of
+deterministic channel maps is at most ``enum_limit``, the search also
+enumerates every map.
 
 Sampled restarts, enumerated maps and seed-independent anchors form one
 pool, each candidate scored once by one kernel: restarts at their start
@@ -47,10 +48,11 @@ call screens the enumerable family once: one batch kernel scores it in
 chunks of at most 1,024 deterministic members, built by index
 arithmetic, and keeps the feasible ones as arrays.  At each key rate a
 kept member's value is re-rated in closed form, H(S) - [I(S;V1) - R0]+,
-from its stored H(S) and I(S;V1).  SLSQP refines the best sampled
-restarts with analytic Jacobians of the value and of every budget, by the
-chain rule through the joint.  Each winner is re-derived the same way,
-by family membership and the reference equivocation value.
+from its stored H(S) and I(S;V1).  The inner search's trust-region LP
+loop refines the best sampled restarts over their free rows, each a
+simplex, linearizing the value and every budget with analytic gradients
+taken by the chain rule through the joint.  Each winner is re-derived the
+same way, by family membership and the reference equivocation value.
 
 A winner the reference path does not reproduce raises
 :class:`VerificationError`; the ``bounds`` and ``equivocation`` commands
@@ -64,12 +66,12 @@ import itertools
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import minimize, nnls
+from scipy.optimize import nnls
 
 try:
     from scipy.optimize._highspy._core import (
@@ -127,10 +129,9 @@ _MARGINAL_SLACK = 1e-6  # accepted source-marginal gap for search results
 _BACKOFF = 1e-7  # refinement aims slightly inside the rate budget
 _ENUM_REFINE_ALL = 2048  # refine every enumerated map below this count
 _ENUM_REFINE_TOP = 256  # otherwise refine only this many screened maps
-_LP_MAXITER = 40  # LP refinement steps; they converge within this when at all
+_LP_MAXITER = 200  # LP refinement steps; the stall and step-size rules end most refinements first
 _CERTIFY_TOL = 1e-9  # published tuple vs the reference evaluator
-_EQUIV_REFINE_TOP = 16  # equivocation restarts refined by SLSQP
-_EQUIV_MAXITER = 80  # SLSQP iterations per equivocation refinement
+_EQUIV_REFINE_TOP = 16  # equivocation restarts refined by the LP refiner
 _EQUIV_CHUNK = 1024  # enumerated family members per batch-kernel call
 _CELL_BUDGET = 1 << 20  # P(w | v1) cells per screened stack of inner maps
 #: (statistic, cap) of each inner-search budget: the key and the two message rates
@@ -231,10 +232,11 @@ class SearchResult:
         }
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int >= 1, else ``ValueError`` naming ``name``; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum``, else ``ValueError`` naming ``name``;
+    a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -718,110 +720,111 @@ def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub) -> np.ndarray | None:
     return np.array(highs.getSolution().col_value)
 
 
-def _refine_flat_slp(
-    evaluator: _InnerEvaluator, budget: RateBudget, w0: np.ndarray
-) -> np.ndarray | None:
-    """Trust-region sequential LP over the flat weight simplex.
+@dataclass
+class _Program:
+    """One family's side of :func:`_refine_flat_slp`: maximize the value
+    over points x >= 0 with ``a_eq @ x == b_eq``, each slice of ``rows`` a
+    simplex.  ``linearize(x, stats)`` gives the climb cost over x and the
+    epigraph variables (the columns of the ``epigraph`` rows, each <= 0,
+    past x) and the gradient of each budget statistic of ``limits``."""
 
-    Alternates a feasibility phase (shrink rate violations) with a climb
-    phase (maximize the payoff subject to linearized rate cuts); every
-    step is re-evaluated exactly before acceptance.  Each distinct point is
-    scored once: the loop revisits points (the accepted step at the loop
-    top, a trust-region retry that lands on a point already tried, the
+    stats: Callable  # point -> exact statistics
+    value: Callable  # statistics -> value, -inf unless every constraint holds
+    limits: Callable  # statistics -> (statistic, cap) of each budget
+    linearize: Callable
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    rows: list[slice]
+    epigraph: np.ndarray
+
+
+def _refine_flat_slp(program: _Program, x0: np.ndarray) -> np.ndarray | None:
+    """Trust-region sequential LP over a family's simplex rows: the one
+    refiner of both searches.
+
+    Alternates a feasibility phase (shrink budget violations) with a climb
+    phase (maximize the value subject to linearized budget cuts); every
+    step is re-evaluated exactly before acceptance.  A start off the
+    equality rows is first moved onto them, and every later step keeps
+    them through the LP equalities.  Each distinct point is scored once:
+    the loop revisits points (the accepted step at the loop top, a
+    trust-region retry that lands on a point already tried, the
     backtracking trials at convergence), and those reuse its statistics.
-    Takes and returns weights w[u2, a, b, c]; ``None`` when no feasible
-    point was seen.
+    Takes and returns a flat point, each row renormalized; ``None`` when
+    no feasible point was seen.
 
     Each step's LP goes straight to scipy's bundled HiGHS through
     :func:`_solve_lp`: a refinement makes dozens of LPs of a few dozen
     variables, where ``linprog``'s wrapper costs more than the solve.
     """
-    dims = evaluator.dims
-    w = w0.reshape(-1)
-    n_v1 = len(w)
-    pi_cz = evaluator.pi_cz
-    n_t = dims[0] * dims[1] if pi_cz is not None else 0  # one epigraph variable per u1
-    group = n_v1 // (dims[0] * dims[1])  # the cells of one u1 are contiguous
+    x = x0
+    n = len(x)
+    n_t = program.epigraph.shape[1] - n
+    seen: dict[bytes, object] = {}  # point bytes -> statistics
 
-    a_eq = np.vstack([evaluator.struct.px_rows.T, np.ones((1, n_v1))])
-    b_eq = np.concatenate([evaluator.p_x, [1.0]])
-
-    seen: dict[bytes, _InnerStats] = {}  # weight bytes -> statistics
-
-    def stats_at(x: np.ndarray) -> _InnerStats:
-        key = x.tobytes()
+    def stats_at(p: np.ndarray):
+        key = p.tobytes()
         if key not in seen:
-            seen[key] = evaluator.stats(x)
+            seen[key] = program.stats(p)
         return seen[key]
 
-    def violation(stats: _InnerStats) -> float:
-        limits = _limits(stats, budget, _INNER_BUDGETS)
-        return sum(max(0.0, got - cap) for got, cap in limits if math.isfinite(cap))
+    def normalized(p: np.ndarray) -> np.ndarray:
+        out = np.clip(p, 0.0, None)
+        for row in program.rows:
+            out[row] /= out[row].sum()
+        return out
 
-    def rate_cuts(stats: _InnerStats) -> tuple[np.ndarray, np.ndarray]:
-        """Linearized rate constraints g @ x <= rhs at w, finite caps only."""
-        limits = zip(evaluator.rate_grads(w.reshape(dims)), _limits(stats, budget, _INNER_BUDGETS))
+    def violation(stats) -> float:
+        return sum(max(0.0, got - cap) for got, cap in program.limits(stats) if math.isfinite(cap))
+
+    def linearized(stats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The climb cost and the budget cuts g @ x <= rhs at x, finite caps only."""
+        cost, grads = program.linearize(x, stats)
+        limits = zip(grads, program.limits(stats))
         cuts = [(grad, got, cap) for grad, (got, cap) in limits if math.isfinite(cap)]
-        g = np.array([grad for grad, _, _ in cuts]).reshape(len(cuts), n_v1)
-        rhs = [max(cap - _BACKOFF, 0.0) - got + float(grad @ w) for grad, got, cap in cuts]
-        return g, np.array(rhs)
+        g = np.array([grad for grad, _, _ in cuts]).reshape(len(cuts), n)
+        rhs = [max(cap - _BACKOFF, 0.0) - got + float(grad @ x) for grad, got, cap in cuts]
+        return cost, g, np.array(rhs)
 
     def lp_step(cost, a_ub, b_ub, extra_lo: float, delta: float) -> np.ndarray | None:
-        """One LP over (w, extra variables >= ``extra_lo``) in the trust region
-        around w and on the source-marginal manifold; the new w normalized,
-        or ``None``."""
-        n_extra = len(cost) - n_v1
-        lb = np.concatenate([np.maximum(w - delta, 0.0), np.full(n_extra, extra_lo)])
-        ub = np.concatenate([np.minimum(w + delta, 1.0), np.full(n_extra, kHighsInf)])
-        eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], n_extra))])
-        x = _solve_lp(cost, a_ub, b_ub, eq, b_eq, lb, ub)
-        if x is None:
-            return None
-        out = np.clip(x[:n_v1], 0.0, None)
-        return out / out.sum()
+        """One LP over (x, extra variables >= ``extra_lo``) in the trust region
+        around x and on the equality rows; the new x normalized, or ``None``."""
+        n_extra = len(cost) - n
+        lb = np.concatenate([np.maximum(x - delta, 0.0), np.full(n_extra, extra_lo)])
+        ub = np.concatenate([np.minimum(x + delta, 1.0), np.full(n_extra, kHighsInf)])
+        eq = np.hstack([program.a_eq, np.zeros((program.a_eq.shape[0], n_extra))])
+        sol = _solve_lp(cost, a_ub, b_ub, eq, program.b_eq, lb, ub)
+        return None if sol is None else normalized(sol[:n])
 
-    def feasibility_step(stats: _InnerStats, delta: float) -> np.ndarray | None:
-        """Minimize the linearized rate violation: one slack per cut."""
-        g, rhs = rate_cuts(stats)
+    def feasibility_step(stats, delta: float) -> np.ndarray | None:
+        """Minimize the linearized budget violation: one slack per cut."""
+        _, g, rhs = linearized(stats)
         n_s = len(rhs)
-        cost = np.concatenate([np.zeros(n_v1), np.ones(n_s)])
+        cost = np.concatenate([np.zeros(n), np.ones(n_s)])
         return lp_step(cost, np.hstack([g, np.diag(np.full(n_s, -1.0))]), rhs, 0.0, delta)
 
-    # climb-phase epigraph rows: t_u <= sum of pi_cz[c, z] w_c over the
-    # cells c of u1 = u, for each action z (none for log loss)
-    epigraph = np.zeros((n_t, 0 if pi_cz is None else pi_cz.shape[1], n_v1 + n_t))
-    if pi_cz is not None:
-        cells = np.arange(n_v1)
-        epigraph[cells // group, :, cells] = -pi_cz
-        epigraph[np.arange(n_t), :, n_v1 + np.arange(n_t)] = 1.0
-    epigraph = epigraph.reshape(-1, n_v1 + n_t)
-
-    best_w, best_pi = None, -math.inf
-    start_stats = stats_at(w)
-    if _inner_feasible(start_stats, budget):
-        best_w, best_pi = w.copy(), start_stats.pi
-    if start_stats.marginal_gap > 1e-9:
-        # land exactly on the source-marginal manifold; every later step
-        # preserves it through the LP equalities
-        w = feasibility_step(start_stats, 1.0)
-        if w is None:
-            return _normalized(best_w, dims)
+    start_stats = stats_at(x)
+    best_x, best_value = x.copy(), program.value(start_stats)
+    if np.abs(program.a_eq @ x - program.b_eq).max() > 1e-9:
+        x = feasibility_step(start_stats, 1.0)
+        if x is None:
+            return None if best_value == -math.inf else normalized(best_x)
 
     delta = 0.3
     stall = 0
     fstall = 0
     for _ in range(_LP_MAXITER):
-        stats = stats_at(w)
-        if _inner_feasible(stats, budget) and stats.pi > best_pi:
-            best_w, best_pi = w.copy(), stats.pi
+        stats = stats_at(x)
+        if program.value(stats) > best_value:
+            best_x, best_value = x.copy(), program.value(stats)
         if delta < 1e-5 or stall > 6 or fstall > 8:
             break
         over = violation(stats)
         if over > _RATE_SLACK:
-            w_new = feasibility_step(stats, delta)
-            improved = over - violation(stats_at(w_new)) if w_new is not None else 0.0
+            x_new = feasibility_step(stats, delta)
+            improved = over - violation(stats_at(x_new)) if x_new is not None else 0.0
             if improved > 1e-12:
-                w = w_new
+                x = x_new
                 delta = min(delta * 1.5, 0.4)
                 # geometric convergence shrinks the violation by a steady
                 # fraction; anything slower is creep toward an unreachable
@@ -832,28 +835,22 @@ def _refine_flat_slp(
                 fstall += 1
             continue
 
-        # climb phase: exact piecewise-linear payoff, linearized rate cuts
-        g, rhs = rate_cuts(stats)
-        if pi_cz is None:
-            cost = -evaluator.payoff_grad(w.reshape(dims))
-        else:
-            cost = np.concatenate([np.zeros(n_v1), -np.ones(n_t)])
-        a_ub = np.vstack([np.hstack([g, np.zeros((len(rhs), n_t))]), epigraph])
-        b_ub = np.concatenate([rhs, np.zeros(len(epigraph))])
+        # climb phase: the value's epigraph or linear model, linearized budget cuts
+        cost, g, rhs = linearized(stats)
+        a_ub = np.vstack([np.hstack([g, np.zeros((len(rhs), n_t))]), program.epigraph])
+        b_ub = np.concatenate([rhs, np.zeros(len(program.epigraph))])
         target = lp_step(cost, a_ub, b_ub, -kHighsInf, delta)
         if target is None:
             delta *= 0.5
             stall += 1
             continue
-        # backtrack toward w: I(X;V2) is convex along the on-manifold
-        # segment, so a short enough step re-enters the feasible region
+        # backtrack toward x: the linear models are closer on a shorter step
         accepted = False
-        baseline = stats.pi if _inner_feasible(stats, budget) else -math.inf
+        baseline = program.value(stats)
         for t in (1.0, 0.5, 0.25, 0.125):
-            w_try = w + t * (target - w)
-            try_stats = stats_at(w_try)
-            if _inner_feasible(try_stats, budget) and try_stats.pi > baseline + 1e-12:
-                w = w_try
+            x_try = x + t * (target - x)
+            if program.value(stats_at(x_try)) > baseline + 1e-12:
+                x = x_try
                 delta = min(delta * 1.5, 0.4)
                 accepted = True
                 break
@@ -862,14 +859,46 @@ def _refine_flat_slp(
         else:
             delta *= 0.5
             stall += 1
-    return _normalized(best_w, dims)
+    return None if best_value == -math.inf else normalized(best_x)
 
 
-def _normalized(w: np.ndarray | None, dims: tuple[int, int, int, int]) -> np.ndarray | None:
-    if w is None:
-        return None
-    w4 = np.clip(w, 0.0, None).reshape(dims)
-    return w4 / w4.sum()
+def _inner_program(evaluator: _InnerEvaluator, budget: RateBudget) -> _Program:
+    """The flat weight simplex of one structure: the source marginal and the
+    simplex as equality rows, the rate budgets linearized by
+    :meth:`_InnerEvaluator.rate_grads`, and the payoff climbed on its exact
+    epigraph over ``pi_cz`` (table payoffs) or its gradient (log loss)."""
+    dims = evaluator.dims
+    n_v1 = math.prod(dims)
+    pi_cz = evaluator.pi_cz
+    n_t = dims[0] * dims[1] if pi_cz is not None else 0  # one epigraph variable per u1
+    group = n_v1 // (dims[0] * dims[1])  # the cells of one u1 are contiguous
+
+    # epigraph rows: t_u <= sum of pi_cz[c, z] w_c over the cells c of
+    # u1 = u, for each action z (none for log loss)
+    epigraph = np.zeros((n_t, 0 if pi_cz is None else pi_cz.shape[1], n_v1 + n_t))
+    if pi_cz is not None:
+        cells = np.arange(n_v1)
+        epigraph[cells // group, :, cells] = -pi_cz
+        epigraph[np.arange(n_t), :, n_v1 + np.arange(n_t)] = 1.0
+
+    def linearize(w: np.ndarray, stats: _InnerStats) -> tuple:
+        w4 = w.reshape(dims)
+        if pi_cz is None:
+            cost = -evaluator.payoff_grad(w4)
+        else:
+            cost = np.concatenate([np.zeros(n_v1), -np.ones(n_t)])
+        return cost, evaluator.rate_grads(w4)
+
+    return _Program(
+        stats=evaluator.stats,
+        value=lambda stats: stats.pi if _inner_feasible(stats, budget) else -math.inf,
+        limits=lambda stats: _limits(stats, budget, _INNER_BUDGETS),
+        linearize=linearize,
+        a_eq=np.vstack([evaluator.struct.px_rows.T, np.ones((1, n_v1))]),
+        b_eq=np.concatenate([evaluator.p_x, [1.0]]),
+        rows=[slice(0, n_v1)],
+        epigraph=epigraph.reshape(-1, n_v1 + n_t),
+    )
 
 
 def _assemble_inner(
@@ -1025,14 +1054,16 @@ def search_inner(
 ) -> SearchResult:
     """Best rate-feasible candidate found for the inner achievability bound.
 
-    Deterministic given (problem, seed, restarts).  ``workers`` is accepted
+    Deterministic given (problem, seed, restarts).  ``restarts`` must be an
+    integer >= 1, ``refine_top`` and ``enum_limit`` integers >= 0; anything
+    else raises ``ValueError`` before any work.  ``workers`` is accepted
     for compatibility; has no effect.  Infeasibility is a result, not an
     exception; a winner that the reference evaluator does not reproduce
     raises :class:`VerificationError`.
     """
     restarts = _count(restarts, "restarts")
-    if refine_top < 0:
-        raise ValueError(f"refine_top must be >= 0, got {refine_top}")
+    refine_top = _count(refine_top, "refine_top", 0)
+    enum_limit = _count(enum_limit, "enum_limit", 0)
     started = time.perf_counter()
     budget = problem.budget
     decomps = _decompositions(problem.caps)
@@ -1088,8 +1119,8 @@ def search_inner(
         if not _is_flat(struct.dims) or len(struct.px_rows) == 1:
             return []
         evaluator = _InnerEvaluator(struct, problem)
-        w1 = _refine_flat_slp(evaluator, budget, start.w4)
-        return [] if w1 is None else [_Scored(evaluator.stats(w1), struct, w1)]
+        w1 = _refine_flat_slp(_inner_program(evaluator, budget), start.w4.reshape(-1))
+        return [] if w1 is None else [_Scored(evaluator.stats(w1), struct, w1.reshape(struct.dims))]
 
     pool = best_maps + anchored + sampled + [r for s in to_refine for r in refined(s)]
     feasible = [s for s in pool if _inner_feasible(s.stats, budget)]
@@ -1382,92 +1413,50 @@ def _sample_equiv(rng: np.random.Generator, problem: EquivocationProblem) -> _Eq
     )
 
 
-def _equiv_program(params: _EquivParams, problem: EquivocationProblem, r0: float):
-    """SLSQP's program over the free rows of one member (a stack of one).
-
-    Returns ``(theta0, split, (fun, jac), constraints)``: the start point,
-    the map from a point back to a member, the negated value with its
-    gradient, and the constraints with their Jacobians: each free row sums
-    to one (a constant Jacobian) and each finite budget holds.  Rows of a
-    single cell are fixed, negative entries of a point read as zero, and a
-    member without a free row gives None.
-    """
-    rows = (params.e_rows[0], params.py2[0], params.py3[0])
-    free = [i for i, block in enumerate(rows) if block.shape[1] > 1]
-    if not free:
-        return None
-    cuts = np.cumsum([rows[i].size for i in free])[:-1]
-    theta0 = np.concatenate([rows[i].reshape(-1) for i in free])
-    sums = block_diag(*(np.kron(np.eye(len(rows[i])), np.ones(rows[i].shape[1])) for i in free))
-    budgets = [(got, getattr(problem, cap)) for got, cap in _EQUIV_BUDGETS]
-    budgets = [(got, cap) for got, cap in budgets if math.isfinite(cap)]
-
-    def split(theta):
-        parts = list(rows)
-        for i, block in zip(free, np.split(theta, cuts)):
-            parts[i] = np.clip(block, 0.0, None).reshape(rows[i].shape)
-        return _EquivParams(*(part[None] for part in parts), params.g)
-
-    last: dict = {}  # SLSQP asks for values, then Jacobians, at one point
-
-    def at(theta, grads=False) -> dict:
-        key = theta.tobytes()
-        if last.get("key") != key:
-            member = split(theta)
-            last.clear()
-            last.update(key=key, member=member, stats=_equiv_stats(member, problem, r0))
-        if grads and "grads" not in last:
-            by_rows = _equiv_grads(last["member"], problem, last["stats"], r0)
-            last["grads"] = {
-                name: np.concatenate([d[i][0].reshape(-1) for i in free])
-                for name, d in by_rows.items()
-            }
-        return last
-
-    constraints = [{"type": "eq", "fun": lambda th: sums @ th - 1.0, "jac": lambda th: sums}]
-    if budgets:
-        caps = np.array([cap for _, cap in budgets])
-        constraints.append({
-            "type": "ineq",
-            "fun": lambda th: caps - np.array([getattr(at(th)["stats"], g)[0] for g, _ in budgets]),
-            "jac": lambda th: -np.stack([at(th, grads=True)["grads"][g] for g, _ in budgets]),
-        })
-    objective = (
-        lambda th: -float(at(th)["stats"].value[0]),
-        lambda th: -at(th, grads=True)["grads"]["value"],
-    )
-    return theta0, split, objective, constraints
-
-
 def _refine_equiv(
     params: _EquivParams, problem: EquivocationProblem, r0: float
 ) -> _EquivParams | None:
-    """SLSQP from one member (a stack of one), rows renormalized exactly;
-    None when the member has no free row or SLSQP fails."""
-    program = _equiv_program(params, problem, r0)
-    if program is None:
+    """The trust-region LP loop from one member (a stack of one) over its
+    free rows, the V2 map fixed: each row of more than one cell is a
+    simplex, and the value and every budget are linearized jointly by
+    :func:`_equiv_grads`.  None when the member has no free row or no
+    feasible point was seen."""
+    blocks = (params.e_rows[0], params.py2[0], params.py3[0])
+    free = [i for i, block in enumerate(blocks) if block.shape[1] > 1]
+    if not free:
         return None
-    theta0, split, (fun, jac), constraints = program
-    try:
-        res = minimize(
-            fun,
-            theta0,
-            jac=jac,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * theta0.size,
-            constraints=constraints,
-            options={"maxiter": _EQUIV_MAXITER, "ftol": 1e-12},
-        )
-    except (ValueError, FloatingPointError):
-        return None
-    refined = split(np.asarray(res.x))
+    cuts = np.cumsum([blocks[i].size for i in free])[:-1]
+    widths = np.concatenate([np.full(len(blocks[i]), blocks[i].shape[1]) for i in free])
+    ends = np.cumsum(widths)
 
-    def norm(rows_arr):
-        s = rows_arr.sum(axis=-1, keepdims=True)
-        s[s == 0.0] = 1.0
-        return rows_arr / s
+    def member(x: np.ndarray) -> _EquivParams:
+        parts = list(blocks)
+        for i, block in zip(free, np.split(x, cuts)):
+            parts[i] = block.reshape(blocks[i].shape)
+        return _EquivParams(*(part[None] for part in parts), params.g)
 
-    return _EquivParams(norm(refined.e_rows), norm(refined.py2), norm(refined.py3), params.g)
+    def limits(stats: _EquivStats) -> list:
+        return [(got.item(), cap) for got, cap in _limits(stats, problem, _EQUIV_BUDGETS)]
+
+    def linearize(x: np.ndarray, stats: _EquivStats) -> tuple:
+        by_rows = _equiv_grads(member(x), problem, stats, r0)
+        flat = {
+            name: np.concatenate([d[i][0].reshape(-1) for i in free]) for name, d in by_rows.items()
+        }
+        return -flat["value"], [flat[got] for got, _ in _EQUIV_BUDGETS]
+
+    program = _Program(
+        stats=lambda x: _equiv_stats(member(x), problem, r0),
+        value=lambda stats: stats.value.item() if _within(limits(stats)) else -math.inf,
+        limits=limits,
+        linearize=linearize,
+        a_eq=np.repeat(np.eye(len(widths)), widths, axis=1),
+        b_eq=np.ones(len(widths)),
+        rows=[slice(end - width, end) for end, width in zip(ends, widths)],
+        epigraph=np.zeros((0, ends[-1])),
+    )
+    x = _refine_flat_slp(program, np.concatenate([blocks[i].reshape(-1) for i in free]))
+    return None if x is None else member(x)
 
 
 def _screen_equiv(problem: EquivocationProblem) -> tuple[_EquivStats, _EquivParams] | None:

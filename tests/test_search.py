@@ -115,6 +115,33 @@ def test_cardinality_caps_accept_numpy_integers():
     assert type(caps.u1) is int and type(caps.v1) is int
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("refine_top", 2.5),
+        ("refine_top", True),
+        ("refine_top", "2"),
+        ("refine_top", math.nan),
+        ("refine_top", np.float64(2)),
+        ("enum_limit", 2.5),
+        ("enum_limit", True),
+        ("enum_limit", "5"),
+        ("enum_limit", math.nan),
+        ("enum_limit", -1),
+    ],
+)
+def test_search_inner_rejects_non_integer_limits(monkeypatch, field, value):
+    # unchecked, a float refine_top fails only after every restart is
+    # sampled, True passes as 1 and a NaN enum_limit turns enumeration off;
+    # each is refused before any work, naming its field
+    calls = []
+    monkeypatch.setattr(search_mod, "_decompositions", lambda caps: calls.append(caps))
+    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(2, 2, 8, 4))
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+        search_inner(problem, restarts=8, **{field: value})
+    assert calls == []
+
+
 @pytest.mark.parametrize("field, value", [("cap_v1", 1.5), ("cap_v2", True), ("cap_v2", 2.0)])
 def test_equivocation_problem_rejects_non_integer_caps(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
@@ -911,7 +938,7 @@ def test_equivocation_deterministic_across_worker_counts():
 
 
 # ---------------------------------------------------------------------------
-# equivocation batch kernel, enumeration order and SLSQP Jacobians
+# equivocation batch kernel, enumeration order, gradients and the LP refiner
 
 
 _EQUIV_SECRETS = [("X",), ("Y2",), ("X", "Y3")]
@@ -1052,9 +1079,9 @@ def test_equivocation_enumeration_follows_product_order(cap_v1, cap_v2, chunks):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_equivocation_jacobians_match_central_differences(secret, cap_v1, cap_v2, past_key, seed):
-    # SLSQP gets analytic Jacobians of the objective and of every
-    # constraint; at an interior point away from the max(0, .) kinks they
-    # must match central differences along random directions
+    # the LP refiner linearizes the value and every budget with analytic
+    # gradients; at an interior point away from the max(0, .) kinks they
+    # must match central differences of the kernel along random directions
     rng = np.random.default_rng(seed)
     problem = random_equiv_problem(rng, secret, cap_v1, cap_v2)
     g = np.concatenate([[0, 1], rng.integers(cap_v2, size=cap_v1 - 2)])  # two V2 cells used
@@ -1065,13 +1092,52 @@ def test_equivocation_jacobians_match_central_differences(secret, cap_v1, cap_v2
     stats = search_mod._equiv_stats(one, problem, 0.0)
     assume(min(stats.leak[0], stats.i_xv1[0], stats.i_xv2[0]) > 1e-4)
     r0 = float(stats.leak[0]) * (0.5 if past_key else 1.5)  # the kink sits at leak == r0
-    theta, _, objective, constraints = search_mod._equiv_program(one, problem, r0)
-    assert len(constraints) == 2  # row sums and the four finite budgets
+    stats = search_mod._equiv_stats(one, problem, r0)
+    grads = search_mod._equiv_grads(one, problem, stats, r0)
+    assert sorted(grads) == ["ed1", "ed2", "i_xv1", "i_xv2", "value"]  # the value, four budgets
+    rows = (one.e_rows, one.py2, one.py3)
     h = 1e-6
     for _ in range(3):
-        d = rng.normal(size=theta.size)
-        d /= np.abs(d).max()
-        for fun, jac in [objective] + [(c["fun"], c["jac"]) for c in constraints]:
-            fd = (np.asarray(fun(theta + h * d)) - np.asarray(fun(theta - h * d))) / (2 * h)
-            an = np.asarray(jac(theta)) @ d
-            assert np.all(np.abs(fd - an) <= 1e-6 * (1.0 + np.abs(fd))), (fd, an)
+        d = [rng.normal(size=block.shape) for block in rows]
+        scale = max(np.abs(block).max() for block in d)
+        d = [block / scale for block in d]
+
+        def shifted(step):
+            moved = (block + step * dir_ for block, dir_ in zip(rows, d))
+            return search_mod._equiv_stats(search_mod._EquivParams(*moved, one.g), problem, r0)
+
+        plus, minus = shifted(h), shifted(-h)
+        for name, grad in grads.items():
+            fd = (getattr(plus, name)[0] - getattr(minus, name)[0]) / (2 * h)
+            an = sum(float((part * dir_).sum()) for part, dir_ in zip(grad, d))
+            assert abs(fd - an) <= 1e-6 * (1.0 + abs(fd)), (name, fd, an)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    secret=st.sampled_from(_EQUIV_SECRETS),
+    cap_v1=st.integers(1, 4),
+    cap_v2=st.integers(1, 4),
+    r0=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equivocation_refiner_keeps_members_feasible(secret, cap_v1, cap_v2, r0, seed):
+    # the LP refiner returns a family member: nonnegative rows that each sum
+    # to one, the same V2 map, every finite budget met, and, from a
+    # feasible start, a value no lower than the start's beyond rounding
+    rng = np.random.default_rng(seed)
+    problem = dataclasses.replace(random_equiv_problem(rng, secret, cap_v1, cap_v2), r0=r0)
+    start = search_mod._sample_equiv(rng, problem)
+    refined = search_mod._refine_equiv(start, problem, r0)
+    if refined is None:
+        return
+    for block in (refined.e_rows, refined.py2, refined.py3):
+        assert (block >= 0.0).all()
+        assert np.abs(block.sum(axis=-1) - 1.0).max() <= 1e-12
+    assert np.array_equal(refined.g, start.g)
+    got = search_mod._equiv_stats(refined, problem, r0)
+    for value, cap in search_mod._limits(got, problem, search_mod._EQUIV_BUDGETS):
+        assert value[0] <= cap + search_mod._RATE_SLACK
+    before = search_mod._equiv_stats(start, problem, r0)
+    if search_mod._within(search_mod._limits(before, problem, search_mod._EQUIV_BUDGETS))[0]:
+        assert got.value[0] >= before.value[0] - 1e-12
