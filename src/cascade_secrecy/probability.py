@@ -79,7 +79,16 @@ def _check_cap(n_cells: int, what: str) -> None:
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    """A read-only float64 copy of ``values``, or ``values`` itself when it
+    is already frozen: a float64 ndarray that owns its data and is not
+    writable, so no caller can reach it to mutate it."""
+    frozen = (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    )
+    arr = values if frozen else np.array(values, dtype=np.float64)
     if shape is not None and arr.shape != tuple(shape):
         raise ValueError(f"expected array of shape {tuple(shape)}, got {arr.shape}")
     arr.setflags(write=False)

@@ -18,9 +18,8 @@ against its exactly-computed posterior.
 from __future__ import annotations
 
 import csv
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -370,21 +369,28 @@ def _verify_support(scheme: _Scheme, cb: CodebookSet) -> None:
             raise ValueError("codebook draw hit a zero-probability symbol")
 
 
+def _memoryless(rows: np.ndarray) -> np.ndarray:
+    """Product law of per-time rows: lead + (n, |Y|) becomes lead + (|Y|,)*n.
+
+    Time t's row goes on output axis t; the factors multiply in time
+    order, so every cell is the same float the scalar product gives.
+    """
+    lead, n, size = rows.shape[:-2], rows.shape[-2], rows.shape[-1]
+    out = np.ones(lead + (size,) * n)
+    for t in range(n):
+        shape = lead + tuple(size if s == t else 1 for s in range(n))
+        out = out * rows[..., t, :].reshape(shape)
+    return out
+
+
 def _encoder_weights(scheme: _Scheme, cb: CodebookSet, k: int) -> np.ndarray:
     """Unnormalized likelihood of every (m, x^n) cell at key value k.
 
     Shape (Ma, Mb, Mc, Md) + (|X|,)*n.
     """
-    n = cb.spec.n
-    m_shape = cb.v1.shape[:4]
     v1k = cb.v1[..., k, :]
-    v2k = cb.v2[:, :, k, :][:, :, None, None, :]
-    out = np.ones(m_shape + (scheme.nx,) * n)
-    for t in range(n):
-        rows = scheme.x_of_v1v2[v1k[..., t], np.broadcast_to(v2k[..., t], m_shape)]
-        shape = m_shape + tuple(scheme.nx if s == t else 1 for s in range(n))
-        out = out * rows.reshape(shape)
-    return out
+    v2k = np.broadcast_to(cb.v2[:, :, None, None, k, :], v1k.shape)
+    return _memoryless(scheme.x_of_v1v2[v1k, v2k])
 
 
 def _encoder_table(
@@ -402,11 +408,7 @@ def _encoder_table(
     need = n_k * m_cells * scheme.nx**n
     if need > cell_cap:
         raise CapExceededError(f"encoder table needs {need} cells, cap is {cell_cap}")
-    px_block = np.ones((scheme.nx,) * n)
-    for t in range(n):
-        px_block = px_block * scheme.p_x.reshape(
-            tuple(scheme.nx if s == t else 1 for s in range(n))
-        )
+    px_block = _memoryless(np.broadcast_to(scheme.p_x, (n, scheme.nx)))
     enc = np.empty((n_k, m_a, m_b, m_c, m_d) + (scheme.nx,) * n)
     for k in range(n_k):
         weights = _encoder_weights(scheme, cb, k)
@@ -424,11 +426,12 @@ def _encoder_table(
 def encoder_distribution(x_seq, k: int, cb: CodebookSet) -> np.ndarray:
     """Exact conditional distribution of the index tuple given (x^n, k)."""
     scheme = _Scheme(cb.spec)
-    x_seq = _validated_sequence(x_seq, cb.spec.n, scheme.nx, "x_seq")
-    n_k = cb.v2.shape[2]
-    if not 0 <= k < n_k:
-        raise ValueError(f"key value {k} outside range 0..{n_k - 1}")
-    weights = _encoder_weights(scheme, cb, k)[(...,) + tuple(x_seq)]
+    x_seq = list(x_seq)
+    if len(x_seq) != cb.spec.n:
+        raise ValueError(f"x_seq must be a length-{cb.spec.n} sequence")
+    x_seq = tuple(_validated_index(x, scheme.nx, "x_seq entry") for x in x_seq)
+    k = _validated_index(k, cb.v2.shape[2], "key value")
+    weights = _encoder_weights(scheme, cb, k)[(...,) + x_seq]
     total = weights.sum()
     if total <= 0.0:
         raise ZeroProbabilityError("source sequence outside scheme support")
@@ -442,13 +445,12 @@ def likelihood_encode(x_seq, k: int, cb: CodebookSet, seed: int) -> tuple[int, i
     return tuple(int(i) for i in np.unravel_index(flat, dist.shape))
 
 
-def _validated_sequence(seq, n: int, size: int, what: str) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.int64)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} must be a length-{n} sequence")
-    if arr.size and (arr.min() < 0 or arr.max() >= size):
-        raise ValueError(f"{what} entries must lie in 0..{size - 1}")
-    return arr
+def _validated_index(value, size: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer in 0..{size - 1}, got {value!r}")
+    if not 0 <= value < size:
+        raise ValueError(f"{what} must lie in 0..{size - 1}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -458,6 +460,8 @@ class SystemTable:
     Axes are (K, Ma, Mb, Mc, Md, X_1..X_n, Y2_1..Y2_n, Y3_1..Y3_n); the
     disclosed signals are not materialized — they are a memoryless
     channel of the per-time triples and get adjoined where needed.
+    ``table`` is read-only, and ``to_joint`` shares it rather than
+    copying it, so an audit holds one table in memory, not two.
     """
 
     spec: SchemeSpec
@@ -467,20 +471,15 @@ class SystemTable:
     def to_joint(self) -> JointDistribution:
         scheme = _Scheme(self.spec)
         m_a, m_b, m_c, m_d, n_k = self.spec.index_bits.sizes
-        n = self.spec.n
         variables = [
-            ("K", Alphabet("K", n_k)),
-            ("Ma", Alphabet("Ma", m_a)),
-            ("Mb", Alphabet("Mb", m_b)),
-            ("Mc", Alphabet("Mc", m_c)),
-            ("Md", Alphabet("Md", m_d)),
+            (name, Alphabet(name, size))
+            for name, size in zip(("K", "Ma", "Mb", "Mc", "Md"), (n_k, m_a, m_b, m_c, m_d))
         ]
-        for t in range(n):
-            variables.append((f"X{t + 1}", Alphabet(f"X{t + 1}", scheme.nx, scheme.x_alphabet.labels)))
-        for t in range(n):
-            variables.append((f"Y2_{t + 1}", Alphabet(f"Y2_{t + 1}", scheme.ny2, scheme.y2_alphabet.labels)))
-        for t in range(n):
-            variables.append((f"Y3_{t + 1}", Alphabet(f"Y3_{t + 1}", scheme.ny3, scheme.y3_alphabet.labels)))
+        for prefix, alphabet in (
+            ("X", scheme.x_alphabet), ("Y2_", scheme.y2_alphabet), ("Y3_", scheme.y3_alphabet)
+        ):
+            names = (f"{prefix}{t + 1}" for t in range(self.spec.n))
+            variables += [(v, Alphabet(v, alphabet.size, alphabet.labels)) for v in names]
         return JointDistribution(tuple(variables), self.table)
 
 
@@ -498,24 +497,22 @@ def run_system_exact(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> S
         )
 
     enc = _encoder_table(scheme, cb, cell_cap)
-    shape = (n_k, m_a, m_b, m_c, m_d) + (scheme.nx,) * n + (scheme.ny2,) * n + (scheme.ny3,) * n
-    table = np.zeros(shape)
+    m_shape = (m_a, m_b, m_c, m_d)
+    ones = (1,) * n
+    x_axes = m_shape + (scheme.nx,) * n + ones * 2
+    y2_axes = m_shape + ones + (scheme.ny2,) * n + ones
+    y3_axes = (m_a, m_b, 1, 1) + ones * 2 + (scheme.ny3,) * n
+    # per-codeword emission laws, key axis first: (K, M..) + (|Y|,)*n
+    y2 = np.moveaxis(_memoryless(scheme.y2_of_v1[cb.v1]), 4, 0)
+    y3 = np.moveaxis(_memoryless(scheme.y3_of_v2[cb.v2]), 2, 0)
+    table = np.empty(
+        (n_k,) + m_shape + (scheme.nx,) * n + (scheme.ny2,) * n + (scheme.ny3,) * n
+    )
     for k in range(n_k):
-        prior = enc[k]
-        for m in np.ndindex(m_a, m_b, m_c, m_d):
-            v1_seq = cb.v1[m][k]
-            v2_seq = cb.v2[m[0], m[1], k]
-            block = prior[m].reshape((scheme.nx,) * n + (1,) * (2 * n))
-            y2_block = np.ones((1,) * n + (scheme.ny2,) * n + (1,) * n)
-            y3_block = np.ones((1,) * (2 * n) + (scheme.ny3,) * n)
-            for t in range(n):
-                y2_shape = [1] * (3 * n)
-                y2_shape[n + t] = scheme.ny2
-                y2_block = y2_block * scheme.y2_of_v1[v1_seq[t]].reshape(y2_shape)
-                y3_shape = [1] * (3 * n)
-                y3_shape[2 * n + t] = scheme.ny3
-                y3_block = y3_block * scheme.y3_of_v2[v2_seq[t]].reshape(y3_shape)
-            table[(k,) + m] = block * y2_block * y3_block
+        # (prior * y2) * y3, written in place: no table-sized temporary
+        np.multiply(enc[k].reshape(x_axes), y2[k].reshape(y2_axes), out=table[k])
+        np.multiply(table[k], y3[k].reshape(y3_axes), out=table[k])
+    table.setflags(write=False)
 
     total = float(table.sum())
     if abs(total - 1.0) > 1e-9:
@@ -613,10 +610,12 @@ def empirical_equivocation(table: SystemTable, secret_set) -> float:
 class _PosteriorEngine:
     """Exact adversary posteriors for one codebook set.
 
-    The encoder weights are enumerated once per key value; a posterior
-    query then costs one pass over (k, x^n) for the sampled message and
-    disclosure prefix — the incremental computation that the Monte
-    Carlo estimator and the trace output share.
+    The encoder weights are enumerated once per key value.  Given the
+    message, one vectorised forward sweep over all keys at once folds
+    each disclosed signal's per-x likelihood into the (k, x^n) weights
+    and reads off the posterior of every time on the way, so a sampled
+    history of length n costs n steps.  The Monte Carlo estimator and
+    the trace output share it.
     """
 
     def __init__(self, cb: CodebookSet):
@@ -626,36 +625,31 @@ class _PosteriorEngine:
         self.n_k = cb.spec.index_bits.sizes[4]
         self.enc = _encoder_table(self.scheme, cb)
 
-    def posterior(self, m: tuple[int, int, int, int], w_prefix) -> np.ndarray:
-        """Normalized posterior over the time-t triple, t = len(w_prefix)."""
+    def posteriors(self, m: tuple[int, int, int, int], w_prefix) -> list[np.ndarray]:
+        """Normalized posteriors over the triple at times 1..len(w_prefix)+1."""
         scheme = self.scheme
-        t = len(w_prefix)
-        if t >= self.n:
+        n, n_k = self.n, self.n_k
+        if len(w_prefix) >= n:
             raise ValueError("disclosure prefix must be shorter than the block")
-        d = scheme.disclosure.reshape(
-            scheme.nx, scheme.ny2 * scheme.ny3, scheme.n_w
-        )
-        post = np.zeros(scheme.nx * scheme.ny2 * scheme.ny3)
-        for k in range(self.n_k):
-            v1_seq = self.cb.v1[m][k]
-            v2_seq = self.cb.v2[m[0], m[1], k]
-            w = self.enc[(k,) + m]
-            for s in range(t):
-                emit = np.outer(
-                    scheme.y2_of_v1[v1_seq[s]], scheme.y3_of_v2[v2_seq[s]]
-                ).ravel()
-                f_s = d[:, :, w_prefix[s]] @ emit  # per-x disclosure likelihood
-                shape = tuple(scheme.nx if r == s else 1 for r in range(self.n))
-                w = w * f_s.reshape(shape)
-            margin = w.sum(axis=tuple(r for r in range(self.n) if r != t))
-            emit_t = np.outer(
-                scheme.y2_of_v1[v1_seq[t]], scheme.y3_of_v2[v2_seq[t]]
-            )
-            post += (margin[:, None, None] * emit_t.reshape(1, scheme.ny2, scheme.ny3)).ravel()
-        total = post.sum()
-        if total <= 0.0:
-            raise ZeroProbabilityError("history has zero probability")
-        return post / total
+        d = scheme.disclosure.reshape(scheme.nx, scheme.ny2 * scheme.ny3, scheme.n_w)
+        # per-key, per-time emission of the (y2, y3) pair: (K, n, |Y2|, |Y3|)
+        y2 = scheme.y2_of_v1[self.cb.v1[m]]
+        y3 = scheme.y3_of_v2[self.cb.v2[m[0], m[1]]]
+        emit = y2[..., :, None] * y3[..., None, :]
+        w = self.enc[(slice(None),) + m]
+        out = []
+        for t in range(len(w_prefix) + 1):
+            if t:
+                # per-x disclosure likelihood of the time-(t-1) signal
+                f = d[:, :, w_prefix[t - 1]] @ emit[:, t - 1].reshape(n_k, -1, 1)
+                w = w * f.reshape((n_k,) + tuple(scheme.nx if r == t - 1 else 1 for r in range(n)))
+            margin = w.sum(axis=tuple(1 + r for r in range(n) if r != t))
+            post = (margin[:, :, None, None] * emit[:, t, None]).reshape(n_k, -1).sum(axis=0)
+            total = post.sum()
+            if total <= 0.0:
+                raise ZeroProbabilityError("history has zero probability")
+            out.append(post / total)
+        return out
 
 
 def history_posterior(cb: CodebookSet, m, w_prefix) -> np.ndarray:
@@ -665,10 +659,15 @@ def history_posterior(cb: CodebookSet, m, w_prefix) -> np.ndarray:
     earlier times; the result is the flat posterior the adversary best-
     responds to at time len(w_prefix) + 1.
     """
-    m = tuple(int(i) for i in m)
+    m = tuple(m)
     if len(m) != 4:
         raise ValueError("message must be a 4-tuple of indices")
-    return _PosteriorEngine(cb).posterior(m, list(w_prefix))
+    sizes = cb.spec.index_bits.sizes
+    m = tuple(_validated_index(i, size, f"message index {name}")
+              for i, size, name in zip(m, sizes, ("Ma", "Mb", "Mc", "Md")))
+    n_w = _Scheme(cb.spec).n_w
+    w_prefix = [_validated_index(w, n_w, "w_prefix entry") for w in w_prefix]
+    return _PosteriorEngine(cb).posteriors(m, w_prefix)[-1]
 
 
 def mc_estimate(
@@ -721,8 +720,7 @@ def mc_estimate(
         w_seq = sample_rows(gen, scheme.disclosure, triples)
         value = 0.0
         rows = []
-        for t in range(n):
-            post = engine.posterior(m, list(w_seq[:t]))
+        for t, post in enumerate(engine.posteriors(m, w_seq[:-1])):
             v = float(_row_values(post[None, :], payoff, scheme)[0])
             value += v
             if trace is not None:
@@ -753,29 +751,19 @@ def _action_label(post: np.ndarray, payoff) -> str:
 
 
 def _write_trace(trace, rows) -> None:
-    header = ["sample", "t", "history", "posterior_entropy", "action", "payoff"]
-    if hasattr(trace, "write"):
-        writer = csv.writer(trace, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(trace, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    if not hasattr(trace, "write"):
+        with open(trace, "w", encoding="utf-8", newline="") as fh:
+            return _write_trace(fh, rows)
+    writer = csv.writer(trace, lineterminator="\n")
+    writer.writerow(["sample", "t", "history", "posterior_entropy", "action", "payoff"])
+    writer.writerows(rows)
 
 
 def scheme_spec_to_json(spec: SchemeSpec) -> dict:
     return {
         "n": spec.n,
         "inner": candidate_to_json(spec.inner),
-        "index_bits": {
-            "a": spec.index_bits.a,
-            "b": spec.index_bits.b,
-            "c": spec.index_bits.c,
-            "d": spec.index_bits.d,
-            "key": spec.index_bits.key,
-        },
+        "index_bits": asdict(spec.index_bits),
         "side": side_info_to_json(spec.side),
         "seed": spec.seed,
         "epsilon": spec.epsilon,
@@ -787,13 +775,7 @@ def scheme_spec_from_json(obj) -> SchemeSpec:
     return SchemeSpec(
         n=int(obj["n"]),
         inner=inner_candidate_from_json(obj["inner"]),
-        index_bits=IndexBits(
-            a=int(bits["a"]),
-            b=int(bits["b"]),
-            c=int(bits["c"]),
-            d=int(bits["d"]),
-            key=int(bits["key"]),
-        ),
+        index_bits=IndexBits(**{tag: int(bits[tag]) for tag in ("a", "b", "c", "d", "key")}),
         side=side_info_from_json(obj["side"]),
         seed=int(obj.get("seed", 0)),
         epsilon=float(obj.get("epsilon", DEFAULT_EPSILON)),

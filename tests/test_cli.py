@@ -9,11 +9,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cascade_secrecy import search as search_mod
 from cascade_secrecy.bounds import side_info_to_json
-from cascade_secrecy.cli import main
+from cascade_secrecy.cli import _config_hash, _round_floats, main
 from cascade_secrecy.payoff import payoff_to_json
 from cascade_secrecy.probability import Alphabet, Pmf, pmf_to_json
 from cascade_secrecy.simulation import IndexBits, SchemeSpec, scheme_spec_to_json
@@ -198,6 +199,58 @@ def test_bounds_feasible_csv_and_json(tmp_path):
     prov = result["provenance"]
     assert prov["seed"] == 1 and prov["version"] == "0.1.0"
     assert len(prov["config_sha256"]) == 64
+
+
+def test_round_floats_leaves():
+    """Every leaf kind keeps its rounding, so config hashes stay put."""
+    got = _round_floats({
+        "f32": np.float32(0.1),
+        "f64": np.float64(1.0 / 3.0),
+        "i64": np.int64(7),
+        "flag": True,
+        "inf": math.inf,
+        "ninf": np.float64(-math.inf),
+        "nzero": -0.0,
+        "nested": ((1, 2.5), [np.float32(0.5), None]),
+        "none": None,
+        "long": 123456789.123456789,
+    })
+    assert got == {
+        "f32": 0.10000000149,
+        "f64": 0.333333333333,
+        "i64": 7,
+        "flag": True,
+        "inf": "inf",
+        "ninf": "-inf",
+        "nzero": 0.0,
+        "nested": [[1, 2.5], [0.5, None]],
+        "none": None,
+        "long": 123456789.123,
+    }
+    assert type(got["i64"]) is int and got["flag"] is True
+    assert math.copysign(1.0, got["nzero"]) == -1.0
+
+
+def test_config_hash_of_simulate_n2_config():
+    # the benchmark's simulate_n2 configuration (codebook seed 3, Monte
+    # Carlo seed 5); a golden digest, so any change in how leaves are
+    # rounded shows here
+    spec = SchemeSpec(
+        n=2, inner=corner_candidate(1), index_bits=IndexBits(2, 3, 3, 1, 5),
+        side=EX.side, seed=3,
+    )
+    config = {
+        "seed": 5,
+        "samples": 400,
+        "problem": {
+            "scheme": scheme_spec_to_json(spec),
+            "payoff": payoff_to_json(EX.payoff),
+            "secret_set": ["X"],
+        },
+    }
+    assert _config_hash(config) == (
+        "1cf68afe8c5fc7d4bf39d4413406b5f6571588dd351dea6b62944d4eb020f3c6"
+    )
 
 
 # ---------------------------------------------------------------------------

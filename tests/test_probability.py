@@ -69,6 +69,37 @@ class TestConstruction:
         with pytest.raises(ValueError):
             pmf.probs[0] = 0.1
 
+    def test_frozen_owned_float64_array_is_shared(self):
+        a, b = Alphabet("A", 2), Alphabet("B", 2)
+        frozen = np.full((2, 2), 0.25)
+        frozen.setflags(write=False)
+        assert JointDistribution((("A", a), ("B", b)), frozen).table is frozen
+
+    @pytest.mark.parametrize("kind", ["writable", "read-only view", "nested list"])
+    def test_other_inputs_are_copied(self, kind):
+        a, b = Alphabet("A", 2), Alphabet("B", 2)
+        cases = (
+            (lambda v: JointDistribution((("A", a), ("B", b)), v).table,
+             [[0.25, 0.25], [0.25, 0.25]]),
+            (lambda v: Pmf(a, v).probs, [0.5, 0.5]),
+            (lambda v: Channel((a,), b, v).rows, [[0.5, 0.5], [0.5, 0.5]]),
+        )
+        for build, values in cases:
+            src = json.loads(json.dumps(values)) if kind == "nested list" else np.array(values)
+            given = src
+            if kind == "read-only view":
+                given = src[...]
+                given.setflags(write=False)
+            arr = build(given)
+            # the caller still holds a writable path to its input
+            if kind == "nested list":
+                leaf = src[0] if isinstance(src[0], list) else src
+                leaf[0] = 99.0
+            else:
+                src.flat[0] = 99.0
+            assert np.array_equal(arr, np.array(values))
+            assert not arr.flags.writeable
+
     def test_alphabet_labels_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
             Alphabet("A", 2, ("x", "x"))

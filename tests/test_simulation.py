@@ -6,6 +6,7 @@ conditioning of the full table) before being pinned here.
 """
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cascade_secrecy.probability import (
     marginalize,
     mutual_information,
 )
+from cascade_secrecy import simulation
 from cascade_secrecy.simulation import (
     CodebookSet,
     IndexBits,
@@ -40,6 +42,7 @@ from cascade_secrecy.simulation import (
     scheme_spec_from_json,
     scheme_spec_to_json,
     simulate_payoff,
+    _Scheme,
 )
 from cascade_secrecy.ternary import corner_candidate, ternary_example
 
@@ -225,6 +228,10 @@ def test_encoder_validation_and_support():
         encoder_distribution([3], 0, cb)  # symbol out of range
     with pytest.raises(ValueError):
         encoder_distribution([0], 99, cb)  # key out of range
+    with pytest.raises(ValueError, match="x_seq entry must be an integer"):
+        encoder_distribution([1.7], 0, cb)  # not truncated to symbol 1
+    with pytest.raises(ValueError, match="key value must be an integer"):
+        encoder_distribution([0], 0.5, cb)
     # deterministic P(x|v1,v2) plus singleton codebooks leaves most source
     # symbols unencodable
     spec = corner_spec(1, IndexBits(0, 0, 0, 0, 0))
@@ -317,6 +324,99 @@ def test_table_requires_full_coverage():
         run_system_exact(corner_spec(2, auto_index_bits(CORNER, 2, key=4)))
 
 
+def _loop_table(spec, cb):
+    """Oracle: the system table cell by cell from the codebooks.
+
+    Products run in a fixed order: per-time factors in time order, the
+    normalizer summed over messages in order, then (prior * y2 law) * y3
+    law.  The whole-array construction must match it bit for bit.
+    """
+    sch = _Scheme(spec)
+    n = spec.n
+    m_a, m_b, m_c, m_d, n_k = spec.index_bits.sizes
+    messages = list(np.ndindex(m_a, m_b, m_c, m_d))
+    xs = list(itertools.product(range(sch.nx), repeat=n))
+    y2s = list(itertools.product(range(sch.ny2), repeat=n))
+    y3s = list(itertools.product(range(sch.ny3), repeat=n))
+    table = np.zeros((n_k, m_a, m_b, m_c, m_d) + (sch.nx,) * n + (sch.ny2,) * n + (sch.ny3,) * n)
+    for k in range(n_k):
+        weight = {}
+        for m in messages:
+            v1, v2 = cb.v1[m][k], cb.v2[m[0], m[1], k]
+            for x in xs:
+                w = 1.0
+                for t in range(n):
+                    w = w * sch.x_of_v1v2[v1[t], v2[t], x[t]]
+                weight[m, x] = w
+        for x in xs:
+            denom = 0.0
+            for m in messages:
+                denom += weight[m, x]
+            p_x = 1.0
+            for t in range(n):
+                p_x = p_x * sch.p_x[x[t]]
+            for m in messages:
+                v1, v2 = cb.v1[m][k], cb.v2[m[0], m[1], k]
+                prior = (p_x / n_k) * (weight[m, x] / denom)
+                for y2 in y2s:
+                    e2 = 1.0
+                    for t in range(n):
+                        e2 = e2 * sch.y2_of_v1[v1[t], y2[t]]
+                    for y3 in y3s:
+                        e3 = 1.0
+                        for t in range(n):
+                            e3 = e3 * sch.y3_of_v2[v2[t], y3[t]]
+                        table[(k,) + m + x + y2 + y3] = (prior * e2) * e3
+    return table
+
+
+def _keywise_posteriors(engine, m, w_prefix):
+    """Oracle: every time's posterior from scratch, one key at a time."""
+    sch = engine.scheme
+    n = engine.n
+    d = sch.disclosure.reshape(sch.nx, sch.ny2 * sch.ny3, sch.n_w)
+    out = []
+    for t in range(len(w_prefix) + 1):
+        post = np.zeros(sch.nx * sch.ny2 * sch.ny3)
+        for k in range(engine.n_k):
+            v1, v2 = engine.cb.v1[m][k], engine.cb.v2[m[0], m[1], k]
+            w = engine.enc[(k,) + m]
+            for s in range(t):
+                emit = np.outer(sch.y2_of_v1[v1[s]], sch.y3_of_v2[v2[s]]).ravel()
+                f_s = d[:, :, w_prefix[s]] @ emit
+                w = w * f_s.reshape(tuple(sch.nx if r == s else 1 for r in range(n)))
+            margin = w.sum(axis=tuple(r for r in range(n) if r != t))
+            emit_t = np.outer(sch.y2_of_v1[v1[t]], sch.y3_of_v2[v2[t]])
+            post += (margin[:, None, None] * emit_t[None]).ravel()
+        out.append(post / post.sum())
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        random_spec(11, 2, IndexBits(1, 1, 1, 0, 1), seed=3),
+        corner_spec(1, BITS_N1),
+        random_spec(5, 3, IndexBits(1, 0, 1, 1, 2), seed=1),
+    ],
+    ids=["random-n2", "corner-n1", "random-n3"],
+)
+def test_whole_array_table_and_sweep_match_the_loops(spec, monkeypatch):
+    table = run_system_exact(spec)
+    assert np.array_equal(table.table, _loop_table(spec, table.codebooks))
+    payoff = EX.payoff if spec.inner is CORNER else LogLossPayoff(("X",))
+    swept = mc_estimate(spec, payoff, 40, seed=9)
+    monkeypatch.setattr(simulation._PosteriorEngine, "posteriors", _keywise_posteriors)
+    assert mc_estimate(spec, payoff, 40, seed=9) == swept
+
+
+def test_system_table_is_read_only_and_shared_by_its_joint():
+    table = run_system_exact(corner_spec(1, BITS_N1))
+    with pytest.raises(ValueError):
+        table.table[(0,) * table.table.ndim] = 0.5
+    assert np.shares_memory(table.table, table.to_joint().table)
+
+
 # ---------------------------------------------------------------------------
 # adversary posteriors
 
@@ -358,6 +458,19 @@ def test_history_posterior_validation():
         history_posterior(cb, (0, 0, 0), [])
     with pytest.raises(ValueError):
         history_posterior(cb, (0, 0, 0, 0), [0])  # prefix as long as the block
+    # out-of-range or non-integer indices name their field instead of
+    # wrapping around (negative) or escaping as a bare IndexError
+    cb = build_codebooks(corner_spec(2, BITS_N2))
+    for m, needle in (((-1, 0, 0, 0), "Ma must lie in 0..3"),
+                      ((4, 0, 0, 0), "Ma must lie in 0..3"),
+                      ((0, 0, 0, 2), "Md must lie in 0..1"),
+                      ((0, 1.0, 0, 0), "Mb must be an integer")):
+        with pytest.raises(ValueError, match=needle):
+            history_posterior(cb, m, [])
+    for w, needle in ((-1, "must lie in 0..26"), (27, "must lie in 0..26"),
+                      (1.7, "must be an integer")):
+        with pytest.raises(ValueError, match="w_prefix entry " + needle):
+            history_posterior(cb, (0, 0, 0, 0), [w])
 
 
 # ---------------------------------------------------------------------------
