@@ -3,9 +3,9 @@
 Distributions are dense float64 tensors with one axis per named variable,
 always in row-major (C) layout.  All information measures are in bits
 (base-2 logarithms) and use the convention 0 log 0 = 0.  Every type is a
-frozen dataclass whose array payload is copied on construction and marked
-read-only, so instances can be shared freely; all operations are pure
-functions returning new objects.
+frozen dataclass whose array payload is read-only (copied on construction
+unless it already is a frozen float64 array), so instances can be shared
+freely; all operations are pure functions returning new objects.
 
 Tensor growth (products, channel attachment) is guarded by a cell cap,
 ``DEFAULT_CELL_CAP`` cells by default, so an over-ambitious construction
@@ -55,9 +55,9 @@ DEFAULT_CELL_CAP = 100_000_000
 #: Absolute tolerance for "probabilities sum to one" validation.
 PROB_SUM_TOL = 1e-12
 
-#: Negative values of entropy-like quantities beyond this magnitude would
-#: indicate a genuine bug rather than float rounding; smaller ones are
-#: clamped to zero.
+#: Negative values of entropy-like quantities beyond this magnitude
+#: indicate a genuine bug rather than float rounding and raise; smaller
+#: ones are clamped to zero.
 _NEG_ROUNDING_TOL = 1e-10
 
 
@@ -292,6 +292,8 @@ def _entropy_of(table: np.ndarray) -> float:
 
 def _clamped(value: float) -> float:
     """Clamp tiny negative float residue of provably nonnegative quantities."""
+    if value < -_NEG_ROUNDING_TOL:
+        raise ValueError(f"nonnegative quantity is {value!r}, below float rounding")
     return 0.0 if value < 0.0 else value
 
 
@@ -362,7 +364,9 @@ def marginalize(dist: JointDistribution, keep: str | Iterable[str]) -> JointDist
     if not names:
         raise ValueError("must keep at least one variable")
     ordered = tuple(v for v in dist.variables if v[0] in names)
-    return JointDistribution(ordered, _marginal_table(dist, names))
+    table = _marginal_table(dist, names)
+    table.setflags(write=False)  # a fresh sum or dist's frozen table: shared
+    return JointDistribution(ordered, table)
 
 
 def condition(dist: JointDistribution, evidence: Mapping[str, object]) -> JointDistribution:

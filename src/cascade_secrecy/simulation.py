@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -177,6 +179,23 @@ class SchemeSpec:
                     f"the candidate's role has size {want}"
                 )
 
+    @cached_property
+    def _scheme(self) -> "_Scheme":
+        """The compiled conditionals, built once per spec."""
+        return _Scheme(self)
+
+
+def _kept(owner, name: str, build, weak: bool = False):
+    """``build()``, made once and kept on the frozen ``owner`` whose fields
+    fix it; a value already made is returned whatever cell cap a later
+    caller passes.  A ``weak`` value (one that refers back to ``owner``) is
+    shared only while a caller holds it, so no cycle outlives the run."""
+    value = vars(owner).get(name, lambda: None)()
+    if value is None:
+        value = build()
+        vars(owner)[name] = weakref.ref(value) if weak else (lambda: value)
+    return value
+
 
 def _role_size(cand: InnerCandidate, role: tuple[str, ...]) -> int:
     return math.prod(cand.joint.alphabet(name).size for name in role)
@@ -237,7 +256,6 @@ class _Scheme:
     def __init__(self, spec: SchemeSpec):
         cand = spec.inner
         joint = cand.joint
-        self.spec = spec
         self.x_alphabet = _role_alphabet(cand, cand.x, "X")
         self.y2_alphabet = _role_alphabet(cand, cand.y2, "Y2")
         self.y3_alphabet = _role_alphabet(cand, cand.y3, "Y3")
@@ -264,11 +282,7 @@ class _Scheme:
         d = np.einsum(
             "xa,yb,zc->xyzabc", side.ch1.rows, side.ch2.rows, side.ch3.rows
         )
-        self.n_w = (
-            side.ch1.output_alphabet.size
-            * side.ch2.output_alphabet.size
-            * side.ch3.output_alphabet.size
-        )
+        self.n_w = math.prod(d.shape[3:])
         self.disclosure = d.reshape(self.nx * self.ny2 * self.ny3, self.n_w)
         self.w_alphabet = product_alphabet(
             "W",
@@ -300,7 +314,7 @@ def build_codebooks(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> Co
     Raises CapExceededError with the required sizes when the index
     spaces are too large to materialize.
     """
-    scheme = _Scheme(spec)
+    scheme = spec._scheme
     n = spec.n
     m_a, m_b, m_c, m_d, n_k = spec.index_bits.sizes
     need = {
@@ -420,12 +434,13 @@ def _encoder_table(
                 f" at key {k}"
             )
         enc[k] = (px_block / n_k) * (weights / denom)
+    enc.setflags(write=False)
     return enc
 
 
 def encoder_distribution(x_seq, k: int, cb: CodebookSet) -> np.ndarray:
     """Exact conditional distribution of the index tuple given (x^n, k)."""
-    scheme = _Scheme(cb.spec)
+    scheme = cb.spec._scheme
     x_seq = list(x_seq)
     if len(x_seq) != cb.spec.n:
         raise ValueError(f"x_seq must be a length-{cb.spec.n} sequence")
@@ -469,7 +484,7 @@ class SystemTable:
     table: np.ndarray
 
     def to_joint(self) -> JointDistribution:
-        scheme = _Scheme(self.spec)
+        scheme = self.spec._scheme
         m_a, m_b, m_c, m_d, n_k = self.spec.index_bits.sizes
         variables = [
             (name, Alphabet(name, size))
@@ -482,11 +497,23 @@ class SystemTable:
             variables += [(v, Alphabet(v, alphabet.size, alphabet.labels)) for v in names]
         return JointDistribution(tuple(variables), self.table)
 
+    @cached_property
+    def _time_grouped(self) -> np.ndarray:
+        """Key-summed, messages and per-time (x, y2, y3) triples flattened."""
+        scheme = self.spec._scheme
+        n = self.spec.n
+        m_cells = math.prod(self.spec.index_bits.sizes[:4])
+        perm = list(range(4)) + [4 + block * n + t for t in range(n) for block in range(3)]
+        q = np.transpose(self.table.sum(axis=0), perm)
+        q = q.reshape((m_cells,) + (scheme.nx * scheme.ny2 * scheme.ny3,) * n)
+        q.setflags(write=False)
+        return q
+
 
 def run_system_exact(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> SystemTable:
     """Enumerate the full system joint for one codebook draw."""
-    scheme = _Scheme(spec)
-    cb = build_codebooks(spec, cell_cap=cell_cap)
+    scheme = spec._scheme
+    cb = _kept(spec, "_codebooks", lambda: build_codebooks(spec, cell_cap=cell_cap), weak=True)
     n = spec.n
     m_a, m_b, m_c, m_d, n_k = spec.index_bits.sizes
     m_cells = m_a * m_b * m_c * m_d
@@ -496,7 +523,7 @@ def run_system_exact(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> S
             f"system table needs {n_k * m_cells * sym_cells} cells, cap is {cell_cap}"
         )
 
-    enc = _encoder_table(scheme, cb, cell_cap)
+    enc = _kept(cb, "_encoder", lambda: _encoder_table(scheme, cb, cell_cap))
     m_shape = (m_a, m_b, m_c, m_d)
     ones = (1,) * n
     x_axes = m_shape + (scheme.nx,) * n + ones * 2
@@ -518,20 +545,6 @@ def run_system_exact(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> S
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"system table sums to {total}, expected 1")
     return SystemTable(spec, cb, table)
-
-
-def _time_grouped(table: SystemTable) -> tuple[np.ndarray, _Scheme]:
-    """Messages flattened, per-time (x, y2, y3) triples flattened."""
-    scheme = _Scheme(table.spec)
-    n = table.spec.n
-    m_cells = math.prod(table.spec.index_bits.sizes[:4])
-    q = table.table.sum(axis=0)
-    perm = list(range(4)) + [
-        4 + block * n + t for t in range(n) for block in range(3)
-    ]
-    q = np.transpose(q, perm)
-    j = scheme.nx * scheme.ny2 * scheme.ny3
-    return q.reshape((m_cells,) + (j,) * n), scheme
 
 
 def _row_values(rows: np.ndarray, payoff, scheme: _Scheme) -> np.ndarray:
@@ -558,8 +571,9 @@ def simulate_payoff(table: SystemTable, payoff) -> float:
     Strictly causal: the time-t posterior conditions on the messages and
     the disclosed signals of times 1..t-1 only.
     """
-    _check_payoff_alphabets(payoff, _Scheme(table.spec))
-    q, scheme = _time_grouped(table)
+    scheme = table.spec._scheme
+    _check_payoff_alphabets(payoff, scheme)
+    q = table._time_grouped
     n = table.spec.n
     j = scheme.nx * scheme.ny2 * scheme.ny3
     total = 0.0
@@ -579,11 +593,7 @@ def _check_payoff_alphabets(payoff, scheme: _Scheme) -> None:
     if isinstance(payoff, LogLossPayoff):
         return
     want = (scheme.nx, scheme.ny2, scheme.ny3)
-    got = (
-        payoff.x_alphabet.size,
-        payoff.y2_alphabet.size,
-        payoff.y3_alphabet.size,
-    )
+    got = tuple(a.size for a in (payoff.x_alphabet, payoff.y2_alphabet, payoff.y3_alphabet))
     if want != got:
         raise ValueError(f"payoff alphabets {got} do not match the scheme's {want}")
 
@@ -591,11 +601,9 @@ def _check_payoff_alphabets(payoff, scheme: _Scheme) -> None:
 def empirical_equivocation(table: SystemTable, secret_set) -> float:
     """Exact per-symbol equivocation (1/n) H(S^n | messages)."""
     roles = LogLossPayoff(tuple(secret_set)).secret_set
-    q, scheme = _time_grouped(table)
+    q, scheme = table._time_grouped, table.spec._scheme
     n = table.spec.n
-    shaped = q.reshape(
-        (q.shape[0],) + (scheme.nx, scheme.ny2, scheme.ny3) * n
-    )
+    shaped = q.reshape((q.shape[0],) + (scheme.nx, scheme.ny2, scheme.ny3) * n)
     drop = tuple(
         1 + 3 * t + i
         for t in range(n)
@@ -620,10 +628,10 @@ class _PosteriorEngine:
 
     def __init__(self, cb: CodebookSet):
         self.cb = cb
-        self.scheme = _Scheme(cb.spec)
+        self.scheme = cb.spec._scheme
         self.n = cb.spec.n
         self.n_k = cb.spec.index_bits.sizes[4]
-        self.enc = _encoder_table(self.scheme, cb)
+        self.enc = _kept(cb, "_encoder", lambda: _encoder_table(self.scheme, cb))
 
     def posteriors(self, m: tuple[int, int, int, int], w_prefix) -> list[np.ndarray]:
         """Normalized posteriors over the triple at times 1..len(w_prefix)+1."""
@@ -665,7 +673,7 @@ def history_posterior(cb: CodebookSet, m, w_prefix) -> np.ndarray:
     sizes = cb.spec.index_bits.sizes
     m = tuple(_validated_index(i, size, f"message index {name}")
               for i, size, name in zip(m, sizes, ("Ma", "Mb", "Mc", "Md")))
-    n_w = _Scheme(cb.spec).n_w
+    n_w = cb.spec._scheme.n_w
     w_prefix = [_validated_index(w, n_w, "w_prefix entry") for w in w_prefix]
     return _PosteriorEngine(cb).posteriors(m, w_prefix)[-1]
 
@@ -690,7 +698,7 @@ def mc_estimate(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    engine = _PosteriorEngine(build_codebooks(spec))
+    engine = _PosteriorEngine(_kept(spec, "_codebooks", lambda: build_codebooks(spec), weak=True))
     scheme = engine.scheme
     _check_payoff_alphabets(payoff, scheme)
     n = spec.n

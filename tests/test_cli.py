@@ -12,12 +12,20 @@ import sys
 import numpy as np
 import pytest
 
+from cascade_secrecy import cli
 from cascade_secrecy import search as search_mod
+from cascade_secrecy import simulation
 from cascade_secrecy.bounds import side_info_to_json
 from cascade_secrecy.cli import _config_hash, _round_floats, main
 from cascade_secrecy.payoff import payoff_to_json
 from cascade_secrecy.probability import Alphabet, Pmf, pmf_to_json
-from cascade_secrecy.simulation import IndexBits, SchemeSpec, scheme_spec_to_json
+from cascade_secrecy.simulation import (
+    IndexBits,
+    SchemeSpec,
+    SystemTable,
+    run_system_exact,
+    scheme_spec_to_json,
+)
 from cascade_secrecy.ternary import corner_candidate, ternary_example
 
 EX = ternary_example()
@@ -300,6 +308,75 @@ def test_simulate_cell_cap_infeasible(tmp_path, capsys):
     reason = json.loads(capsys.readouterr().err)
     assert reason["status"] == "infeasible"
     assert "cells" in reason["reason"]
+
+
+def test_simulate_compiles_once(tmp_path, monkeypatch):
+    # the exact table and the Monte Carlo share one compiled scheme, one
+    # codebook draw and one encoder table
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(simulation, "build_codebooks")
+    counted(simulation, "_encoder_table")
+    counted(simulation._Scheme, "__init__")
+    cfg = write_config(tmp_path, corner_sim_config(samples=20, trace=True))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert calls == {"build_codebooks": 1, "_encoder_table": 1, "__init__": 1}
+
+
+def _y3_from_mc(p):
+    # Y3 := Mc mod |Y3|: node 3 reads a message it never receives
+    head = p.sum(axis=-1)
+    out = np.zeros_like(p)
+    for mc in range(p.shape[3]):
+        out[:, :, :, mc, ..., mc % p.shape[-1]] = head[:, :, :, mc]
+    return out
+
+
+def _y2_from_source(p):
+    # X uniform and independent of the codewords, Y2 := X
+    keyed = p.sum(axis=(5, 6))
+    out = np.zeros_like(p)
+    for x in range(p.shape[5]):
+        out[..., x, x, :] = keyed / p.shape[5]
+    return out
+
+
+def _skewed_key(p):
+    weights = np.linspace(0.5, 1.5, p.shape[0])
+    return p * weights.reshape((-1,) + (1,) * (p.ndim - 1))
+
+
+@pytest.mark.parametrize(
+    "tamper, field, threshold",
+    [
+        (_y3_from_mc, "markov_chain_5_bits", 1e-9),
+        (_y2_from_source, "markov_chain_4_bits", 1e-9),
+        (_skewed_key, "key_uniformity_gap", 1e-12),
+    ],
+    ids=["chain-5", "chain-4", "key"],
+)
+def test_simulate_audit_fails_loudly(tmp_path, monkeypatch, tamper, field, threshold):
+    def tampered(spec, **kwargs):
+        honest = run_system_exact(spec, **kwargs)
+        table = tamper(honest.table)
+        table.setflags(write=False)
+        return SystemTable(spec, honest.codebooks, table)
+
+    monkeypatch.setattr(cli, "run_system_exact", tampered)
+    cfg = write_config(tmp_path, corner_sim_config())
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_MISMATCH
+    audit = json.loads((tmp_path / "simulate_audit.json").read_text())["audit"]
+    assert audit["passed"] is False
+    assert audit[field] > threshold
 
 
 # ---------------------------------------------------------------------------

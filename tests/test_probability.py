@@ -29,6 +29,7 @@ from cascade_secrecy.probability import (
     channel_to_json,
     product_alphabet,
 )
+from cascade_secrecy import probability
 from conftest import random_joint
 
 
@@ -193,6 +194,19 @@ class TestMeasures:
             assert ok and value <= 1e-12
 
 
+class TestClamp:
+    def test_rounding_residue_is_zero(self):
+        assert probability._clamped(-1e-11) == 0.0
+        assert probability._clamped(-1e-10) == 0.0
+        assert probability._clamped(0.25) == 0.25
+
+    def test_negative_beyond_rounding_raises(self):
+        with pytest.raises(ValueError, match="-1e-06"):
+            probability._clamped(-1e-6)
+        with pytest.raises(ValueError, match="-0.5"):
+            probability._clamped(-0.5)
+
+
 class TestTransforms:
     def test_marginalize_keeps_original_axis_order(self):
         rng = np.random.default_rng(5)
@@ -200,6 +214,24 @@ class TestTransforms:
         m = marginalize(d, ("C", "A"))
         assert m.names == ("A", "C")
         np.testing.assert_allclose(m.table, d.table.sum(axis=1), atol=0, rtol=0)
+
+    def test_marginal_is_read_only_and_shared(self, monkeypatch):
+        # the freshly reduced sum is frozen, so the marginal's joint holds
+        # that array instead of a copy
+        original, reduced = probability._marginal_table, []
+
+        def recording(dist, keep):
+            reduced.append(original(dist, keep))
+            return reduced[-1]
+
+        monkeypatch.setattr(probability, "_marginal_table", recording)
+        d = random_joint(np.random.default_rng(8), (2, 3, 4), names=("A", "B", "C"))
+        m = marginalize(d, ("A", "C"))
+        assert not m.table.flags.writeable
+        assert m.table is reduced[-1]
+        assert JointDistribution(m.variables, m.table).table is m.table
+        # keeping every variable shares the joint's own table
+        assert marginalize(d, d.names).table is d.table
 
     def test_condition_matches_bayes_rule(self):
         rng = np.random.default_rng(6)

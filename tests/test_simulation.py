@@ -5,8 +5,10 @@ same fixed-seed draws (brute-force enumeration of index tuples, direct
 conditioning of the full table) before being pinned here.
 """
 
+import gc
 import io
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from cascade_secrecy.probability import (
     marginalize,
     mutual_information,
 )
-from cascade_secrecy import simulation
+from cascade_secrecy import cli, simulation
 from cascade_secrecy.simulation import (
     CodebookSet,
     IndexBits,
@@ -317,6 +319,36 @@ def test_system_constraint_audit(idx):
     assert c5 <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "spec",
+    AUDIT_SPECS + [corner_spec(2, BITS_N2, seed=3)],
+    ids=[f"audit-{i}" for i in range(len(AUDIT_SPECS))] + ["simulate_n2"],
+)
+def test_audit_from_shared_marginals_matches_full_joint(spec):
+    """The CLI audit's marginal-derived numbers equal the whole-joint formulas."""
+    table = run_system_exact(spec)
+    joint = table.to_joint()
+    xs, y2s, y3s = _message_names(spec.n)
+    n_k = spec.index_bits.sizes[4]
+    want = {
+        "table_sum_error": abs(float(table.table.sum()) - 1.0),
+        "key_entropy_bits": entropy(joint, ("K",)),
+        "key_uniformity_gap": np.abs(table.table.reshape(n_k, -1).sum(axis=1) - 1.0 / n_k).max(),
+        "mi_key_source_bits": mutual_information(joint, ("K",), xs),
+        "markov_chain_4_bits": conditional_mutual_information(
+            joint, xs, y2s, ("K", "Ma", "Mb", "Mc", "Md")
+        ),
+        "markov_chain_5_bits": conditional_mutual_information(
+            joint, xs + ("Mc", "Md") + y2s, y3s, ("K", "Ma", "Mb")
+        ),
+    }
+    got = cli._audit(spec, joint)
+    assert set(got) == set(want) | {"key_bits", "passed"}
+    for field, value in want.items():
+        assert abs(got[field] - value) <= 1e-12, field
+    assert got["key_bits"] == spec.index_bits.key and got["passed"] is True
+
+
 def test_table_requires_full_coverage():
     # auto-sized spaces at n=2 are too small for the deterministic
     # corner-1 encoder: some source pairs have no consistent codeword
@@ -415,6 +447,22 @@ def test_system_table_is_read_only_and_shared_by_its_joint():
     with pytest.raises(ValueError):
         table.table[(0,) * table.table.ndim] = 0.5
     assert np.shares_memory(table.table, table.to_joint().table)
+
+
+def test_shared_draw_leaves_no_reference_cycle():
+    # the spec keeps its compiled scheme and (weakly) its codebook draw, and
+    # the draw keeps its encoder table; dropping the run frees all of them
+    # by reference counting, with the cycle collector off
+    gc.disable()
+    try:
+        spec = corner_spec(1, BITS_N1)
+        table = run_system_exact(spec)
+        assert mc_estimate(spec, EX.payoff, 4, 0)[1] >= 0.0
+        refs = [weakref.ref(obj) for obj in (spec, table.codebooks, table)]
+        del spec, table
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
