@@ -37,9 +37,9 @@ from .probability import (
     ZeroProbabilityError,
     _alphabet_from_json,
     _clamped,
+    _entropy_of,
     conditional_mutual_information,
     entropy,
-    marginalize,
     mutual_information,
     pmf_from_json,
 )
@@ -294,6 +294,8 @@ def _load_config(args: argparse.Namespace) -> _Run:
         control["seed"] = _as_int(control["seed"], "seed", minimum=0, maximum=2**64 - 1)
     control["restarts"] = _as_int(control["restarts"], "restarts", minimum=1)
     control["samples"] = _as_int(control["samples"], "samples", minimum=0)
+    if control["samples"] == 1:
+        raise SchemaError("samples", "needs 0 or at least 2 samples")
     control["tol"] = _as_number(control["tol"], "tol")
     control["workers"] = _as_int(control["workers"], "workers", minimum=1)
     if not isinstance(control["out"], str):
@@ -426,14 +428,15 @@ def _run_bounds(run: _Run) -> int:
 # simulate
 
 
-def _audit(spec, joint) -> dict:
+def _audit(spec, table) -> dict:
     """Key uniformity and independence and both Markov chains of the exact
-    system ``joint``.  Two entropies read the whole table, before the one
-    Y3-free marginal that serves the rest is built; it never leaves here."""
+    system ``table``.  H(all) reads the stored cells; H(K, Ma, Mb, Y3^n) and
+    the one Y3-free marginal that serves the rest are summed from them, and
+    that marginal never leaves here."""
     xs, y2s, y3s = (tuple(f"{p}{t + 1}" for t in range(spec.n)) for p in ("X", "Y2_", "Y3_"))
-    h_all = entropy(joint, joint.names)
-    h_y3 = entropy(joint, ("K", "Ma", "Mb") + y3s)
-    head = marginalize(joint, ("K", "Ma", "Mb", "Mc", "Md") + xs + y2s)
+    h_all = _entropy_of(table.values)
+    h_y3 = _entropy_of(table.marginal(("K", "Ma", "Mb") + y3s).table)
+    head = table.marginal(("K", "Ma", "Mb", "Mc", "Md") + xs + y2s)
     n_k = spec.index_bits.sizes[4]
     key_gap = float(np.abs(head.table.reshape(n_k, -1).sum(axis=1) - 1.0 / n_k).max())
     markov_4 = conditional_mutual_information(head, xs, y2s, ("K", "Ma", "Mb", "Mc", "Md"))
@@ -473,7 +476,7 @@ def _run_simulate(run: _Run) -> int:
     )
 
     table = run_system_exact(spec, **cap_kwargs)
-    audit = _audit(spec, table.to_joint())
+    audit = _audit(spec, table)
     pi_exact = simulate_payoff(table, payoff)
     equiv = _built(lambda s: empirical_equivocation(table, s), secret, "problem.secret_set")
     rows = [("payoff_exact", pi_exact), ("equivocation_exact", equiv)]
@@ -481,8 +484,6 @@ def _run_simulate(run: _Run) -> int:
 
     samples = run.control["samples"]
     if samples:
-        if samples < 2:
-            raise SchemaError("samples", "needs at least 2 samples")
         trace_path = None
         if run.problem.get("trace"):
             trace_path = run.out_dir / "simulate_trace.csv"

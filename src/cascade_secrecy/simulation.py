@@ -9,10 +9,10 @@ the selected v1 and v2 codewords.  The adversary knows the codebooks
 and the public messages but not the key, and acts at each time t after
 seeing the disclosed signals of times before t.
 
-Everything here is exact: the system joint is enumerated in full at
-small blocklength, and the Monte Carlo estimator samples only the outer
-expectation over histories — each sampled history is still scored
-against its exactly-computed posterior.
+Everything here is exact: every nonzero cell of the system joint is
+enumerated at small blocklength, and the Monte Carlo estimator samples
+only the outer expectation over histories — each sampled history is
+still scored against its exactly-computed posterior.
 """
 
 from __future__ import annotations
@@ -470,20 +470,25 @@ def _validated_index(value, size: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class SystemTable:
-    """Exact joint of one fixed codebook draw.
+    """Exact joint of one fixed codebook draw, stored as its nonzero cells.
 
     Axes are (K, Ma, Mb, Mc, Md, X_1..X_n, Y2_1..Y2_n, Y3_1..Y3_n); the
     disclosed signals are not materialized — they are a memoryless
     channel of the per-time triples and get adjoined where needed.
-    ``table`` is read-only, and ``to_joint`` shares it rather than
-    copying it, so an audit holds one table in memory, not two.
+    ``index`` holds the cells' flat C-order positions, ascending, and
+    ``values`` their probabilities; both are read-only.  Marginals are
+    summed from the cells in index order.  ``table`` is the dense view,
+    built on first access under ``cell_cap``; ``to_joint`` shares it.
     """
 
     spec: SchemeSpec
     codebooks: CodebookSet
-    table: np.ndarray
+    index: np.ndarray
+    values: np.ndarray
+    cell_cap: int = DEFAULT_CELL_CAP
 
-    def to_joint(self) -> JointDistribution:
+    @cached_property
+    def _variables(self) -> tuple[tuple[str, Alphabet], ...]:
         scheme = self.spec._scheme
         m_a, m_b, m_c, m_d, n_k = self.spec.index_bits.sizes
         variables = [
@@ -495,7 +500,45 @@ class SystemTable:
         ):
             names = (f"{prefix}{t + 1}" for t in range(self.spec.n))
             variables += [(v, Alphabet(v, alphabet.size, alphabet.labels)) for v in names]
-        return JointDistribution(tuple(variables), self.table)
+        return tuple(variables)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the dense table."""
+        return tuple(a.size for _, a in self._variables)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The dense table, zeros included."""
+        cells = math.prod(self.shape)
+        if cells > self.cell_cap:
+            raise CapExceededError(
+                f"dense system table needs {cells} cells, cap is {self.cell_cap}"
+            )
+        dense = np.zeros(self.shape)
+        np.put(dense, self.index, self.values)
+        dense.setflags(write=False)
+        return dense
+
+    def to_joint(self) -> JointDistribution:
+        return JointDistribution(self._variables, self.table)
+
+    def marginal(self, names) -> JointDistribution:
+        """Marginal over ``names``, axes in table order.
+
+        Each marginal cell adds its stored cells one by one in index order,
+        which is the order a dense sum over leading axes adds them in.
+        """
+        variables = self._variables
+        unknown = set(names) - {name for name, _ in variables}
+        if unknown:
+            raise ValueError(f"unknown variables {sorted(unknown)}")
+        keep = [i for i, (name, _) in enumerate(variables) if name in names]
+        coords = np.unravel_index(self.index, self.shape)
+        table = np.zeros([variables[i][1].size for i in keep])
+        np.add.at(table, tuple(coords[i] for i in keep), self.values)
+        table.setflags(write=False)
+        return JointDistribution(tuple(variables[i] for i in keep), table)
 
     @cached_property
     def _time_grouped(self) -> np.ndarray:
@@ -504,47 +547,63 @@ class SystemTable:
         n = self.spec.n
         m_cells = math.prod(self.spec.index_bits.sizes[:4])
         perm = list(range(4)) + [4 + block * n + t for t in range(n) for block in range(3)]
-        q = np.transpose(self.table.sum(axis=0), perm)
+        keyless = self.marginal([name for name, _ in self._variables[1:]]).table
+        q = np.transpose(keyless, perm)
         q = q.reshape((m_cells,) + (scheme.nx * scheme.ny2 * scheme.ny3,) * n)
         q.setflags(write=False)
         return q
 
 
+def _paired(rows: np.ndarray, law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell i, whose row of the 2-D ``law`` is ``rows[i]``, once per nonzero
+    column of that row: (cell, column), cells in order, columns ascending."""
+    law_rows, cols = np.nonzero(law)
+    count = np.bincount(law_rows, minlength=law.shape[0])
+    reps = count[rows]
+    cell = np.repeat(np.arange(rows.size), reps)
+    at = np.arange(cell.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    return cell, cols[(np.cumsum(count) - count)[rows[cell]] + at]
+
+
 def run_system_exact(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> SystemTable:
-    """Enumerate the full system joint for one codebook draw."""
+    """Enumerate the nonzero cells of the system joint for one codebook draw.
+
+    A cell is nonzero exactly where the encoder table, the y2 law of its
+    (k, m) and the y3 law of its (k, Ma, Mb) all are; it is built from
+    those three supports as (prior * y2) * y3, the float a dense product
+    gives.  The cell cap counts stored cells and is checked before they
+    are allocated.
+    """
     scheme = spec._scheme
     cb = _kept(spec, "_codebooks", lambda: build_codebooks(spec, cell_cap=cell_cap), weak=True)
     n = spec.n
     m_a, m_b, m_c, m_d, n_k = spec.index_bits.sizes
-    m_cells = m_a * m_b * m_c * m_d
-    sym_cells = (scheme.nx * scheme.ny2 * scheme.ny3) ** n
-    if n_k * m_cells * sym_cells > cell_cap:
-        raise CapExceededError(
-            f"system table needs {n_k * m_cells * sym_cells} cells, cap is {cell_cap}"
-        )
+    rows = n_k * m_a * m_b * m_c * m_d
+    enc = _kept(cb, "_encoder", lambda: _encoder_table(scheme, cb, cell_cap)).reshape(rows, -1)
+    # per-codeword emission laws, one row per (k, m) or per (k, Ma, Mb)
+    y2 = np.moveaxis(_memoryless(scheme.y2_of_v1[cb.v1]), 4, 0).reshape(rows, -1)
+    y3 = np.moveaxis(_memoryless(scheme.y3_of_v2[cb.v2]), 2, 0).reshape(rows // (m_c * m_d), -1)
+    km, x = np.nonzero(enc)
+    need = int((np.count_nonzero(y2, axis=1)[km]
+                * np.count_nonzero(y3, axis=1)[km // (m_c * m_d)]).sum())
+    if need > cell_cap:
+        raise CapExceededError(f"system table stores {need} cells, cap is {cell_cap}")
 
-    enc = _kept(cb, "_encoder", lambda: _encoder_table(scheme, cb, cell_cap))
-    m_shape = (m_a, m_b, m_c, m_d)
-    ones = (1,) * n
-    x_axes = m_shape + (scheme.nx,) * n + ones * 2
-    y2_axes = m_shape + ones + (scheme.ny2,) * n + ones
-    y3_axes = (m_a, m_b, 1, 1) + ones * 2 + (scheme.ny3,) * n
-    # per-codeword emission laws, key axis first: (K, M..) + (|Y|,)*n
-    y2 = np.moveaxis(_memoryless(scheme.y2_of_v1[cb.v1]), 4, 0)
-    y3 = np.moveaxis(_memoryless(scheme.y3_of_v2[cb.v2]), 2, 0)
-    table = np.empty(
-        (n_k,) + m_shape + (scheme.nx,) * n + (scheme.ny2,) * n + (scheme.ny3,) * n
-    )
-    for k in range(n_k):
-        # (prior * y2) * y3, written in place: no table-sized temporary
-        np.multiply(enc[k].reshape(x_axes), y2[k].reshape(y2_axes), out=table[k])
-        np.multiply(table[k], y3[k].reshape(y3_axes), out=table[k])
-    table.setflags(write=False)
+    cell, y2_sym = _paired(km, y2)
+    km, x = km[cell], x[cell]
+    values = enc[km, x] * y2[km, y2_sym]
+    cell, y3_sym = _paired(km // (m_c * m_d), y3)
+    km, x, y2_sym = km[cell], x[cell], y2_sym[cell]
+    values = values[cell] * y3[km // (m_c * m_d), y3_sym]
+    # row-major nesting (k, m), x^n, y2^n, y3^n keeps the index ascending
+    index = ((km * scheme.nx**n + x) * scheme.ny2**n + y2_sym) * scheme.ny3**n + y3_sym
+    index.setflags(write=False)
+    values.setflags(write=False)
 
-    total = float(table.sum())
+    total = float(values.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"system table sums to {total}, expected 1")
-    return SystemTable(spec, cb, table)
+    return SystemTable(spec, cb, index, values, cell_cap)
 
 
 def _row_values(rows: np.ndarray, payoff, scheme: _Scheme) -> np.ndarray:

@@ -310,6 +310,17 @@ def test_simulate_cell_cap_infeasible(tmp_path, capsys):
     assert "cells" in reason["reason"]
 
 
+def test_simulate_rejects_one_sample_before_building(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the exact table was built")
+
+    monkeypatch.setattr(cli, "run_system_exact", unreachable)
+    cfg = write_config(tmp_path, corner_sim_config(samples=1))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "samples" in capsys.readouterr().err
+    assert not (tmp_path / "simulate_audit.json").exists()
+
+
 def test_simulate_compiles_once(tmp_path, monkeypatch):
     # the exact table and the Monte Carlo share one compiled scheme, one
     # codebook draw and one encoder table
@@ -368,8 +379,8 @@ def test_simulate_audit_fails_loudly(tmp_path, monkeypatch, tamper, field, thres
     def tampered(spec, **kwargs):
         honest = run_system_exact(spec, **kwargs)
         table = tamper(honest.table)
-        table.setflags(write=False)
-        return SystemTable(spec, honest.codebooks, table)
+        index = np.flatnonzero(table)
+        return SystemTable(spec, honest.codebooks, index, table.ravel()[index])
 
     monkeypatch.setattr(cli, "run_system_exact", tampered)
     cfg = write_config(tmp_path, corner_sim_config())

@@ -342,11 +342,50 @@ def test_audit_from_shared_marginals_matches_full_joint(spec):
             joint, xs + ("Mc", "Md") + y2s, y3s, ("K", "Ma", "Mb")
         ),
     }
-    got = cli._audit(spec, joint)
+    got = cli._audit(spec, table)
     assert set(got) == set(want) | {"key_bits", "passed"}
     for field, value in want.items():
         assert abs(got[field] - value) <= 1e-12, field
     assert got["key_bits"] == spec.index_bits.key and got["passed"] is True
+
+
+@pytest.mark.parametrize("idx", range(len(AUDIT_SPECS)))
+def test_marginals_of_stored_cells_match_the_dense_reductions(idx):
+    spec = AUDIT_SPECS[idx]
+    table = run_system_exact(spec)
+    joint = table.to_joint()
+    xs, y2s, y3s = _message_names(spec.n)
+    for names in (
+        joint.names[1:],
+        ("K", "Ma", "Mb") + y3s,
+        ("K", "Ma", "Mb", "Mc", "Md") + xs + y2s,
+    ):
+        got, want = table.marginal(names), marginalize(joint, names)
+        assert got.variables == want.variables
+        assert np.array_equal(got.table, want.table), names
+
+
+def test_corner_n2_stores_one_cell_per_key_and_message():
+    # deterministic encoder and emissions: 32 keys x 512 messages, one
+    # nonzero cell each, of 11.9M dense cells
+    table = run_system_exact(corner_spec(2, BITS_N2))
+    assert table.index.size == table.values.size == 16_384
+    assert np.all(np.diff(table.index) > 0)
+    for arr in (table.index, table.values):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_cell_cap_counts_stored_cells():
+    table = run_system_exact(corner_spec(2, BITS_N2), cell_cap=200_000)
+    assert simulate_payoff(table, EX.payoff) == pytest.approx(0.3886258640539077, abs=1e-12)
+    with pytest.raises(CapExceededError, match="dense system table needs 11943936 cells"):
+        table.table
+    # the encoder table has 64 cells and the codebooks 60, but the
+    # emissions are not deterministic: 1,024 stored cells
+    spec = random_spec(11, 2, IndexBits(1, 1, 1, 0, 1), seed=3)
+    with pytest.raises(CapExceededError, match="system table stores 1024 cells, cap is 64"):
+        run_system_exact(spec, cell_cap=64)
 
 
 def test_table_requires_full_coverage():
