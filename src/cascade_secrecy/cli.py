@@ -157,24 +157,32 @@ def _fmt(value) -> str:
     return f"{v:.12g}"
 
 
+def _round_float(v: float):
+    if math.isinf(v):
+        return "-inf" if v < 0 else "inf"
+    return float(f"{v:.12g}")
+
+
 def _round_floats(obj):
     """Clamp every float leaf to 12 significant digits (golden files).
 
     Each branch tests the exact JSON type before the isinstance rules for
     numpy scalars, tuples and subclasses: dense probability tables make
-    plain floats nearly every leaf.
+    plain floats nearly every leaf, and a list rounds its plain floats
+    inline.  Zeros (either sign) round to themselves; tables are mostly
+    zeros.
     """
     kind = type(obj)
     if kind is float or isinstance(obj, (float, np.floating)):
         v = float(obj)
-        if math.isinf(v):
-            return "-inf" if v < 0 else "inf"
-        # zeros (either sign) round to themselves; tables are mostly zeros
-        return float(f"{v:.12g}") if v else v
+        return _round_float(v) if v else v
     if kind is dict or isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if kind is list or isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        return [
+            (_round_float(v) if v else v) if type(v) is float else _round_floats(v)
+            for v in obj
+        ]
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return int(obj)
     return obj

@@ -25,6 +25,7 @@ __all__ = [
     "stream",
     "sample_pmf",
     "sample_rows",
+    "symbols",
 ]
 
 # stream tags; values are arbitrary but frozen — changing one changes
@@ -51,9 +52,27 @@ def stream(seed: int, tag: int, row: int = 0) -> np.random.Generator:
 
 
 def _cdf(rows: np.ndarray) -> np.ndarray:
-    c = np.cumsum(np.asarray(rows, dtype=np.float64), axis=-1)
-    c[..., -1] = 1.0
+    """Cumulative rows whose entries from the last positive symbol on are 1.0.
+
+    A trailing zero-probability symbol thus keeps an empty interval even
+    when the positive cumsum stops short of 1; a row with no positive
+    entry ends in 1.0 alone.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    c = np.cumsum(rows, axis=-1)
+    size = rows.shape[-1]
+    last = size - 1 - np.argmax(rows[..., ::-1] > 0.0, axis=-1)
+    c[np.arange(size) >= last[..., None]] = 1.0
     return c
+
+
+def symbols(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The symbol of each uniform: the count of its ``cdf`` row's entries <= u.
+
+    ``cdf`` rows (from ``_cdf``) broadcast against ``u``; for one sorted row
+    this is searchsorted(side="right").
+    """
+    return np.sum(cdf <= np.asarray(u)[..., None], axis=-1)
 
 
 def sample_pmf(gen: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
@@ -71,8 +90,5 @@ def sample_rows(
     ``rows[g]`` is the probability row used for an entry with value
     ``g``; the output has the shape of ``given``.
     """
-    c = _cdf(rows)
     given = np.asarray(given)
-    u = gen.random(given.shape)
-    # counting cdf entries <= u is searchsorted(side="right"), batched
-    return np.sum(c[given] <= u[..., None], axis=-1)
+    return symbols(_cdf(rows)[given], gen.random(given.shape))

@@ -53,9 +53,11 @@ from .rng import (
     STREAM_U2,
     STREAM_V1,
     STREAM_V2,
+    _cdf,
     sample_pmf,
     sample_rows,
     stream,
+    symbols,
 )
 
 __all__ = [
@@ -675,14 +677,14 @@ def empirical_equivocation(table: SystemTable, secret_set) -> float:
 
 
 class _PosteriorEngine:
-    """Exact adversary posteriors for one codebook set.
+    """Exact adversary posteriors for one codebook set, a batch at a time.
 
-    The encoder weights are enumerated once per key value.  Given the
-    message, one vectorised forward sweep over all keys at once folds
-    each disclosed signal's per-x likelihood into the (k, x^n) weights
-    and reads off the posterior of every time on the way, so a sampled
-    history of length n costs n steps.  The Monte Carlo estimator and
-    the trace output share it.
+    The encoder table is enumerated once.  Given a batch of messages and
+    disclosure prefixes, one forward sweep over all histories and keys at
+    once folds each disclosed signal's per-x likelihood into the
+    (history, k, x^n) weights and reads off the posterior of every time
+    on the way, so a batch of histories of length n costs n steps.  The
+    Monte Carlo estimator, its trace and ``history_posterior`` share it.
     """
 
     def __init__(self, cb: CodebookSet):
@@ -692,30 +694,53 @@ class _PosteriorEngine:
         self.n_k = cb.spec.index_bits.sizes[4]
         self.enc = _kept(cb, "_encoder", lambda: _encoder_table(self.scheme, cb))
 
-    def posteriors(self, m: tuple[int, int, int, int], w_prefix) -> list[np.ndarray]:
-        """Normalized posteriors over the triple at times 1..len(w_prefix)+1."""
+    def posteriors(self, m: np.ndarray, w_prefix: np.ndarray, first: int = 0) -> np.ndarray:
+        """Normalized posteriors over the triple, shape (S, T + 1, |X||Y2||Y3|).
+
+        ``m`` is (S, 4) message tuples and ``w_prefix`` (S, T) disclosed
+        signals, T < n; row s, t conditions on m[s] and w_prefix[s, :t].
+        A history of zero probability raises, named as sample ``first + s``.
+        """
         scheme = self.scheme
         n, n_k = self.n, self.n_k
-        if len(w_prefix) >= n:
+        m = np.asarray(m, dtype=np.intp).reshape(-1, 4)
+        w_prefix = np.asarray(w_prefix, dtype=np.intp).reshape(len(m), -1)
+        steps = w_prefix.shape[1] + 1
+        if steps > n:
             raise ValueError("disclosure prefix must be shorter than the block")
-        d = scheme.disclosure.reshape(scheme.nx, scheme.ny2 * scheme.ny3, scheme.n_w)
-        # per-key, per-time emission of the (y2, y3) pair: (K, n, |Y2|, |Y3|)
-        y2 = scheme.y2_of_v1[self.cb.v1[m]]
-        y3 = scheme.y3_of_v2[self.cb.v2[m[0], m[1]]]
-        emit = y2[..., :, None] * y3[..., None, :]
-        w = self.enc[(slice(None),) + m]
-        out = []
-        for t in range(len(w_prefix) + 1):
+        j = scheme.ny2 * scheme.ny3
+        d = scheme.disclosure.reshape(scheme.nx, j, scheme.n_w)
+        ma, mb, mc, md = m.T
+        # per-history, per-key, per-time emission of the (y2, y3) pair: (S, K, n, J)
+        emit = (
+            scheme.y2_of_v1[self.cb.v1[ma, mb, mc, md]][..., :, None]
+            * scheme.y3_of_v2[self.cb.v2[ma, mb]][..., None, :]
+        ).reshape(len(m), n_k, n, j)
+        w = np.moveaxis(self.enc[:, ma, mb, mc, md], 0, 1)
+        out = np.empty((len(m), steps, scheme.nx * j))
+        for t in range(steps):
             if t:
-                # per-x disclosure likelihood of the time-(t-1) signal
-                f = d[:, :, w_prefix[t - 1]] @ emit[:, t - 1].reshape(n_k, -1, 1)
-                w = w * f.reshape((n_k,) + tuple(scheme.nx if r == t - 1 else 1 for r in range(n)))
-            margin = w.sum(axis=tuple(1 + r for r in range(n) if r != t))
-            post = (margin[:, :, None, None] * emit[:, t, None]).reshape(n_k, -1).sum(axis=0)
-            total = post.sum()
-            if total <= 0.0:
-                raise ZeroProbabilityError("history has zero probability")
-            out.append(post / total)
+                # per-x disclosure likelihood of the time-(t-1) signal,
+                # summed over the (y2, y3) pairs in order as matmul adds them
+                dw = d[:, :, w_prefix[:, t - 1]].transpose(2, 1, 0)[:, :, None, :]
+                f = np.zeros((len(m), n_k, scheme.nx))
+                for pair in range(j):
+                    f += dw[:, pair] * emit[:, :, t - 1, pair, None]
+                at = tuple(scheme.nx if r == t - 1 else 1 for r in range(n))
+                w = w * f.reshape(f.shape[:2] + at)
+            margin = w.sum(axis=tuple(2 + r for r in range(n) if r != t))
+            post = margin[..., None] * emit[:, :, t, None, :]
+            out[:, t] = post.reshape(len(m), n_k, -1).sum(axis=1)
+        total = out.sum(axis=2)
+        bad = total <= 0.0
+        if bad.any():
+            s = int(np.argmax(bad.any(axis=1)))
+            t = int(np.argmax(bad[s]))
+            raise ZeroProbabilityError(
+                f"sample {first + s}: history with message {tuple(m[s].tolist())} and"
+                f" disclosure prefix {tuple(w_prefix[s, :t].tolist())} has zero probability"
+            )
+        out /= total[..., None]
         return out
 
 
@@ -734,7 +759,7 @@ def history_posterior(cb: CodebookSet, m, w_prefix) -> np.ndarray:
               for i, size, name in zip(m, sizes, ("Ma", "Mb", "Mc", "Md")))
     n_w = cb.spec._scheme.n_w
     w_prefix = [_validated_index(w, n_w, "w_prefix entry") for w in w_prefix]
-    return _PosteriorEngine(cb).posteriors(m, w_prefix)[-1]
+    return _PosteriorEngine(cb).posteriors([m], [w_prefix])[0, -1]
 
 
 def mc_estimate(
@@ -750,71 +775,74 @@ def mc_estimate(
 
     Histories are sampled; each history is scored against its exact
     posterior, so the only noise is the outer expectation.  Each sample
-    draws from its own stream, so the result depends on the seed alone;
-    ``workers`` is accepted for compatibility; has no effect.  The draw
-    order within a sample is fixed: key, source symbols, encoder index,
-    node-2 actions, node-3 actions, disclosed signals.
+    draws 2 + 4n uniforms from its own stream, so the result depends on
+    the seed alone; ``workers`` is accepted for compatibility; has no
+    effect.  The uniforms of a sample are used in a fixed order: key,
+    source symbols, encoder index, node-2 actions, node-3 actions,
+    disclosed signals.  Every stage runs on whole arrays of samples, in
+    chunks of min(Ma*Mb*Mc*Md, K*|X|^n) samples, so neither a chunk's
+    (sample, k, x^n) weights nor its (sample, m) message rows hold more
+    cells than the encoder table.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     engine = _PosteriorEngine(_kept(spec, "_codebooks", lambda: build_codebooks(spec), weak=True))
-    scheme = engine.scheme
+    scheme, cb, n_k = engine.scheme, engine.cb, engine.n_k
     _check_payoff_alphabets(payoff, scheme)
     n = spec.n
-    key_pmf = np.full(engine.n_k, 1.0 / engine.n_k)
+    m_shape = cb.v1.shape[:4]
+    enc = engine.enc.reshape((n_k, math.prod(m_shape), -1))
+    chunk = min(enc.shape[1], n_k * enc.shape[2])
+    key_cdf = _cdf(np.full(n_k, 1.0 / n_k))
+    x_cdf, y2_cdf, y3_cdf, w_cdf = (
+        _cdf(rows) for rows in (scheme.p_x, scheme.y2_of_v1, scheme.y3_of_v2, scheme.disclosure)
+    )
+    values, rows = [], []
+    for first in range(0, samples, chunk):
+        count = min(chunk, samples - first)
+        u = np.array([stream(seed, STREAM_SAMPLE, row=s).random(2 + 4 * n)
+                      for s in range(first, first + count)])
+        k = symbols(key_cdf, u[:, 0])
+        x_seq = symbols(x_cdf, u[:, 1:1 + n])
+        # enc[k, :, x^n] is prior * encoder; normalized it is the encoder
+        # conditional of the messages, freed before the posterior sweep
+        weights = enc[k, :, np.ravel_multi_index(x_seq.T, (scheme.nx,) * n)]
+        weights /= weights.sum(axis=1, keepdims=True)
+        m_flat = symbols(_cdf(weights), u[:, 1 + n])
+        del weights
+        ma, mb, mc, md = np.unravel_index(m_flat, m_shape)
+        y2_seq = symbols(y2_cdf[cb.v1[ma, mb, mc, md, k]], u[:, 2 + n:2 + 2 * n])
+        y3_seq = symbols(y3_cdf[cb.v2[ma, mb, k]], u[:, 2 + 2 * n:2 + 3 * n])
+        triples = np.ravel_multi_index((x_seq, y2_seq, y3_seq), (scheme.nx, scheme.ny2, scheme.ny3))
+        w_seq = symbols(w_cdf[triples], u[:, 2 + 3 * n:])
+        m = np.stack((ma, mb, mc, md), axis=1)
+        post = engine.posteriors(m, w_seq[:, :-1], first)
+        v = _row_values(post.reshape(count * n, -1), payoff, scheme).reshape(count, n)
+        values.append(sum(v.T) / n)  # each sample's times added left to right
+        if trace is not None:
+            rows += _trace_rows(first, m, w_seq, post, v, payoff)
 
-    def one(sample: int) -> tuple[float, list[list]]:
-        gen = stream(seed, STREAM_SAMPLE, row=sample)
-        k = int(sample_pmf(gen, key_pmf, ()))
-        x_seq = sample_pmf(gen, scheme.p_x, (n,))
-        # engine.enc[k] is prior * encoder; slicing at x^n leaves a
-        # vector proportional to the encoder conditional
-        weights = engine.enc[(k,) + (...,) + tuple(x_seq)]
-        enc = weights / weights.sum()
-        m = tuple(
-            int(i)
-            for i in np.unravel_index(
-                int(sample_pmf(gen, enc.ravel(), ())), enc.shape
-            )
-        )
-        v1_seq = engine.cb.v1[m][k]
-        v2_seq = engine.cb.v2[m[0], m[1], k]
-        y2_seq = sample_rows(gen, scheme.y2_of_v1, v1_seq)
-        y3_seq = sample_rows(gen, scheme.y3_of_v2, v2_seq)
-        triples = np.ravel_multi_index(
-            (x_seq, y2_seq, y3_seq), (scheme.nx, scheme.ny2, scheme.ny3)
-        )
-        w_seq = sample_rows(gen, scheme.disclosure, triples)
-        value = 0.0
-        rows = []
-        for t, post in enumerate(engine.posteriors(m, w_seq[:-1])):
-            v = float(_row_values(post[None, :], payoff, scheme)[0])
-            value += v
-            if trace is not None:
-                history = ":".join(str(i) for i in m)
-                if t:
-                    history += "|" + ",".join(str(int(w)) for w in w_seq[:t])
-                rows.append(
-                    [sample, t + 1, history, round(_entropy_of(post), 12),
-                     _action_label(post, payoff), v]
-                )
-        return value / n, rows
-
-    results = [one(i) for i in range(samples)]
-
-    values = np.array([v for v, _ in results])
     if trace is not None:
-        _write_trace(trace, (row for _, rows in results for row in rows))
+        _write_trace(trace, rows)
+    values = np.concatenate(values)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(samples))
     return mean, se
 
 
-def _action_label(post: np.ndarray, payoff) -> str:
-    if isinstance(payoff, LogLossPayoff):
-        return "posterior"
-    vals = _batched_values(post[None, :], payoff)[0]
-    return payoff.z_alphabet.label(int(np.argmin(vals)))
+def _trace_rows(first: int, m: np.ndarray, w_seq: np.ndarray, post: np.ndarray, v, payoff):
+    """CSV rows of a chunk, one per (sample, time): the history, the
+    posterior's entropy, the adversary's action and its payoff."""
+    log_loss = isinstance(payoff, LogLossPayoff)
+    z = None if log_loss else np.argmin(_batched_values(post, payoff), axis=-1)
+    rows = []
+    for s, (msg, ws) in enumerate(zip(m.tolist(), w_seq.tolist())):
+        for t in range(post.shape[1]):
+            history = ":".join(map(str, msg)) + ("|" + ",".join(map(str, ws[:t])) if t else "")
+            action = "posterior" if log_loss else payoff.z_alphabet.label(int(z[s, t]))
+            rows.append([first + s, t + 1, history, round(_entropy_of(post[s, t]), 12),
+                         action, float(v[s, t])])
+    return rows
 
 
 def _write_trace(trace, rows) -> None:

@@ -17,6 +17,7 @@ from conftest import random_factored_candidate
 
 from cascade_secrecy.bounds import ConstraintViolationError, SideInfoSpec
 from cascade_secrecy.payoff import LogLossPayoff, PayoffTable, adversary_value
+from cascade_secrecy.payoff import _batched_values as batched_values
 from cascade_secrecy.probability import (
     Alphabet,
     CapExceededError,
@@ -24,11 +25,13 @@ from cascade_secrecy.probability import (
     Pmf,
     ZeroProbabilityError,
     conditional_mutual_information,
+    _entropy_of as entropy_of,
     entropy,
     marginalize,
     mutual_information,
 )
 from cascade_secrecy import cli, simulation
+from cascade_secrecy.rng import STREAM_SAMPLE, sample_pmf, sample_rows, stream
 from cascade_secrecy.simulation import (
     CodebookSet,
     IndexBits,
@@ -441,8 +444,12 @@ def _loop_table(spec, cb):
     return table
 
 
-def _keywise_posteriors(engine, m, w_prefix):
-    """Oracle: every time's posterior from scratch, one key at a time."""
+def _keywise_posteriors(engine, m, w_prefix, first=0):
+    """Oracle: every time's posterior from scratch, one history and one key at a time."""
+    return np.array([_keywise_history(engine, tuple(mi), wi) for mi, wi in zip(m, w_prefix)])
+
+
+def _keywise_history(engine, m, w_prefix):
     sch = engine.scheme
     n = engine.n
     d = sch.disclosure.reshape(sch.nx, sch.ny2 * sch.ny3, sch.n_w)
@@ -747,6 +754,112 @@ def test_mc_trace_csv(tmp_path):
     out = tmp_path / "trace.csv"
     mc_estimate(spec, EX.payoff, 6, seed=2, trace=str(out))
     assert out.read_text(encoding="utf-8").splitlines() == lines
+
+
+def _per_sample_mc(spec, payoff, samples, seed):
+    """Oracle: the Monte Carlo loop one sample at a time, each sample making
+    six draws from its own stream and scoring one posterior row at a time.
+    Returns (mean, se) and the trace CSV text."""
+    engine = simulation._PosteriorEngine(build_codebooks(spec))
+    sch, cb, n = engine.scheme, engine.cb, spec.n
+    key_pmf = np.full(engine.n_k, 1.0 / engine.n_k)
+    values, rows = [], []
+    for sample in range(samples):
+        gen = stream(seed, STREAM_SAMPLE, row=sample)
+        k = int(sample_pmf(gen, key_pmf, ()))
+        x_seq = sample_pmf(gen, sch.p_x, (n,))
+        weights = engine.enc[(k,) + (...,) + tuple(x_seq)]
+        enc = weights / weights.sum()
+        flat = int(sample_pmf(gen, enc.ravel(), ()))
+        m = tuple(int(i) for i in np.unravel_index(flat, enc.shape))
+        y2_seq = sample_rows(gen, sch.y2_of_v1, cb.v1[m][k])
+        y3_seq = sample_rows(gen, sch.y3_of_v2, cb.v2[m[0], m[1], k])
+        triples = np.ravel_multi_index((x_seq, y2_seq, y3_seq), (sch.nx, sch.ny2, sch.ny3))
+        w_seq = sample_rows(gen, sch.disclosure, triples)
+        value = 0.0
+        for t, post in enumerate(engine.posteriors([m], [w_seq[:-1]])[0]):
+            pay = float(simulation._row_values(post[None, :], payoff, sch)[0])
+            value += pay
+            history = ":".join(str(i) for i in m)
+            if t:
+                history += "|" + ",".join(str(int(w)) for w in w_seq[:t])
+            if isinstance(payoff, LogLossPayoff):
+                action = "posterior"
+            else:
+                vals = batched_values(post[None, :], payoff)[0]
+                action = payoff.z_alphabet.label(int(np.argmin(vals)))
+            rows.append([sample, t + 1, history, round(entropy_of(post), 12), action, pay])
+        values.append(value / n)
+    values = np.array(values)
+    buf = io.StringIO()
+    simulation._write_trace(buf, rows)
+    se = float(values.std(ddof=1) / np.sqrt(samples))
+    return (float(values.mean()), se), buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "spec, samples, seed",
+    [
+        (corner_spec(2, BITS_N2, seed=3), 400, 5),
+        (corner_spec(2, BITS_N2, seed=6), 400, 2),
+        (corner_spec(1, BITS_N1), 100, 9),
+        (random_spec(5, 3, IndexBits(1, 0, 1, 1, 2), seed=1), 60, 4),
+    ],
+    ids=["simulate_n2-3-5", "simulate_n2-6-2", "corner-n1-chunks", "random-n3-log-loss"],
+)
+def test_whole_array_mc_matches_the_per_sample_loop(spec, samples, seed, monkeypatch):
+    payoff = EX.payoff if spec.inner is CORNER else LogLossPayoff(("X",))
+    want, want_trace = _per_sample_mc(spec, payoff, samples, seed)
+    batches = []
+    swept = simulation._PosteriorEngine.posteriors
+
+    def counted(engine, m, w_prefix, first=0):
+        batches.append((first, len(m)))
+        return swept(engine, m, w_prefix, first)
+
+    monkeypatch.setattr(simulation._PosteriorEngine, "posteriors", counted)
+    buf = io.StringIO()
+    assert mc_estimate(spec, payoff, samples, seed, trace=buf) == want
+    assert buf.getvalue() == want_trace
+    # chunks of min(Ma*Mb*Mc*Md, K*|X|^n) samples, here several with a partial last one
+    sizes = spec.index_bits.sizes
+    chunk = min(int(np.prod(sizes[:4])), sizes[4] * spec._scheme.nx**spec.n)
+    assert batches == [(s, min(chunk, samples - s)) for s in range(0, samples, chunk)]
+    assert len(batches) > 1 and batches[-1][1] < chunk
+
+
+def test_zero_probability_history_names_its_sample(monkeypatch):
+    # a negated encoder table draws the same messages (each normalized row
+    # is unchanged) but gives every history negative total mass
+    encoder_table = simulation._encoder_table
+    monkeypatch.setattr(simulation, "_encoder_table", lambda *a, **kw: -encoder_table(*a, **kw))
+    with pytest.raises(
+        ZeroProbabilityError,
+        match=r"sample 0: history with message \(\d+, \d+, \d+, \d+\) and disclosure"
+        r" prefix \(\) has zero probability",
+    ):
+        mc_estimate(corner_spec(1, BITS_N1), EX.payoff, 8, seed=0)
+
+
+def test_zero_probability_names_message_and_prefix():
+    # corner emissions are deterministic, so most first signals are impossible
+    spec = corner_spec(2, BITS_N2)
+    engine = simulation._PosteriorEngine(build_codebooks(spec))
+    m = (0, 0, 0, 0)
+    impossible = []
+    for w in range(engine.scheme.n_w):
+        try:
+            history_posterior(engine.cb, m, [w])
+        except ZeroProbabilityError:
+            impossible.append(w)
+    possible = sorted(set(range(engine.scheme.n_w)) - set(impossible))
+    assert impossible and possible
+    with pytest.raises(
+        ZeroProbabilityError,
+        match=rf"sample 8: history with message \(0, 0, 0, 0\) and disclosure"
+        rf" prefix \({impossible[0]},\) has zero probability",
+    ):
+        engine.posteriors([m, m], [[possible[0]], [impossible[0]]], first=7)
 
 
 # ---------------------------------------------------------------------------
