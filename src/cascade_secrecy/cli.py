@@ -38,9 +38,6 @@ from .probability import (
     _alphabet_from_json,
     _clamped,
     _entropy_of,
-    conditional_mutual_information,
-    entropy,
-    mutual_information,
     pmf_from_json,
 )
 from .search import (
@@ -438,25 +435,27 @@ def _run_bounds(run: _Run) -> int:
 
 def _audit(spec, table) -> dict:
     """Key uniformity and independence and both Markov chains of the exact
-    system ``table``.  H(all) reads the stored cells; H(K, Ma, Mb, Y3^n) and
-    the one Y3-free marginal that serves the rest are summed from them, and
-    that marginal never leaves here."""
+    system ``table``.  Every entropy is read off the grouped sums of its
+    stored cells (``SystemTable.sums``); nothing dense is built but the
+    key marginal."""
     xs, y2s, y3s = (tuple(f"{p}{t + 1}" for t in range(spec.n)) for p in ("X", "Y2_", "Y3_"))
-    h_all = _entropy_of(table.values)
-    h_y3 = _entropy_of(table.marginal(("K", "Ma", "Mb") + y3s).table)
-    head = table.marginal(("K", "Ma", "Mb", "Mc", "Md") + xs + y2s)
-    n_k = spec.index_bits.sizes[4]
-    key_gap = float(np.abs(head.table.reshape(n_k, -1).sum(axis=1) - 1.0 / n_k).max())
-    markov_4 = conditional_mutual_information(head, xs, y2s, ("K", "Ma", "Mb", "Mc", "Md"))
+    km = ("K", "Ma", "Mb", "Mc", "Md")
+
+    def h(*names):
+        return _entropy_of(table.sums(names)[1])
+
+    head = table.sums(km + xs + y2s)[1]
+    p_k = table.marginal(("K",)).table
+    h_k, h_head = _entropy_of(p_k), _entropy_of(head)
     # chain 5, I(X^n, Mc, Md, Y2^n ; Y3^n | K, Ma, Mb), from its four entropies
-    markov_5 = entropy(head, head.names) + h_y3 - h_all - entropy(head, ("K", "Ma", "Mb"))
+    markov_5 = h_head + h("K", "Ma", "Mb", *y3s) - _entropy_of(table.values) - h("K", "Ma", "Mb")
     audit = {
-        "table_sum_error": abs(float(head.table.sum()) - 1.0),
-        "key_entropy_bits": entropy(head, ("K",)),
+        "table_sum_error": abs(float(head.sum()) - 1.0),
+        "key_entropy_bits": h_k,
         "key_bits": spec.index_bits.key,
-        "key_uniformity_gap": key_gap,
-        "mi_key_source_bits": mutual_information(head, ("K",), xs),
-        "markov_chain_4_bits": markov_4,
+        "key_uniformity_gap": float(np.abs(p_k - 1.0 / p_k.size).max()),
+        "mi_key_source_bits": _clamped(h_k + h(*xs) - h("K", *xs)),
+        "markov_chain_4_bits": _clamped(h(*km, *xs) + h(*km, *y2s) - h_head - h(*km)),
         "markov_chain_5_bits": _clamped(markov_5),
     }
     limits = {"table_sum_error": 1e-9, "key_uniformity_gap": 1e-12, "mi_key_source_bits": 1e-12,

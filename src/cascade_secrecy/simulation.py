@@ -360,26 +360,13 @@ def build_codebooks(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> Co
 
 def _verify_support(scheme: _Scheme, cb: CodebookSet) -> None:
     """Every drawn symbol must be possible under its conditioning parents."""
-    n_k = cb.v2.shape[2]
-    m_a, m_b, m_c, m_d = cb.v1.shape[:4]
-    n = cb.u2.shape[1]
+    # each drawn symbol indexed directly, its parents broadcast against it
     checks = [
         scheme.p_u2[cb.u2],
-        np.take_along_axis(
-            scheme.v2_of_u2[np.broadcast_to(cb.u2[:, None, None, :], cb.v2.shape)],
-            cb.v2[..., None],
-            axis=-1,
-        ),
-        np.take_along_axis(
-            scheme.u1_of_u2[np.broadcast_to(cb.u2[:, None, :], cb.u1.shape)],
-            cb.u1[..., None],
-            axis=-1,
-        ),
+        scheme.v2_of_u2[cb.u2[:, None, None, :], cb.v2],
+        scheme.u1_of_u2[cb.u2[:, None, :], cb.u1],
+        scheme.v1_of_u1v2[cb.u1[:, None, :, None, None, :], cb.v2[:, :, None, None, :, :], cb.v1],
     ]
-    u1_full = np.broadcast_to(cb.u1[:, None, :, None, None, :], cb.v1.shape)
-    v2_full = np.broadcast_to(cb.v2[:, :, None, None, :, :], cb.v1.shape)
-    rows = scheme.v1_of_u1v2[u1_full, v2_full]
-    checks.append(np.take_along_axis(rows, cb.v1[..., None], axis=-1))
     for arr in checks:
         if arr.size and float(arr.min()) <= 0.0:
             raise ValueError("codebook draw hit a zero-probability symbol")
@@ -421,9 +408,7 @@ def _encoder_table(
     n = cb.spec.n
     m_a, m_b, m_c, m_d, n_k = cb.spec.index_bits.sizes
     m_cells = m_a * m_b * m_c * m_d
-    need = n_k * m_cells * scheme.nx**n
-    if need > cell_cap:
-        raise CapExceededError(f"encoder table needs {need} cells, cap is {cell_cap}")
+    _check_cells(n_k * m_cells * scheme.nx**n, "encoder table", cell_cap)
     px_block = _memoryless(np.broadcast_to(scheme.p_x, (n, scheme.nx)))
     enc = np.empty((n_k, m_a, m_b, m_c, m_d) + (scheme.nx,) * n)
     for k in range(n_k):
@@ -478,9 +463,11 @@ class SystemTable:
     disclosed signals are not materialized — they are a memoryless
     channel of the per-time triples and get adjoined where needed.
     ``index`` holds the cells' flat C-order positions, ascending, and
-    ``values`` their probabilities; both are read-only.  Marginals are
-    summed from the cells in index order.  ``table`` is the dense view,
-    built on first access under ``cell_cap``; ``to_joint`` shares it.
+    ``values`` their probabilities; both are read-only.  ``sums`` groups
+    the cells of a marginal and adds each group in index order; the audit,
+    the exact payoff and the equivocation read everything from it, and
+    ``marginal`` is its dense view.  ``table`` is the dense joint, built on
+    first access under ``cell_cap``; ``to_joint`` shares it.
     """
 
     spec: SchemeSpec
@@ -512,11 +499,7 @@ class SystemTable:
     @cached_property
     def table(self) -> np.ndarray:
         """The dense table, zeros included."""
-        cells = math.prod(self.shape)
-        if cells > self.cell_cap:
-            raise CapExceededError(
-                f"dense system table needs {cells} cells, cap is {self.cell_cap}"
-            )
+        _check_cells(math.prod(self.shape), "dense system table", self.cell_cap)
         dense = np.zeros(self.shape)
         np.put(dense, self.index, self.values)
         dense.setflags(write=False)
@@ -525,35 +508,39 @@ class SystemTable:
     def to_joint(self) -> JointDistribution:
         return JointDistribution(self._variables, self.table)
 
-    def marginal(self, names) -> JointDistribution:
-        """Marginal over ``names``, axes in table order.
-
-        Each marginal cell adds its stored cells one by one in index order,
-        which is the order a dense sum over leading axes adds them in.
+    def sums(self, names) -> tuple[np.ndarray, np.ndarray]:
+        """The marginal over ``names`` as its cells with mass: their flat
+        C-order positions over the kept axes (table order), ascending, and
+        their probabilities, each summed from its stored cells in index
+        order, which is the order a dense sum over leading axes adds them in.
         """
         variables = self._variables
         unknown = set(names) - {name for name, _ in variables}
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
         keep = [i for i, (name, _) in enumerate(variables) if name in names]
-        coords = np.unravel_index(self.index, self.shape)
-        table = np.zeros([variables[i][1].size for i in keep])
-        np.add.at(table, tuple(coords[i] for i in keep), self.values)
-        table.setflags(write=False)
-        return JointDistribution(tuple(variables[i] for i in keep), table)
+        flat = np.ravel_multi_index([self._coords[i] for i in keep], [self.shape[i] for i in keep])
+        return _group_sum(flat, self.values)
 
     @cached_property
-    def _time_grouped(self) -> np.ndarray:
-        """Key-summed, messages and per-time (x, y2, y3) triples flattened."""
-        scheme = self.spec._scheme
-        n = self.spec.n
-        m_cells = math.prod(self.spec.index_bits.sizes[:4])
-        perm = list(range(4)) + [4 + block * n + t for t in range(n) for block in range(3)]
-        keyless = self.marginal([name for name, _ in self._variables[1:]]).table
-        q = np.transpose(keyless, perm)
-        q = q.reshape((m_cells,) + (scheme.nx * scheme.ny2 * scheme.ny3,) * n)
-        q.setflags(write=False)
-        return q
+    def _coords(self) -> tuple[np.ndarray, ...]:
+        """Per-axis coordinates of the stored cells."""
+        return np.unravel_index(self.index, self.shape)
+
+    def marginal(self, names) -> JointDistribution:
+        """Dense view of ``sums(names)``, axes in table order."""
+        variables = tuple(v for v in self._variables if v[0] in names)
+        flat, mass = self.sums(names)
+        table = np.zeros([a.size for _, a in variables])
+        np.put(table, flat, mass)
+        table.setflags(write=False)
+        return JointDistribution(variables, table)
+
+
+def _group_sum(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``keys``, ascending, and the ``values`` of each added in order."""
+    groups, inverse = np.unique(keys, return_inverse=True)
+    return groups, np.bincount(inverse, weights=values, minlength=groups.size)
 
 
 def _paired(rows: np.ndarray, law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -630,24 +617,48 @@ def simulate_payoff(table: SystemTable, payoff) -> float:
     """Average adversary-optimal payoff over times and histories.
 
     Strictly causal: the time-t posterior conditions on the messages and
-    the disclosed signals of times 1..t-1 only.
+    the disclosed signals of times 1..t-1 only.  At each t the stored cells
+    are grouped by (m, triple_1..triple_t); each prefix triple fans out
+    over its nonzero disclosure entries, the cells regroup by
+    (m, w_1..w_{t-1}, triple_t), and only histories with mass are scored.
+    The fanned cells and the scored rows are counted against the table's
+    cell cap before either is allocated.
     """
     scheme = table.spec._scheme
     _check_payoff_alphabets(payoff, scheme)
-    q = table._time_grouped
-    n = table.spec.n
+    n, cap = table.spec.n, table.cell_cap
     j = scheme.nx * scheme.ny2 * scheme.ny3
+    coords, m_cells = table._coords, math.prod(table.shape[1:5])
+    m = np.ravel_multi_index(coords[1:5], table.shape[1:5])
+    triples = [np.ravel_multi_index(coords[5 + t::n], (scheme.nx, scheme.ny2, scheme.ny3))
+               for t in range(n)]
+    fan = np.count_nonzero(scheme.disclosure, axis=1)
     total = 0.0
     for t in range(n):
-        cur = q.sum(axis=tuple(range(2 + t, 1 + n)))
-        for _ in range(t):
-            # disclose the leading prefix triple, moving its signal last
-            cur = np.tensordot(cur, scheme.disclosure, axes=([1], [0]))
-        # axes now (m, current triple, w_1..w_{t-1}); histories flat
-        cur = np.moveaxis(cur, 1, -1)
-        rows = cur.reshape(-1, j)
+        shape = (m_cells,) + (j,) * (t + 1)
+        keys, mass = _group_sum(np.ravel_multi_index((m, *triples[:t + 1]), shape), table.values)
+        group = np.unravel_index(keys, shape)
+        reps = np.ones(keys.size, dtype=np.int64)
+        for prefix in group[1:-1]:
+            reps *= fan[prefix]
+        _check_cells(int(reps.sum()), "payoff fan-out", cap)
+        cells, history = np.arange(keys.size), group[0]
+        for prefix in group[1:-1]:
+            cell, w = _paired(prefix[cells], scheme.disclosure)
+            cells, history = cells[cell], history[cell] * scheme.n_w + w
+            mass = mass[cell] * scheme.disclosure[prefix[cells], w]
+        keys, mass = _group_sum(history * j + group[-1][cells], mass)
+        row_keys, row = np.unique(keys // j, return_inverse=True)
+        _check_cells(row_keys.size * j, "payoff rows", cap)
+        rows = np.zeros((row_keys.size, j))
+        rows[row, keys % j] = mass
         total += float(_row_values(rows, payoff, scheme).sum())
     return total / n
+
+
+def _check_cells(need: int, what: str, cell_cap: int) -> None:
+    if need > cell_cap:
+        raise CapExceededError(f"{what} needs {need} cells, cap is {cell_cap}")
 
 
 def _check_payoff_alphabets(payoff, scheme: _Scheme) -> None:
@@ -662,18 +673,12 @@ def _check_payoff_alphabets(payoff, scheme: _Scheme) -> None:
 def empirical_equivocation(table: SystemTable, secret_set) -> float:
     """Exact per-symbol equivocation (1/n) H(S^n | messages)."""
     roles = LogLossPayoff(tuple(secret_set)).secret_set
-    q, scheme = table._time_grouped, table.spec._scheme
     n = table.spec.n
-    shaped = q.reshape((q.shape[0],) + (scheme.nx, scheme.ny2, scheme.ny3) * n)
-    drop = tuple(
-        1 + 3 * t + i
-        for t in range(n)
-        for i, role in enumerate(("X", "Y2", "Y3"))
-        if role not in roles
-    )
-    p_sm = shaped.sum(axis=drop) if drop else shaped
-    p_m = p_sm.reshape(p_sm.shape[0], -1).sum(axis=1)
-    return (_entropy_of(p_sm) - _entropy_of(p_m)) / n
+    messages = ("Ma", "Mb", "Mc", "Md")
+    secret = tuple(f"{prefix}{t + 1}" for role, prefix in (("X", "X"), ("Y2", "Y2_"), ("Y3", "Y3_"))
+                   if role in roles for t in range(n))
+    h_sm, h_m = (_entropy_of(table.sums(names)[1]) for names in (messages + secret, messages))
+    return (h_sm - h_m) / n
 
 
 class _PosteriorEngine:

@@ -1,4 +1,4 @@
-"""Acceptance gate: eight end-to-end criteria, one test per criterion.
+"""Acceptance gate: eight end-to-end criteria, one test per criterion (two for 8).
 
 Each test pins its tolerance in-line and prints a single PASS line on
 success (visible with ``pytest -s``; under ``pytest -v`` the per-test
@@ -13,6 +13,7 @@ import time
 import numpy as np
 from conftest import random_factored_candidate, random_joint
 
+from cascade_secrecy import cli
 from cascade_secrecy.bounds import (
     SideInfoSpec,
     check_inner_constraints,
@@ -315,3 +316,26 @@ def test_criterion_8_simulation_trend():
     assert pi[2] >= pi[1] - 1e-12
     assert abs(pi[2] - 0.5) <= 0.15
     print(f"ACCEPTANCE 8: PASS — payoff {pi[1]:.4f} -> {pi[2]:.4f}, within 0.15 of 1/2")
+
+
+def test_criterion_8_simulation_trend_at_n3():
+    """The exact trend continues at n = 3, where the audit passes too.
+
+    Criterion 8 spends a key of at least 2n bits.  With 6 key bits the
+    n = 3 payoff rises past n = 2's; with 5 it stays above n = 1's but
+    below n = 2's, which spends 5 bits on two symbols.
+    """
+    pi1, pi2 = (simulate_payoff(run_system_exact(corner_spec(n, bits)), EX.payoff)
+                for n, bits in ((1, BITS_N1), (2, BITS_N2)))
+    pi3 = {}
+    for bits in (IndexBits(3, 4, 4, 1, 5), IndexBits(3, 4, 4, 1, 6)):
+        spec = corner_spec(3, bits)
+        table = run_system_exact(spec)
+        assert cli._audit(spec, table)["passed"] is True
+        pi3[bits.key] = simulate_payoff(table, EX.payoff)
+        assert abs(pi3[bits.key] - 0.5) <= 0.15
+    assert abs(pi3[5] - 0.368261541782) <= 1e-12
+    assert pi1 - 1e-12 <= pi3[5] <= pi3[6] + 1e-12
+    assert pi3[6] >= pi2 - 1e-12
+    print(f"ACCEPTANCE 8 (n = 3): PASS — payoff {pi1:.4f} -> {pi2:.4f} -> {pi3[6]:.4f} "
+          f"(6 key bits; {pi3[5]:.4f} with 5), within 0.15 of 1/2")

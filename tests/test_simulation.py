@@ -177,6 +177,27 @@ def test_codebook_cap_exceeded():
         run_system_exact(corner_spec(2, BITS_N2), cell_cap=1000)
 
 
+@pytest.mark.parametrize("field", ["v2", "u1", "v1"])
+def test_support_check_rejects_a_tampered_codebook(field):
+    # one symbol, in the last cell of its codebook, swapped for one its
+    # parents give probability zero
+    spec = corner_spec(2, BITS_N2)
+    scheme = spec._scheme
+    cb = build_codebooks(spec)
+    arrays = {f: getattr(cb, f).copy() for f in ("u2", "v2", "u1", "v1")}
+    at = tuple(s - 1 for s in arrays[field].shape)
+    law = {
+        "v2": lambda: scheme.v2_of_u2[cb.u2[at[0], at[3]]],
+        "u1": lambda: scheme.u1_of_u2[cb.u2[at[0], at[2]]],
+        "v1": lambda: scheme.v1_of_u1v2[cb.u1[at[0], at[2], at[5]], cb.v2[at[0], at[1], at[4], at[5]]],
+    }[field]()
+    assert law[arrays[field][at]] > 0.0
+    simulation._verify_support(scheme, CodebookSet(spec, **arrays))
+    arrays[field][at] = np.flatnonzero(law == 0.0)[0]
+    with pytest.raises(ValueError, match="zero-probability symbol"):
+        simulation._verify_support(scheme, CodebookSet(spec, **arrays))
+
+
 def test_posterior_engine_cap_exceeded():
     # the codebooks are small at n = 40, but the encoder table over the
     # 3**40 source sequences is not: the cap must stop it before numpy does
