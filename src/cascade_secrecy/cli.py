@@ -197,9 +197,9 @@ class _Run:
         self.command = command
         self.control = control
         self.problem = problem
-        # The output directory and the no-op worker count do not change the
-        # results, so they stay out of the hash: equal configs mean equal bytes.
-        hashed = {k: v for k, v in control.items() if k not in ("out", "workers")}
+        # The output directory does not change the results, so it stays
+        # out of the hash: equal configs mean equal bytes.
+        hashed = {k: v for k, v in control.items() if k != "out"}
         self.hash = _config_hash(
             {"command": command, "control": hashed, "problem": problem}
         )
@@ -250,7 +250,6 @@ _CONTROL_DEFAULTS = {
     "restarts": 64,
     "samples": 0,
     "tol": 1e-6,
-    "workers": 1,
 }
 
 
@@ -258,17 +257,14 @@ def _env_value(tag: str):
     raw = os.environ.get(ENV_PREFIX + tag.upper())
     if raw is None:
         return None
-    if tag in ("seed", "restarts", "samples", "workers"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise SchemaError(f"env.{ENV_PREFIX}{tag.upper()}", f"expected an integer, got {raw!r}")
-    if tag == "tol":
-        try:
-            return float(raw)
-        except ValueError:
-            raise SchemaError(f"env.{ENV_PREFIX}{tag.upper()}", f"expected a number, got {raw!r}")
-    return raw
+    parse = {"seed": int, "restarts": int, "samples": int, "tol": float}.get(tag)
+    if parse is None:
+        return raw
+    try:
+        return parse(raw)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise SchemaError(f"env.{ENV_PREFIX}{tag.upper()}", f"expected {kind}, got {raw!r}")
 
 
 def _load_config(args: argparse.Namespace) -> _Run:
@@ -302,7 +298,6 @@ def _load_config(args: argparse.Namespace) -> _Run:
     if control["samples"] == 1:
         raise SchemaError("samples", "needs 0 or at least 2 samples")
     control["tol"] = _as_number(control["tol"], "tol")
-    control["workers"] = _as_int(control["workers"], "workers", minimum=1)
     if not isinstance(control["out"], str):
         raise SchemaError("out", "expected a directory path string")
 
@@ -390,11 +385,7 @@ def _strip_result(obj: dict, keep_candidate: bool) -> dict:
 
 def _run_bounds(run: _Run) -> int:
     prob = _inner_problem(run.problem)
-    search_kwargs = {
-        "restarts": run.control["restarts"],
-        "seed": run.seed,
-        "workers": run.control["workers"],
-    }
+    search_kwargs = {"restarts": run.control["restarts"], "seed": run.seed}
     for tag in ("refine_top", "enum_limit"):
         if tag in run.problem:
             search_kwargs[tag] = _as_int(run.problem[tag], f"problem.{tag}", minimum=0)
@@ -491,19 +482,12 @@ def _run_simulate(run: _Run) -> int:
 
     samples = run.control["samples"]
     if samples:
-        trace_path = None
         if run.problem.get("trace"):
-            trace_path = run.out_dir / "simulate_trace.csv"
-            with open(trace_path, "w", encoding="utf-8", newline="") as fh:
+            with open(run.out_dir / "simulate_trace.csv", "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join(run.csv_comments()) + "\n")
-                est, se = mc_estimate(
-                    spec, payoff, samples, run.seed,
-                    workers=run.control["workers"], trace=fh,
-                )
+                est, se = mc_estimate(spec, payoff, samples, run.seed, trace=fh)
         else:
-            est, se = mc_estimate(
-                spec, payoff, samples, run.seed, workers=run.control["workers"]
-            )
+            est, se = mc_estimate(spec, payoff, samples, run.seed)
         rows += [("payoff_mc_estimate", est), ("payoff_mc_se", se)]
         results.update(payoff_mc_estimate=est, payoff_mc_se=se, mc_samples=samples)
 
@@ -624,9 +608,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, help="search restarts")
         p.add_argument("--samples", type=int, help="Monte Carlo sample count")
         p.add_argument("--tol", type=float, help="verification tolerance")
-        p.add_argument(
-            "--workers", type=int, help="accepted for compatibility; has no effect"
-        )
     return parser
 
 

@@ -35,6 +35,7 @@ from .probability import (
     _alphabet_from_json,
     _alphabet_to_json,
     _as_names,
+    _entropy_of,
     _marginal_table,
 )
 
@@ -178,8 +179,7 @@ def log_loss_best_response(posterior: np.ndarray) -> tuple[np.ndarray, float]:
     being the posterior's entropy in bits.
     """
     post = _validated_posterior(posterior)
-    p = post[post > 0.0]
-    return post.copy(), float(-(p * np.log2(p)).sum())
+    return post.copy(), _entropy_of(post)
 
 
 def _role_names(dist, u_vars, x, y2, y3):
@@ -213,10 +213,8 @@ def adversary_value(
         p_u = joint.sum(axis=1)
         total = 0.0
         for row, pu in zip(joint, p_u):
-            if pu <= 0.0:
-                continue
-            q = row[row > 0.0] / pu
-            total += pu * float(-(q * np.log2(q)).sum())
+            if pu > 0.0:
+                total += pu * _entropy_of(row / pu)
         return AdversaryValue(total, False)
 
     triple = roles["X"] + roles["Y2"] + roles["Y3"]

@@ -3,8 +3,8 @@
 All randomness derives from a Philox counter-based generator keyed by
 ``(master seed, stream tag)`` with the counter positioned at a row index.
 Distinct tags give unrelated streams; distinct rows of one tag own
-disjoint counter blocks, so a per-row draw is the same whether rows are
-produced serially or split across workers.
+disjoint counter blocks, so a per-row draw does not depend on how the
+rows are chunked.
 
 The bit-stream convention is fixed: every categorical draw consumes one
 uniform double from the stream (C-order over the requested shape) and
@@ -38,6 +38,14 @@ STREAM_ENCODER = 0x454E0005
 STREAM_SAMPLE = 0x53410006
 
 _WORD = 2**64
+
+
+def _checked_seed(seed) -> int:
+    """``seed`` as an int in [0, 2**64), else ``ValueError``; a bool is no seed."""
+    integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integral and 0 <= int(seed) < _WORD):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def stream(seed: int, tag: int, row: int = 0) -> np.random.Generator:

@@ -103,6 +103,7 @@ from .bounds import (
 )
 from .payoff import LogLossPayoff, PayoffTable, _batched_values
 from .probability import Alphabet, JointDistribution, Pmf, _entropy_of
+from .rng import _checked_seed
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT",
@@ -1054,13 +1055,15 @@ def search_inner(
 ) -> SearchResult:
     """Best rate-feasible candidate found for the inner achievability bound.
 
-    Deterministic given (problem, seed, restarts).  ``restarts`` must be an
-    integer >= 1, ``refine_top`` and ``enum_limit`` integers >= 0; anything
-    else raises ``ValueError`` before any work.  ``workers`` is accepted
-    for compatibility; has no effect.  Infeasibility is a result, not an
-    exception; a winner that the reference evaluator does not reproduce
-    raises :class:`VerificationError`.
+    Deterministic given (problem, seed, restarts).  ``seed`` must be an
+    integer in [0, 2**64), ``restarts`` an integer >= 1, ``refine_top``
+    and ``enum_limit`` integers >= 0; anything else raises ``ValueError``
+    before any work.  Infeasibility is a result, not an exception; a
+    winner that the reference evaluator does not reproduce raises
+    :class:`VerificationError`.
+    ``workers`` does nothing; it stays while perfbench/ passes it (ROADMAP item 9).
     """
+    seed = _checked_seed(seed)
     restarts = _count(restarts, "restarts")
     refine_top = _count(refine_top, "refine_top", 0)
     enum_limit = _count(enum_limit, "enum_limit", 0)
@@ -1542,15 +1545,15 @@ def search_equivocation(
     *,
     restarts: int = 64,
     seed: int = 0,
-    workers: int = 1,
 ) -> EquivocationSearchResult:
     """Best disclosure-family value found under distortion/rate budgets.
 
-    ``workers`` is accepted for compatibility; has no effect.  A winner
-    that the reference evaluator does not reproduce raises
-    :class:`VerificationError`.
+    A seed that is not an integer in [0, 2**64) raises ``ValueError``
+    before any work.  A winner that the reference evaluator does not
+    reproduce raises :class:`VerificationError`.
     """
-    return _equivocation_searches(problem, [(float(problem.r0), seed)], restarts)[0]
+    rates = [(float(problem.r0), _checked_seed(seed))]
+    return _equivocation_searches(problem, rates, restarts)[0]
 
 
 @dataclass(frozen=True)
@@ -1560,13 +1563,15 @@ class SweepPoint:
 
 
 def _sweep_rates(r0_grid, seed: int) -> list[tuple[float, int]]:
-    """(r0, seed) of each grid point, seed ``seed + 7919 i`` at point i; a
-    NaN or negative rate is rejected before any screening."""
+    """(r0, seed) of each grid point, seed ``seed + 7919 i`` (mod 2**64) at
+    point i; a seed outside [0, 2**64) or a NaN or negative rate is
+    rejected before any screening."""
+    seed = _checked_seed(seed)
     rates = []
     for i, r0 in enumerate(r0_grid):
         if math.isnan(r0) or r0 < 0:
             raise ValueError(f"r0_grid[{i}] must be a key rate >= 0, got {r0}")
-        rates.append((float(r0), seed + 7919 * i))
+        rates.append((float(r0), (seed + 7919 * i) % 2**64))
     return rates
 
 
@@ -1600,9 +1605,9 @@ def equivocation_sweep(
     """The value curve over a grid of key rates.
 
     The family is screened once for the whole grid, and the witnesses
-    found at all grid points are pooled.  A NaN or negative grid point
-    raises ``ValueError`` before any work.  ``workers`` is accepted for
-    compatibility; has no effect.
+    found at all grid points are pooled.  A seed outside [0, 2**64) or a
+    NaN or negative grid point raises ``ValueError`` before any work.
+    ``workers`` does nothing; it stays while perfbench/ passes it (ROADMAP item 9).
     """
     rates = _sweep_rates(r0_grid, seed)
     return _sweep_points(problem, r0_grid, _equivocation_searches(problem, rates, restarts))
@@ -1634,15 +1639,16 @@ def min_key_rate(
     tol: float = 1e-3,
     restarts: int = 32,
     seed: int = 0,
-    workers: int = 1,
     **kwargs,
 ) -> KeyRateResult:
     """Smallest key budget (within ``tol``) whose search clears ``target_pi``.
 
-    Bisects the R0 budget, reusing the search at each midpoint.  Requires
-    a finite R0 budget in ``problem`` as the upper end and ``tol > 0``.
-    ``workers`` is accepted for compatibility; has no effect.
+    Bisects the R0 budget, reusing the search at each midpoint, the search
+    of step i seeded ``seed + 104729 i`` (mod 2**64).  Requires a finite R0
+    budget in ``problem`` as the upper end, ``tol > 0`` and a seed in
+    [0, 2**64).
     """
+    seed = _checked_seed(seed)
     hi = problem.budget.r0
     if not math.isfinite(hi):
         raise ValueError("min_key_rate needs a finite r0 budget as the upper end")
@@ -1656,8 +1662,7 @@ def min_key_rate(
         return search_inner(
             replace(problem, budget=budget),
             restarts=restarts,
-            seed=seed + 104729 * step,
-            workers=workers,
+            seed=(seed + 104729 * step) % 2**64,
             **kwargs,
         )
 

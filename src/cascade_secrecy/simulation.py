@@ -54,6 +54,7 @@ from .rng import (
     STREAM_V1,
     STREAM_V2,
     _cdf,
+    _checked_seed,
     sample_pmf,
     sample_rows,
     stream,
@@ -147,9 +148,9 @@ class SchemeSpec:
     """A complete, reproducible scheme configuration.
 
     The candidate supplies every conditional the construction needs; the
-    seed pins the codebook draw.  ``epsilon`` records the rate slack the
-    index sizes were derived with (informational when they are set by
-    hand).
+    seed, an integer in [0, 2**64), pins the codebook draw.  ``epsilon``
+    records the rate slack the index sizes were derived with
+    (informational when they are set by hand).
     """
 
     n: int
@@ -160,9 +161,10 @@ class SchemeSpec:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError("blocklength n must be a positive integer")
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         report = check_inner_constraints(self.inner)
@@ -189,8 +191,7 @@ class SchemeSpec:
 
 def _kept(owner, name: str, build, weak: bool = False):
     """``build()``, made once and kept on the frozen ``owner`` whose fields
-    fix it; a value already made is returned whatever cell cap a later
-    caller passes.  A ``weak`` value (one that refers back to ``owner``) is
+    fix it.  A ``weak`` value (one that refers back to ``owner``) is
     shared only while a caller holds it, so no cycle outlives the run."""
     value = vars(owner).get(name, lambda: None)()
     if value is None:
@@ -316,20 +317,10 @@ def build_codebooks(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> Co
     Raises CapExceededError with the required sizes when the index
     spaces are too large to materialize.
     """
+    _check_codebook_cells(spec, cell_cap)
     scheme = spec._scheme
     n = spec.n
     m_a, m_b, m_c, m_d, n_k = spec.index_bits.sizes
-    need = {
-        "u2": m_a * n,
-        "v2": m_a * m_b * n_k * n,
-        "u1": m_a * m_c * n,
-        "v1": m_a * m_b * m_c * m_d * n_k * n,
-    }
-    total = sum(need.values())
-    if total > cell_cap:
-        raise CapExceededError(
-            f"codebooks need {total} cells ({need}), cap is {cell_cap}"
-        )
     seed = spec.seed
 
     u2 = sample_pmf(stream(seed, STREAM_U2), scheme.p_u2, (m_a, n))
@@ -356,6 +347,20 @@ def build_codebooks(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> Co
     cb = CodebookSet(spec, u2, v2, u1, v1)
     _verify_support(scheme, cb)
     return cb
+
+
+def _check_codebook_cells(spec: SchemeSpec, cell_cap: int) -> None:
+    n = spec.n
+    m_a, m_b, m_c, m_d, n_k = spec.index_bits.sizes
+    need = {
+        "u2": m_a * n,
+        "v2": m_a * m_b * n_k * n,
+        "u1": m_a * m_c * n,
+        "v1": m_a * m_b * m_c * m_d * n_k * n,
+    }
+    total = sum(need.values())
+    if total > cell_cap:
+        raise CapExceededError(f"codebooks need {total} cells ({need}), cap is {cell_cap}")
 
 
 def _verify_support(scheme: _Scheme, cb: CodebookSet) -> None:
@@ -442,6 +447,7 @@ def encoder_distribution(x_seq, k: int, cb: CodebookSet) -> np.ndarray:
 
 def likelihood_encode(x_seq, k: int, cb: CodebookSet, seed: int) -> tuple[int, int, int, int]:
     """Sample the index tuple proportionally to codeword likelihood."""
+    seed = _checked_seed(seed)
     dist = encoder_distribution(x_seq, k, cb)
     flat = int(sample_pmf(stream(seed, STREAM_ENCODER), dist.ravel(), ()))
     return tuple(int(i) for i in np.unravel_index(flat, dist.shape))
@@ -561,13 +567,15 @@ def run_system_exact(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> S
     (k, m) and the y3 law of its (k, Ma, Mb) all are; it is built from
     those three supports as (prior * y2) * y3, the float a dense product
     gives.  The cell cap counts stored cells and is checked before they
-    are allocated.
+    are allocated, and it bounds the codebooks and encoder table, kept or not.
     """
     scheme = spec._scheme
-    cb = _kept(spec, "_codebooks", lambda: build_codebooks(spec, cell_cap=cell_cap), weak=True)
     n = spec.n
     m_a, m_b, m_c, m_d, n_k = spec.index_bits.sizes
     rows = n_k * m_a * m_b * m_c * m_d
+    _check_codebook_cells(spec, cell_cap)
+    _check_cells(rows * scheme.nx**n, "encoder table", cell_cap)
+    cb = _kept(spec, "_codebooks", lambda: build_codebooks(spec, cell_cap=cell_cap), weak=True)
     enc = _kept(cb, "_encoder", lambda: _encoder_table(scheme, cb, cell_cap)).reshape(rows, -1)
     # per-codeword emission laws, one row per (k, m) or per (k, Ma, Mb)
     y2 = np.moveaxis(_memoryless(scheme.y2_of_v1[cb.v1]), 4, 0).reshape(rows, -1)
@@ -773,7 +781,6 @@ def mc_estimate(
     samples: int,
     seed: int,
     *,
-    workers: int = 1,
     trace=None,
 ) -> tuple[float, float]:
     """Monte Carlo payoff estimate with its CLT standard error.
@@ -781,14 +788,14 @@ def mc_estimate(
     Histories are sampled; each history is scored against its exact
     posterior, so the only noise is the outer expectation.  Each sample
     draws 2 + 4n uniforms from its own stream, so the result depends on
-    the seed alone; ``workers`` is accepted for compatibility; has no
-    effect.  The uniforms of a sample are used in a fixed order: key,
-    source symbols, encoder index, node-2 actions, node-3 actions,
-    disclosed signals.  Every stage runs on whole arrays of samples, in
-    chunks of min(Ma*Mb*Mc*Md, K*|X|^n) samples, so neither a chunk's
-    (sample, k, x^n) weights nor its (sample, m) message rows hold more
-    cells than the encoder table.
+    the seed alone, an integer in [0, 2**64).  The uniforms of a sample
+    are used in a fixed order: key, source symbols, encoder index, node-2
+    actions, node-3 actions, disclosed signals.  Every stage runs on whole
+    arrays of samples, in chunks of min(Ma*Mb*Mc*Md, K*|X|^n) samples, so
+    neither a chunk's (sample, k, x^n) weights nor its (sample, m) message
+    rows hold more cells than the encoder table.
     """
+    seed = _checked_seed(seed)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     engine = _PosteriorEngine(_kept(spec, "_codebooks", lambda: build_codebooks(spec), weak=True))
@@ -873,10 +880,10 @@ def scheme_spec_to_json(spec: SchemeSpec) -> dict:
 def scheme_spec_from_json(obj) -> SchemeSpec:
     bits = obj["index_bits"]
     return SchemeSpec(
-        n=int(obj["n"]),
+        n=obj["n"],
         inner=inner_candidate_from_json(obj["inner"]),
-        index_bits=IndexBits(**{tag: int(bits[tag]) for tag in ("a", "b", "c", "d", "key")}),
+        index_bits=IndexBits(**{tag: bits[tag] for tag in ("a", "b", "c", "d", "key")}),
         side=side_info_from_json(obj["side"]),
-        seed=int(obj.get("seed", 0)),
+        seed=obj.get("seed", 0),
         epsilon=float(obj.get("epsilon", DEFAULT_EPSILON)),
     )

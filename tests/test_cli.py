@@ -261,6 +261,30 @@ def test_config_hash_of_simulate_n2_config():
     )
 
 
+def test_a_leftover_workers_key_leaves_the_run_hash(tmp_path):
+    # the simulate_n2 configuration again: a config that still holds the
+    # removed ``workers`` option loads, and the provenance hash is the same
+    spec = SchemeSpec(
+        n=2, inner=corner_candidate(1), index_bits=IndexBits(2, 3, 3, 1, 5),
+        side=EX.side, seed=3,
+    )
+    config = {
+        "seed": 5,
+        "samples": 400,
+        "problem": {
+            "scheme": scheme_spec_to_json(spec),
+            "payoff": payoff_to_json(EX.payoff),
+            "secret_set": ["X"],
+        },
+    }
+    hashes = []
+    for extra in ({}, {"workers": 4}):
+        cfg = write_config(tmp_path, {**config, **extra})
+        args = cli._build_parser().parse_args(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        hashes.append(cli._load_config(args).hash)
+    assert hashes == ["ff1aff90ae63d0b316a30df329e61aaefbe3286e108c8549ca2ea6effa0f00ad"] * 2
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -544,6 +568,15 @@ def test_bad_env_value(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CASCADE_SECRECY_SEED", "not-a-number")
     assert main(["example", "--out", str(tmp_path)]) == 2
     assert "CASCADE_SECRECY_SEED" in capsys.readouterr().err
+
+
+def test_workers_is_no_longer_an_option(tmp_path, monkeypatch):
+    with pytest.raises(SystemExit) as err:
+        main(["bounds", "--workers", "2", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    # nor an environment variable: an unparsable value is never read
+    monkeypatch.setenv("CASCADE_SECRECY_WORKERS", "abc")
+    assert main(["example", "--out", str(tmp_path)]) == 0
 
 
 def test_python_dash_m(tmp_path):

@@ -12,6 +12,7 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,6 +172,63 @@ def test_equivocation_searches_reject_non_integer_restarts(monkeypatch, run, res
         else:
             equivocation_sweep(problem, [0.0, 1.0], restarts=restarts)
     assert calls == []
+
+
+# no seed: floats, a bool, integers outside [0, 2**64), a string
+BAD_SEEDS = [1.5, 1.9, np.float64(1.0), True, -1, 2**64, "1"]
+SEED_MESSAGE = r"seed must be an integer in \[0, 2\*\*64\)"
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_search_inner_rejects_a_seed_that_is_no_integer_below_2_64(monkeypatch, seed):
+    calls = []
+    monkeypatch.setattr(search_mod, "_decompositions", lambda caps: calls.append(caps))
+    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(2, 2, 8, 4))
+    with pytest.raises(ValueError, match=SEED_MESSAGE):
+        search_inner(problem, restarts=8, seed=seed, enum_limit=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+@pytest.mark.parametrize("run", ["search", "sweep"])
+def test_equivocation_searches_reject_a_seed_that_is_no_integer_below_2_64(
+    monkeypatch, run, seed
+):
+    calls = []
+    monkeypatch.setattr(search_mod, "_screen_equiv", lambda problem: calls.append(problem))
+    problem = binary_equiv_problem(0.0, 1.0)
+    with pytest.raises(ValueError, match=SEED_MESSAGE):
+        if run == "search":
+            search_equivocation(problem, restarts=2, seed=seed)
+        else:
+            equivocation_sweep(problem, [0.0, 1.0], restarts=2, seed=seed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_min_key_rate_rejects_a_seed_that_is_no_integer_below_2_64(monkeypatch, seed):
+    calls = []
+    monkeypatch.setattr(search_mod, "search_inner", lambda *a, **k: calls.append(a))
+    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6))
+    with pytest.raises(ValueError, match=SEED_MESSAGE):
+        min_key_rate(problem, 0.4, seed=seed)
+    assert calls == []
+
+
+def test_derived_seeds_wrap_below_2_64(monkeypatch):
+    # the bisection's step seeds and the sweep's point seeds stay valid
+    # seeds at the top of the range
+    seeds = []
+
+    def cleared(problem, *, seed, **kwargs):
+        seeds.append(seed)
+        return SimpleNamespace(feasible=True, tuple=SimpleNamespace(pi=1.0))
+
+    monkeypatch.setattr(search_mod, "search_inner", cleared)
+    top = 2**64 - 1
+    min_key_rate(ternary_problem(RateBudget(1.0, 1.6, 0.6)), 0.4, tol=0.5, seed=top)
+    assert seeds == [top, 104728]
+    assert search_mod._sweep_rates([0.0, 1.0, 2.0], top) == [(0.0, top), (1.0, 7918), (2.0, 15837)]
 
 
 def test_search_inner_rejects_zero_restarts():
@@ -925,12 +983,10 @@ def test_equivocation_sweep_monotone():
     assert abs(vals[-1] - 1.0) < 1e-6
 
 
-def test_equivocation_deterministic_across_worker_counts():
+def test_equivocation_deterministic_given_seed():
     blobs = []
-    for workers in (1, 2):
-        res = search_equivocation(
-            binary_equiv_problem(0.5, 0.25), restarts=12, seed=5, workers=workers
-        )
+    for _ in range(2):
+        res = search_equivocation(binary_equiv_problem(0.5, 0.25), restarts=12, seed=5)
         obj = res.to_json()
         obj.pop("wall_time")
         blobs.append(json.dumps(obj, sort_keys=True))

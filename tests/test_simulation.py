@@ -129,6 +129,22 @@ def test_scheme_spec_validation():
         SchemeSpec(n=1, inner=broken, index_bits=IndexBits(0, 0, 0, 0, 0), side=binary_side())
 
 
+# no seed: floats, a bool, integers outside [0, 2**64), a string
+BAD_SEEDS = [1.5, 4.7, np.float64(1.0), True, -1, 2**64, "1"]
+SEED_MESSAGE = r"seed must be an integer in \[0, 2\*\*64\)"
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_scheme_spec_rejects_a_seed_that_is_no_integer_below_2_64(seed):
+    with pytest.raises(ValueError, match=SEED_MESSAGE):
+        corner_spec(1, BITS_N1, seed=seed)
+
+
+def test_scheme_spec_stores_a_numpy_seed_as_int():
+    spec = corner_spec(1, BITS_N1, seed=np.uint64(2**64 - 1))
+    assert type(spec.seed) is int and spec.seed == 2**64 - 1
+
+
 # ---------------------------------------------------------------------------
 # codebooks
 
@@ -175,6 +191,22 @@ def test_codebook_cap_exceeded():
     assert "cells" in str(err.value)
     with pytest.raises(CapExceededError):
         run_system_exact(corner_spec(2, BITS_N2), cell_cap=1000)
+
+
+@pytest.mark.parametrize("cap, message", [
+    (30_000, "codebooks need 34888 cells"),
+    (100_000, "encoder table needs 147456 cells, cap is 100000"),
+])
+def test_cell_cap_holds_for_codebooks_and_encoder_kept_from_an_earlier_call(cap, message):
+    # the default-cap table keeps its codebooks and encoder table alive on
+    # the spec; a later call under a smaller cap must still refuse them
+    spec = corner_spec(2, BITS_N2)
+    with pytest.raises(CapExceededError, match=message):
+        run_system_exact(spec, cell_cap=cap)
+    table = run_system_exact(spec)
+    with pytest.raises(CapExceededError, match=message):
+        run_system_exact(spec, cell_cap=cap)
+    assert run_system_exact(spec).codebooks is table.codebooks
 
 
 @pytest.mark.parametrize("field", ["v2", "u1", "v1"])
@@ -269,6 +301,13 @@ def test_encoder_validation_and_support():
         except ZeroProbabilityError:
             dists.append(None)
     assert sum(d is not None for d in dists) == 1
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_likelihood_encode_rejects_a_seed_that_is_no_integer_below_2_64(seed):
+    cb = build_codebooks(corner_spec(1, BITS_N1))
+    with pytest.raises(ValueError, match=SEED_MESSAGE):
+        likelihood_encode([0], 0, cb, seed=seed)
 
 
 def test_singleton_codebooks_trivial_encode():
@@ -757,8 +796,19 @@ def test_mc_estimate_validation_and_determinism():
     with pytest.raises(ValueError):
         mc_estimate(spec, EX.payoff, 1, seed=0)
     a = mc_estimate(spec, EX.payoff, 120, seed=4)
-    b = mc_estimate(spec, EX.payoff, 120, seed=4, workers=4)
+    b = mc_estimate(spec, EX.payoff, 120, seed=4)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_mc_estimate_rejects_a_seed_that_is_no_integer_below_2_64(seed, monkeypatch):
+    # the check comes before the codebooks are drawn
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the codebooks were drawn")
+
+    monkeypatch.setattr(simulation, "build_codebooks", unreachable)
+    with pytest.raises(ValueError, match=SEED_MESSAGE):
+        mc_estimate(corner_spec(1, BITS_N1, seed=1), EX.payoff, 20, seed=seed)
 
 
 def test_mc_trace_csv(tmp_path):
@@ -898,3 +948,18 @@ def test_scheme_spec_json_round_trip():
     cb_a = build_codebooks(spec)
     cb_b = build_codebooks(back)
     assert np.array_equal(cb_a.v1, cb_b.v1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", 2**64), ("seed", True), ("n", 1.0), ("n", True), ("a", 1.0),
+    ("key", 2.5),
+])
+def test_scheme_spec_json_rejects_what_is_no_integer(field, value):
+    # a float or a bool is refused, not truncated by int()
+    obj = scheme_spec_to_json(corner_spec(1, BITS_N1))
+    if field in obj:
+        obj[field] = value
+    else:
+        obj["index_bits"][field] = value
+    with pytest.raises(ValueError):
+        scheme_spec_from_json(obj)
