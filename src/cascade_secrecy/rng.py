@@ -49,11 +49,13 @@ def _checked_seed(seed) -> int:
 
 
 def stream(seed: int, tag: int, row: int = 0) -> np.random.Generator:
-    """The (seed, tag) stream with its counter positioned at ``row``."""
+    """The (seed, tag) stream with its counter positioned at ``row``; a
+    seed that is not an integer in [0, 2**64) raises ``ValueError``."""
+    seed = _checked_seed(seed)
     if row < 0:
         raise ValueError("stream row must be nonnegative")
     bg = np.random.Philox(
-        key=np.array([seed % _WORD, tag % _WORD], dtype=np.uint64),
+        key=np.array([seed, tag % _WORD], dtype=np.uint64),
         counter=np.array([0, row % _WORD, 0, 0], dtype=np.uint64),
     )
     return np.random.Generator(bg)

@@ -32,13 +32,15 @@ pool, each candidate scored once by one kernel: restarts at their start
 weights, maps and anchors at uniform weights.  The anchors are the
 no-information candidate and one balanced deterministic map per anchor
 decomposition.  Maps are scored in stacks built by index arithmetic, and
-only two sets of them stay: the feasible maps that tie for the best
-payoff, and the top 256 by relaxed score (every map when there are at
-most 2,048), refined with every anchor and the best ``refine_top``
-restarts.  The winner is the best payoff in the pool, ties broken by
-candidate hash, so the outcome is a deterministic function of (problem,
-seed, restarts).  It is re-derived by the reference evaluator in
-:mod:`cascade_secrecy.bounds` before it is published.
+only two sets of them stay: the first feasible map at the best payoff,
+and the top 256 by relaxed score (every map when there are at most
+2,048), refined with every anchor and the best ``refine_top`` restarts.
+The pool is ordered: that best map, the anchors, the sampled restarts,
+then the refinements.  The winner is its first entry with the best
+payoff, so the outcome is a deterministic function of (problem, seed,
+restarts); only the winner is assembled into a joint, and it is
+re-derived by the reference evaluator in :mod:`cascade_secrecy.bounds`
+before it is published.
 
 The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
@@ -51,8 +53,10 @@ kept member's value is re-rated in closed form, H(S) - [I(S;V1) - R0]+,
 from its stored H(S) and I(S;V1).  The inner search's trust-region LP
 loop refines the best sampled restarts over their free rows, each a
 simplex, linearizing the value and every budget with analytic gradients
-taken by the chain rule through the joint.  Each winner is re-derived the
-same way, by family membership and the reference equivocation value.
+taken by the chain rule through the joint.  Each winner, the first of
+the sampled and refined members, then the screened ones, with the best
+value, is re-derived the same way, by family membership and the
+reference equivocation value.
 
 A winner the reference path does not reproduce raises
 :class:`VerificationError`; the ``bounds`` and ``equivocation`` commands
@@ -61,9 +65,7 @@ turn it into exit code 1 ("verification mismatch").
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 import time
 from collections.abc import Callable
@@ -103,7 +105,7 @@ from .bounds import (
 )
 from .payoff import LogLossPayoff, PayoffTable, _batched_values
 from .probability import Alphabet, JointDistribution, Pmf, _entropy_of
-from .rng import _checked_seed
+from .rng import _checked_seed, stream
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT",
@@ -239,10 +241,6 @@ def _count(value, name: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
-
-
-def _rng_for(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed % 2**64, index % 2**64]))
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +737,7 @@ class _Program:
     epigraph: np.ndarray
 
 
-def _refine_flat_slp(program: _Program, x0: np.ndarray) -> np.ndarray | None:
+def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, object] | None:
     """Trust-region sequential LP over a family's simplex rows: the one
     refiner of both searches.
 
@@ -751,8 +749,8 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> np.ndarray | None:
     the loop revisits points (the accepted step at the loop top, a
     trust-region retry that lands on a point already tried, the
     backtracking trials at convergence), and those reuse its statistics.
-    Takes and returns a flat point, each row renormalized; ``None`` when
-    no feasible point was seen.
+    Takes a flat point and returns the best one as it was scored, with its
+    statistics; ``None`` when no feasible point was seen.
 
     Each step's LP goes straight to scipy's bundled HiGHS through
     :func:`_solve_lp`: a refinement makes dozens of LPs of a few dozen
@@ -804,12 +802,12 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> np.ndarray | None:
         cost = np.concatenate([np.zeros(n), np.ones(n_s)])
         return lp_step(cost, np.hstack([g, np.diag(np.full(n_s, -1.0))]), rhs, 0.0, delta)
 
-    start_stats = stats_at(x)
-    best_x, best_value = x.copy(), program.value(start_stats)
+    best_stats = stats_at(x)
+    best_x, best_value = x.copy(), program.value(best_stats)
     if np.abs(program.a_eq @ x - program.b_eq).max() > 1e-9:
-        x = feasibility_step(start_stats, 1.0)
+        x = feasibility_step(best_stats, 1.0)
         if x is None:
-            return None if best_value == -math.inf else normalized(best_x)
+            return None if best_value == -math.inf else (best_x, best_stats)
 
     delta = 0.3
     stall = 0
@@ -817,7 +815,7 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> np.ndarray | None:
     for _ in range(_LP_MAXITER):
         stats = stats_at(x)
         if program.value(stats) > best_value:
-            best_x, best_value = x.copy(), program.value(stats)
+            best_x, best_stats, best_value = x.copy(), stats, program.value(stats)
         if delta < 1e-5 or stall > 6 or fstall > 8:
             break
         over = violation(stats)
@@ -860,7 +858,7 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> np.ndarray | None:
         else:
             delta *= 0.5
             stall += 1
-    return None if best_value == -math.inf else normalized(best_x)
+    return None if best_value == -math.inf else (best_x, best_stats)
 
 
 def _inner_program(evaluator: _InnerEvaluator, budget: RateBudget) -> _Program:
@@ -930,22 +928,6 @@ def _assemble_inner(
     )
 
 
-def _digested(cand: InnerCandidate | EquivocationCandidate) -> tuple:
-    """(candidate, sha256 of its JSON), the digest that breaks exact ties."""
-    payload = json.dumps(candidate_to_json(cand), sort_keys=True)
-    return cand, hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _pick_winner(pool: list, value, assemble) -> tuple:
-    """(candidate, entry) of the highest value, exact ties broken by the
-    smallest candidate digest, so the pick does not depend on pool order;
-    ``assemble`` gives an entry's (candidate, digest)."""
-    best = max(value(entry) for entry in pool)
-    finalists = [(assemble(entry), entry) for entry in pool if value(entry) == best]
-    (cand, _), entry = min(finalists, key=lambda pair: pair[0][1])
-    return cand, entry
-
-
 def _certify(report, published: dict, reference) -> None:
     """Raise :class:`VerificationError` unless a winner passes its reference
     membership ``report`` and ``reference()`` (a dict) matches ``published``."""
@@ -1008,11 +990,12 @@ def _enumerate_maps(problem: InnerSearchProblem, dims, pairs_by_y3):
 
 def _screen_maps(problem, decomps, pairs_by_y3, keep: int) -> tuple[list[_Scored], list[_Scored]]:
     """Score every deterministic channel map once, at uniform weights, a
-    stack at a time.  Keeps, and builds structures for, only the feasible
-    maps that tie for the best payoff and the best ``keep`` by relaxed
-    score, each in enumeration order as a stable sort leaves ties."""
+    stack at a time.  Keeps, and builds structures for, only the first
+    feasible map at the best payoff (a later tie cannot win the pool) and
+    the best ``keep`` by relaxed score, in enumeration order as a stable
+    sort leaves ties."""
     budget = problem.budget
-    best, ties = -math.inf, []
+    best, first = -math.inf, []
     top, top_scores = [], np.empty(0)  # (dims, y3 map, xy, stats, weights) by rank
     for dims in decomps:
         w4 = _start_weights(dims)
@@ -1024,13 +1007,10 @@ def _screen_maps(problem, decomps, pairs_by_y3, keep: int) -> tuple[list[_Scored
             def kept(i: int) -> tuple:
                 return dims, y3_map, xy[i].copy(), _member(stats, i), w4
 
-            feasible = _inner_feasible(stats, budget)
-            if feasible.any():
-                pi = stats.pi[feasible].max()
-                if pi > best:
-                    best, ties = pi, []
-                if pi == best:
-                    ties += [kept(i) for i in np.flatnonzero(feasible & (stats.pi == best))]
+            pi = np.where(_inner_feasible(stats, budget), stats.pi, -math.inf)
+            at = int(np.argmax(pi))  # the first best map of the stack
+            if pi[at] > best:
+                best, first = pi[at], [kept(at)]
             scores = np.concatenate([top_scores, _inner_score(stats, budget)])
             order = np.argsort(-scores, kind="stable")[:keep]
             n_top = len(top)
@@ -1041,7 +1021,7 @@ def _screen_maps(problem, decomps, pairs_by_y3, keep: int) -> tuple[list[_Scored
         dims, y3_map, xy, stats, w4 = entry
         return _Scored(stats, _deterministic_structure(dims, problem, xy, y3_map), w4)
 
-    return [scored(e) for e in ties], [scored(e) for e in top]
+    return [scored(e) for e in first], [scored(e) for e in top]
 
 
 def search_inner(
@@ -1101,7 +1081,7 @@ def search_inner(
     to_refine += anchored
 
     def sample_one(index: int) -> _Scored:
-        rng = _rng_for(seed, index)
+        rng = stream(seed, index)
         dims = decomps[index % len(decomps)]
         stochastic = rng.random() < 0.25
         struct = _sample_structure(rng, dims, problem, pairs_by_y3, stochastic)
@@ -1121,9 +1101,9 @@ def search_inner(
         struct = start.struct
         if not _is_flat(struct.dims) or len(struct.px_rows) == 1:
             return []
-        evaluator = _InnerEvaluator(struct, problem)
-        w1 = _refine_flat_slp(_inner_program(evaluator, budget), start.w4.reshape(-1))
-        return [] if w1 is None else [_Scored(evaluator.stats(w1), struct, w1.reshape(struct.dims))]
+        program = _inner_program(_InnerEvaluator(struct, problem), budget)
+        best = _refine_flat_slp(program, start.w4.reshape(-1))
+        return [] if best is None else [_Scored(best[1], struct, best[0].reshape(struct.dims))]
 
     pool = best_maps + anchored + sampled + [r for s in to_refine for r in refined(s)]
     feasible = [s for s in pool if _inner_feasible(s.stats, budget)]
@@ -1132,11 +1112,8 @@ def search_inner(
         message = "infeasible: no candidate met the rate budget within tolerance"
         return SearchResult(False, None, None, seed, restarts, wall, message)
 
-    winner_cand, winner = _pick_winner(
-        feasible,
-        lambda s: s.stats.pi,
-        lambda s: _digested(_assemble_inner(s.struct, s.w4, problem)),
-    )
+    winner = max(feasible, key=lambda s: s.stats.pi)  # the first best entry
+    winner_cand = _assemble_inner(winner.struct, winner.w4, problem)
     st = winner.stats
     tup = RatePayoffTuple(st.r0, st.r1, st.r2, st.pi)  # feasible, so pi is finite
     _certify(
@@ -1458,8 +1435,8 @@ def _refine_equiv(
         rows=[slice(end - width, end) for end, width in zip(ends, widths)],
         epigraph=np.zeros((0, ends[-1])),
     )
-    x = _refine_flat_slp(program, np.concatenate([blocks[i].reshape(-1) for i in free]))
-    return None if x is None else member(x)
+    best = _refine_flat_slp(program, np.concatenate([blocks[i].reshape(-1) for i in free]))
+    return None if best is None else member(best[0])
 
 
 def _screen_equiv(problem: EquivocationProblem) -> tuple[_EquivStats, _EquivParams] | None:
@@ -1485,25 +1462,16 @@ def _equivocation_searches(
     so the enumerable family is screened once; at each rate a feasible
     member's value is re-rated in closed form from its H(S) and I(S;V1),
     as the kernel rates it at ``problem.r0``.  Each rate draws its own
-    restarts, refines the best of them, then picks and certifies a winner.
-    A member's candidate does not depend on R0, so each is assembled and
-    hashed once per call.
+    restarts, refines the best of them, then assembles and certifies the
+    first candidate with the best value.
     """
     restarts = _count(restarts, "restarts")
     started = time.perf_counter()
     screened = _screen_equiv(problem)
-    assembled: dict[bytes, tuple] = {}  # member arrays -> (candidate, digest)
-
-    def assemble(member: _EquivParams) -> tuple:
-        key = b"".join(getattr(member, f.name).tobytes() for f in fields(member))
-        if key not in assembled:
-            assembled[key] = _digested(_assemble_equiv(member, problem))
-        return assembled[key]
-
     results = []
     for r0, rate_seed in rates:
         at = replace(problem, r0=r0)
-        sampled = _concat([_sample_equiv(_rng_for(rate_seed, i), at) for i in range(restarts)])
+        sampled = _concat([_sample_equiv(stream(rate_seed, i), at) for i in range(restarts)])
         stats = _equiv_stats(sampled, at, r0)
         scores = _penalized(stats.value, _limits(stats, problem, _EQUIV_BUDGETS))
         order = np.argsort(-scores, kind="stable")
@@ -1511,26 +1479,22 @@ def _equivocation_searches(
         members = _concat([sampled] + [p for p in refined if p is not None])
         stats = _equiv_stats(members, at, r0)
         ok = _within(_limits(stats, problem, _EQUIV_BUDGETS))
-        stats, members = _take(stats, ok), _take(members, ok)
-        pool = [(stats.value, members)]  # (values, members) of the feasible candidates
+        # the feasible candidates: sampled and refined members, then screened ones
+        values, members = stats.value[ok], _take(members, ok)
         if screened is not None:
-            stats, members = screened
-            pool.append((_rerated(stats.h_s, stats.leak, r0), members))
+            values = np.concatenate([values, _rerated(screened[0].h_s, screened[0].leak, r0)])
+            members = _concat([members, screened[1]])
 
         wall = time.perf_counter() - started
-        if not any(len(values) for values, _ in pool):
+        if not len(values):
             message = "infeasible: no candidate met the distortion/rate budget"
             results.append(
                 EquivocationSearchResult(False, None, None, rate_seed, restarts, wall, message)
             )
             continue
-        best = max(values.max() for values, _ in pool if len(values))
-        finalists = [
-            (float(values[i]), _take(members, [i]))
-            for values, members in pool
-            for i in np.flatnonzero(values == best)
-        ]
-        cand, (value, _) = _pick_winner(finalists, lambda entry: entry[0], lambda e: assemble(e[1]))
+        i = int(np.argmax(values))  # the first best candidate
+        value = float(values[i])
+        cand = _assemble_equiv(_take(members, [i]), problem)
         _certify(
             check_equivocation_membership(cand, p_x=at.p_x, tol=_MARGINAL_SLACK),
             {"value": value},

@@ -148,9 +148,9 @@ class SchemeSpec:
     """A complete, reproducible scheme configuration.
 
     The candidate supplies every conditional the construction needs; the
-    seed, an integer in [0, 2**64), pins the codebook draw.  ``epsilon``
-    records the rate slack the index sizes were derived with
-    (informational when they are set by hand).
+    seed, an integer in [0, 2**64), pins the codebook draw.  ``epsilon``,
+    a nonnegative number (not a bool), records the rate slack the index
+    sizes were derived with (informational when they are set by hand).
     """
 
     n: int
@@ -165,8 +165,10 @@ class SchemeSpec:
             raise ValueError("blocklength n must be a positive integer")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", _checked_seed(self.seed))
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
+        number = isinstance(self.epsilon, (int, float, np.integer, np.floating))
+        if isinstance(self.epsilon, bool) or not (number and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be a nonnegative number, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         report = check_inner_constraints(self.inner)
         if not report.passed:
             raise ConstraintViolationError(report)
@@ -885,5 +887,5 @@ def scheme_spec_from_json(obj) -> SchemeSpec:
         index_bits=IndexBits(**{tag: bits[tag] for tag in ("a", "b", "c", "d", "key")}),
         side=side_info_from_json(obj["side"]),
         seed=obj.get("seed", 0),
-        epsilon=float(obj.get("epsilon", DEFAULT_EPSILON)),
+        epsilon=obj.get("epsilon", DEFAULT_EPSILON),
     )

@@ -345,6 +345,17 @@ def test_simulate_rejects_one_sample_before_building(tmp_path, capsys, monkeypat
     assert not (tmp_path / "simulate_audit.json").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["0.25", True])
+def test_simulate_rejects_an_epsilon_that_is_no_number(tmp_path, capsys, epsilon):
+    config = corner_sim_config()
+    config["problem"]["scheme"]["epsilon"] = epsilon
+    cfg = write_config(tmp_path, config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "problem.scheme" in err and "epsilon" in err
+    assert not (tmp_path / "simulate_audit.json").exists()
+
+
 def test_simulate_compiles_once(tmp_path, monkeypatch):
     # the exact table and the Monte Carlo share one compiled scheme, one
     # codebook draw and one encoder table

@@ -1,8 +1,9 @@
 """Inverse-CDF draws: zero-probability symbols have empty intervals."""
 
 import numpy as np
+import pytest
 
-from cascade_secrecy.rng import _cdf, sample_pmf, sample_rows, symbols
+from cascade_secrecy.rng import _cdf, sample_pmf, sample_rows, stream, symbols
 
 
 class _TopUniform:
@@ -32,3 +33,19 @@ def test_cdf_ends_at_one_from_the_last_positive_symbol():
     # a middle zero keeps its empty interval
     u = np.array([0.0, 0.49, 0.5, np.nextafter(1.0, 0.0)])
     assert symbols(c[2], u).tolist() == [0, 0, 2, 2]
+
+
+@pytest.mark.parametrize("seed, tag", [(0, 0), (5, 17), (2**64 - 1, 2**63), (123456789, 104729)])
+def test_stream_keys_philox_with_seed_and_tag(seed, tag):
+    # the searches draw restart ``tag`` from stream(seed, tag); its key is
+    # exactly [seed, tag], which every seeded search output depends on
+    direct = np.random.Generator(np.random.Philox(key=[seed, tag]))
+    assert np.array_equal(stream(seed, tag).random(5), direct.random(5))
+
+
+@pytest.mark.parametrize("seed", [2**64, -1, 1.5, np.float64(1.0), True, "1"])
+def test_stream_rejects_a_seed_that_is_no_integer_below_2_64(seed):
+    # not wrapped (2**64 would draw seed 0's stream) nor truncated (1.5
+    # would draw seed 1's)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        stream(seed, 7)

@@ -689,13 +689,17 @@ def test_search_matches_linprog_refiner(monkeypatch):
 def test_refiner_scores_each_point_once(monkeypatch):
     # within one refinement no weight vector reaches the kernel twice: not
     # the accepted point at the loop top, not a trust-region retry, not the
-    # backtracking trials at convergence
-    refinements, active = [], []
+    # backtracking trials at convergence; nor does the caller score the
+    # point a refinement returns again
+    refinements, active, outside = [], [], []
     stats, refine = search_mod._InnerEvaluator.stats, search_mod._refine_flat_slp
 
     def counted_stats(self, w4):
+        call = (id(self), np.asarray(w4).tobytes())
         if active:
-            refinements[-1].append((id(self), np.asarray(w4).tobytes()))
+            refinements[-1].append(call)
+        elif refinements:  # refining has begun: only the caller is left
+            outside.append(call)
         return stats(self, w4)
 
     def counted_refine(*args):
@@ -713,6 +717,48 @@ def test_refiner_scores_each_point_once(monkeypatch):
     assert sum(map(len, refinements)) > len(refinements) > 0
     for calls in refinements:
         assert len(calls) == len(set(calls))
+    assert outside == []
+
+
+def test_search_inner_assembles_only_its_winner(monkeypatch):
+    # the inner_grid search at r0 = 1: several pool entries tie at the best
+    # payoff, and only the published one becomes a joint table
+    calls = []
+    assemble = search_mod._assemble_inner
+    monkeypatch.setattr(search_mod, "_assemble_inner", lambda *a: calls.append(a) or assemble(*a))
+    problem = ternary_problem(RateBudget(1.0, math.inf, math.inf), caps=GRID_CAPS)
+    assert search_inner(problem, restarts=64, seed=0, refine_top=2).feasible
+    assert len(calls) == 1
+
+
+def test_search_publishes_the_earliest_of_tied_entries(monkeypatch):
+    # at caps (6,3,9,3) and budget (1.0, 1.6, 0.6), 48 enumerated maps are
+    # feasible at pi = 1/2, and no map does better.  The first of them in
+    # enumeration order heads the pool, and no entry can beat it (pi is at
+    # most r0 / 2), so the search publishes that map, not a later tie
+    monkeypatch.setattr(search_mod, "_ENUM_REFINE_TOP", 8)  # fewer refinements, same pool head
+    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(6, 3, 9, 3))
+    pairs = search_mod._finite_pairs(problem)
+    best, tied = -math.inf, []
+    for dims in search_mod._decompositions(problem.caps):
+        w4 = search_mod._start_weights(dims)
+        for y3_map, xy in search_mod._enumerate_maps(problem, dims, pairs):
+            y3 = np.broadcast_to(y3_map, (len(xy), len(y3_map)))
+            stack = search_mod._deterministic_structure(dims, problem, xy, y3)
+            stats = search_mod._InnerEvaluator(stack, problem).stats(w4)
+            pi = np.where(search_mod._inner_feasible(stats, problem.budget), stats.pi, -math.inf)
+            best = max(best, pi.max())
+            tied += [(dims, y3_map, xy[i], w4) for i in np.flatnonzero(pi == 0.5)]
+    assert best == 0.5 and len(tied) == 48
+
+    def table(dims, y3_map, xy, w4):
+        struct = search_mod._deterministic_structure(dims, problem, xy, y3_map)
+        return search_mod._assemble_inner(struct, w4, problem).joint.table
+
+    res = search_inner(problem, restarts=1, seed=0, refine_top=0)
+    assert res.tuple.pi == 0.5
+    assert np.array_equal(res.candidate.joint.table, table(*tied[0]))
+    assert not np.array_equal(table(*tied[0]), table(*tied[-1]))
 
 
 def test_missing_highs_bindings_name_the_scipy_floor():
@@ -951,19 +997,16 @@ def test_equivocation_family_is_enumerated_once_per_call(monkeypatch, run):
 
 
 def test_equivocation_assembles_each_member_once(monkeypatch):
-    # a member's candidate does not depend on the key rate, so a sweep
-    # assembles (and hashes) each tied finalist once, not at every grid rate
-    keys = []
+    # each search assembles only the candidate it publishes, so an N-point
+    # sweep assembles at most N joints, although every screened member
+    # ties for the best value at three of these four key rates
+    calls = []
     assemble = search_mod._assemble_equiv
-
-    def counted(params, problem):
-        keys.append(b"".join(getattr(params, f.name).tobytes() for f in dataclasses.fields(params)))
-        return assemble(params, problem)
-
-    monkeypatch.setattr(search_mod, "_assemble_equiv", counted)
+    monkeypatch.setattr(search_mod, "_assemble_equiv", lambda *a: calls.append(a) or assemble(*a))
     prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=3, cap_v2=3)
-    equivocation_sweep(prob, [i * 1.25 / 3 for i in range(4)], restarts=2, seed=0)
-    assert keys and len(keys) == len(set(keys))
+    grid = [i * 1.25 / 3 for i in range(4)]
+    equivocation_sweep(prob, grid, restarts=2, seed=0)
+    assert 0 < len(calls) <= len(grid)
 
 
 def test_equivocation_infeasible_distortion():

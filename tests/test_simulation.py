@@ -963,3 +963,19 @@ def test_scheme_spec_json_rejects_what_is_no_integer(field, value):
         obj["index_bits"][field] = value
     with pytest.raises(ValueError):
         scheme_spec_from_json(obj)
+
+
+@pytest.mark.parametrize("epsilon", ["0.25", True, None, [0.25]])
+def test_scheme_spec_rejects_an_epsilon_that_is_no_number(epsilon):
+    # a JSON string or a bool is refused, not converted by float()
+    with pytest.raises(ValueError, match="epsilon must be a nonnegative number"):
+        SchemeSpec(n=1, inner=CORNER, index_bits=BITS_N1, side=EX.side, epsilon=epsilon)
+    obj = scheme_spec_to_json(corner_spec(1, BITS_N1))
+    obj["epsilon"] = epsilon
+    with pytest.raises(ValueError, match="epsilon"):
+        scheme_spec_from_json(obj)
+
+
+def test_scheme_spec_stores_an_integer_epsilon_as_float():
+    spec = SchemeSpec(n=1, inner=CORNER, index_bits=BITS_N1, side=EX.side, epsilon=np.int64(1))
+    assert type(spec.epsilon) is float and spec.epsilon == 1.0
