@@ -40,23 +40,30 @@ STREAM_SAMPLE = 0x53410006
 _WORD = 2**64
 
 
-def _checked_seed(seed) -> int:
-    """``seed`` as an int in [0, 2**64), else ``ValueError``; a bool is no seed."""
-    integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if not (integral and 0 <= int(seed) < _WORD):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return int(seed)
+def _count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum``, else ``ValueError`` naming ``name``;
+    a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _checked_seed(value, name: str = "seed") -> int:
+    """``value`` as an int in [0, 2**64), else ``ValueError`` naming ``name``;
+    a bool is no integer."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and 0 <= int(value) < _WORD):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
 
 
 def stream(seed: int, tag: int, row: int = 0) -> np.random.Generator:
     """The (seed, tag) stream with its counter positioned at ``row``; a
-    seed that is not an integer in [0, 2**64) raises ``ValueError``."""
-    seed = _checked_seed(seed)
-    if row < 0:
-        raise ValueError("stream row must be nonnegative")
+    seed, tag or row that is not an integer in [0, 2**64) raises
+    ``ValueError`` naming it."""
     bg = np.random.Philox(
-        key=np.array([seed, tag % _WORD], dtype=np.uint64),
-        counter=np.array([0, row % _WORD, 0, 0], dtype=np.uint64),
+        key=np.array([_checked_seed(seed), _checked_seed(tag, "tag")], dtype=np.uint64),
+        counter=np.array([0, _checked_seed(row, "row"), 0, 0], dtype=np.uint64),
     )
     return np.random.Generator(bg)
 

@@ -33,14 +33,15 @@ weights, maps and anchors at uniform weights.  The anchors are the
 no-information candidate and one balanced deterministic map per anchor
 decomposition.  Maps are scored in stacks built by index arithmetic, and
 only two sets of them stay: the first feasible map at the best payoff,
-and the top 256 by relaxed score (every map when there are at most
-2,048), refined with every anchor and the best ``refine_top`` restarts.
-The pool is ordered: that best map, the anchors, the sampled restarts,
-then the refinements.  The winner is its first entry with the best
-payoff, so the outcome is a deterministic function of (problem, seed,
-restarts); only the winner is assembled into a joint, and it is
-re-derived by the reference evaluator in :mod:`cascade_secrecy.bounds`
-before it is published.
+and the top 256 by relaxed score.  Those 256, every anchor and the best
+``refine_top`` restarts are refined, only the first start of each class
+of equal (dims, r0, r1, r2, pi, marginal gap): the others are its
+relabelings, which refine to the same point.  The pool is ordered: that
+best map, the anchors, the sampled restarts, then the refinements.  The
+winner is its first entry with the best payoff, so the outcome is a
+deterministic function of (problem, seed, restarts); only the winner is
+assembled into a joint, and it is re-derived by the reference evaluator
+in :mod:`cascade_secrecy.bounds` before it is published.
 
 The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
@@ -105,7 +106,7 @@ from .bounds import (
 )
 from .payoff import LogLossPayoff, PayoffTable, _batched_values
 from .probability import Alphabet, JointDistribution, Pmf, _entropy_of
-from .rng import _checked_seed, stream
+from .rng import _checked_seed, _count, stream
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT",
@@ -130,8 +131,7 @@ DEFAULT_ENUM_LIMIT = 1_000_000
 _RATE_SLACK = 1e-9  # accepted overage on rate/distortion budgets
 _MARGINAL_SLACK = 1e-6  # accepted source-marginal gap for search results
 _BACKOFF = 1e-7  # refinement aims slightly inside the rate budget
-_ENUM_REFINE_ALL = 2048  # refine every enumerated map below this count
-_ENUM_REFINE_TOP = 256  # otherwise refine only this many screened maps
+_ENUM_REFINE_TOP = 256  # screened maps refined, by relaxed score
 _LP_MAXITER = 200  # LP refinement steps; the stall and step-size rules end most refinements first
 _CERTIFY_TOL = 1e-9  # published tuple vs the reference evaluator
 _EQUIV_REFINE_TOP = 16  # equivocation restarts refined by the LP refiner
@@ -233,14 +233,6 @@ class SearchResult:
             "wall_time": self.wall_time,
             "message": self.message,
         }
-
-
-def _count(value, name: str, minimum: int = 1) -> int:
-    """``value`` as an int >= ``minimum``, else ``ValueError`` naming ``name``;
-    a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -988,13 +980,13 @@ def _enumerate_maps(problem: InnerSearchProblem, dims, pairs_by_y3):
             yield np.array(y3_map), xy
 
 
-def _screen_maps(problem, decomps, pairs_by_y3, keep: int) -> tuple[list[_Scored], list[_Scored]]:
+def _screen_maps(problem, decomps, pairs_by_y3) -> tuple[list[_Scored], list[_Scored]]:
     """Score every deterministic channel map once, at uniform weights, a
     stack at a time.  Keeps, and builds structures for, only the first
     feasible map at the best payoff (a later tie cannot win the pool) and
-    the best ``keep`` by relaxed score, in enumeration order as a stable
-    sort leaves ties."""
-    budget = problem.budget
+    the best ``_ENUM_REFINE_TOP`` by relaxed score, in enumeration order as
+    a stable sort leaves ties."""
+    budget, keep = problem.budget, _ENUM_REFINE_TOP
     best, first = -math.inf, []
     top, top_scores = [], np.empty(0)  # (dims, y3 map, xy, stats, weights) by rank
     for dims in decomps:
@@ -1056,27 +1048,23 @@ def search_inner(
         return _Scored(_InnerEvaluator(struct, problem).stats(w4), struct, w4)
 
     # every deterministic channel map when few enough, scored once at
-    # uniform weights: the best feasible maps compete for the win; all maps
-    # are refined up to _ENUM_REFINE_ALL, else the best _ENUM_REFINE_TOP
-    total_maps = sum(_map_space_size(d, pairs_by_y3) for d in decomps)
-    enum_top = total_maps if total_maps <= _ENUM_REFINE_ALL else _ENUM_REFINE_TOP
+    # uniform weights: the best feasible map competes for the win, and the
+    # best _ENUM_REFINE_TOP by relaxed score are refined
     best_maps, to_refine = [], []
-    if 0 < total_maps <= enum_limit:
-        best_maps, to_refine = _screen_maps(problem, decomps, pairs_by_y3, enum_top)
+    if 0 < sum(_map_space_size(d, pairs_by_y3) for d in decomps) <= enum_limit:
+        best_maps, to_refine = _screen_maps(problem, decomps, pairs_by_y3)
 
     # seed-independent anchors: the no-information candidate (stochastic
-    # source row, so never covered by the deterministic enumeration) plus,
-    # unless every map was enumerated and refined, one balanced map for each
-    # of the leading decompositions and each zero-key one
+    # source row, so never covered by the deterministic enumeration) plus
+    # one balanced map for each of the leading decompositions and each
+    # zero-key one: every (c_u2, c_a, 1, 1) decomposition pins V1 = U1,
+    # hence key rate identically zero, the natural anchors for small budgets
     anchors = [_blind_structure(problem)]
-    if not 0 < len(to_refine) == total_maps:
-        # every (c_u2, c_a, 1, 1) decomposition pins V1 = U1, hence key
-        # rate identically zero: the natural anchors for small budgets
-        anchor_dims = decomps[:16] + [d for d in decomps if d[2] == 1 and d[3] == 1]
-        for dims in dict.fromkeys(anchor_dims):
-            struct = _balanced_structure(dims, problem, pairs_by_y3)
-            if struct is not None:
-                anchors.append(struct)
+    anchor_dims = decomps[:16] + [d for d in decomps if d[2] == 1 and d[3] == 1]
+    for dims in dict.fromkeys(anchor_dims):
+        struct = _balanced_structure(dims, problem, pairs_by_y3)
+        if struct is not None:
+            anchors.append(struct)
     anchored = [scored(s, _start_weights(s.dims)) for s in anchors]
     to_refine += anchored
 
@@ -1105,7 +1093,11 @@ def search_inner(
         best = _refine_flat_slp(program, start.w4.reshape(-1))
         return [] if best is None else [_Scored(best[1], struct, best[0].reshape(struct.dims))]
 
-    pool = best_maps + anchored + sampled + [r for s in to_refine for r in refined(s)]
+    # starts of equal statistics are relabelings that refine to one point
+    firsts: dict[tuple, _Scored] = {}  # the first start of each class
+    for s in to_refine:
+        firsts.setdefault((s.struct.dims, *vars(s.stats).values()), s)
+    pool = best_maps + anchored + sampled + [r for s in firsts.values() for r in refined(s)]
     feasible = [s for s in pool if _inner_feasible(s.stats, budget)]
     wall = time.perf_counter() - started
     if not feasible:

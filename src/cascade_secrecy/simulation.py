@@ -55,6 +55,7 @@ from .rng import (
     STREAM_V2,
     _cdf,
     _checked_seed,
+    _count,
     sample_pmf,
     sample_rows,
     stream,
@@ -790,16 +791,16 @@ def mc_estimate(
     Histories are sampled; each history is scored against its exact
     posterior, so the only noise is the outer expectation.  Each sample
     draws 2 + 4n uniforms from its own stream, so the result depends on
-    the seed alone, an integer in [0, 2**64).  The uniforms of a sample
-    are used in a fixed order: key, source symbols, encoder index, node-2
-    actions, node-3 actions, disclosed signals.  Every stage runs on whole
-    arrays of samples, in chunks of min(Ma*Mb*Mc*Md, K*|X|^n) samples, so
-    neither a chunk's (sample, k, x^n) weights nor its (sample, m) message
-    rows hold more cells than the encoder table.
+    the seed alone.  ``seed`` must be an integer in [0, 2**64) and ``samples``
+    one >= 2, else ``ValueError`` comes before any codebook is built.  The
+    uniforms of a sample are used in a fixed order: key, source symbols,
+    encoder index, node-2 actions, node-3 actions, disclosed signals.  Every
+    stage runs on whole arrays of samples, in chunks of min(Ma*Mb*Mc*Md,
+    K*|X|^n) samples, so neither a chunk's (sample, k, x^n) weights nor its
+    (sample, m) message rows hold more cells than the encoder table.
     """
     seed = _checked_seed(seed)
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
+    samples = _count(samples, "samples", 2)  # a standard error needs two
     engine = _PosteriorEngine(_kept(spec, "_codebooks", lambda: build_codebooks(spec), weak=True))
     scheme, cb, n_k = engine.scheme, engine.cb, engine.n_k
     _check_payoff_alphabets(payoff, scheme)

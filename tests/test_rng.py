@@ -49,3 +49,31 @@ def test_stream_rejects_a_seed_that_is_no_integer_below_2_64(seed):
     # would draw seed 1's)
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
         stream(seed, 7)
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("tag", {"tag": 1.5}),
+        ("tag", {"tag": -1}),
+        ("tag", {"tag": 2**64}),
+        ("tag", {"tag": True}),
+        ("tag", {"tag": "1"}),
+        ("tag", {"tag": np.float64(1.0)}),
+        ("row", {"tag": 7, "row": 2.5}),
+        ("row", {"tag": 7, "row": -1}),
+        ("row", {"tag": 7, "row": 2**64}),
+        ("row", {"tag": 7, "row": True}),
+    ],
+)
+def test_stream_rejects_a_tag_or_row_that_is_no_integer_below_2_64(field, kwargs):
+    # not wrapped (tag -1 would draw tag 2**64 - 1's stream) nor truncated
+    # (tag 1.5 would draw tag 1's, row 2.5 row 2's)
+    with pytest.raises(ValueError, match=rf"{field} must be an integer in \[0, 2\*\*64\)"):
+        stream(0, **kwargs)
+
+
+def test_stream_takes_numpy_integer_tags_and_rows():
+    want = stream(3, 2**64 - 1, row=5).random(3)
+    got = stream(3, np.uint64(2**64 - 1), row=np.int64(5)).random(3)
+    assert np.array_equal(got, want)

@@ -329,6 +329,16 @@ GRID_CAPS = CardinalityCaps(4, 3, 12, 6)  # the benchmark's inner_grid caps
             0.4999999,
             id="enumerated_maps",
         ),
+        *(
+            pytest.param(
+                RateBudget(r0, math.inf, math.inf),
+                CardinalityCaps(4, 2, 8, 4),
+                {"restarts": 8},
+                floor,
+                id=f"ci_bounds_r0_{r0}",
+            )
+            for r0, floor in ((0.5, 0.2499999), (1.0, 0.4999999), (1.3, 0.5139445))
+        ),
     ],
 )
 def test_ternary_unit_key_reaches_half(budget, caps, kwargs, floor):
@@ -336,7 +346,9 @@ def test_ternary_unit_key_reaches_half(budget, caps, kwargs, floor):
     # outcome independent of sampling luck.  The inner_grid budgets pin the
     # payoffs the flat LP refiner reaches at r0 = 0.1, 0.5 and 1.3.  At caps
     # (3,1,6,3) only the 5,994 enumerated maps reach 1/2: sampling alone
-    # finds no feasible candidate there.
+    # finds no feasible candidate there.  The ci_bounds cases are the CI
+    # determinism run's three searches, whose 106,686 maps are enumerated;
+    # refined maps win two of them.
     problem = ternary_problem(budget, caps=caps)
     res = search_inner(problem, seed=0, **kwargs)
     assert res.feasible
@@ -759,6 +771,32 @@ def test_search_publishes_the_earliest_of_tied_entries(monkeypatch):
     assert res.tuple.pi == 0.5
     assert np.array_equal(res.candidate.joint.table, table(*tied[0]))
     assert not np.array_equal(table(*tied[0]), table(*tied[-1]))
+
+
+def test_search_refines_each_class_of_equal_starts_once(monkeypatch):
+    # at caps (6,3,9,3) most of the 256 screened maps are relabelings of a
+    # few: equal (dims, r0, r1, r2, pi, marginal gap), the same refined
+    # point.  Each class is refined from its first start only; refining
+    # every start made 248 refinements from 29 classes
+    starts, dims_of = [], {}
+    program, refine = search_mod._inner_program, search_mod._refine_flat_slp
+
+    def recorded_program(evaluator, budget):
+        out = program(evaluator, budget)
+        dims_of[id(out)] = evaluator.dims
+        return out
+
+    def recorded_refine(prog, x0):
+        starts.append((dims_of[id(prog)], *vars(prog.stats(x0)).values()))
+        return refine(prog, x0)
+
+    monkeypatch.setattr(search_mod, "_inner_program", recorded_program)
+    monkeypatch.setattr(search_mod, "_refine_flat_slp", recorded_refine)
+    problem = ternary_problem(RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(6, 3, 9, 3))
+    res = search_inner(problem, restarts=8, seed=0, refine_top=8)
+    assert res.tuple.pi == 0.5
+    assert len(starts) > 8  # the screened maps, not only the sampled restarts
+    assert len(set(starts)) == len(starts)
 
 
 def test_missing_highs_bindings_name_the_scipy_floor():

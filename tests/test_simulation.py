@@ -811,6 +811,18 @@ def test_mc_estimate_rejects_a_seed_that_is_no_integer_below_2_64(seed, monkeypa
         mc_estimate(corner_spec(1, BITS_N1, seed=1), EX.payoff, 20, seed=seed)
 
 
+@pytest.mark.parametrize("samples", [3.0, 2.5, "5", True])
+def test_mc_estimate_rejects_a_sample_count_that_is_no_integer(samples, monkeypatch):
+    # refused before the codebooks are drawn, naming the field; a float
+    # count used to fail in range() after the encoder table was built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the codebooks were drawn")
+
+    monkeypatch.setattr(simulation, "build_codebooks", unreachable)
+    with pytest.raises(ValueError, match="samples must be an integer >= 2"):
+        mc_estimate(corner_spec(1, BITS_N1, seed=1), EX.payoff, samples, seed=0)
+
+
 def test_mc_trace_csv(tmp_path):
     spec = corner_spec(1, BITS_N1)
     buf = io.StringIO()
