@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +45,8 @@ from .search import (
     InnerSearchProblem,
     RateBudget,
     VerificationError,
+    _inner_searcher,
     _search_and_sweep,
-    search_equivocation,
-    search_inner,
 )
 from .simulation import (
     empirical_equivocation,
@@ -113,6 +111,14 @@ def _as_number(value, path: str, *, allow_inf: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise SchemaError(path, f"expected a number, got {value!r}")
     return float(value)
+
+
+def _as_rate(value, path: str) -> float:
+    """A rate in bits: a number >= 0, or "inf" for no limit."""
+    rate = _as_number(value, path, allow_inf=True)
+    if rate < 0:
+        raise SchemaError(path, f"must be a rate >= 0, got {rate}")
+    return rate
 
 
 def _as_dict(value, path: str) -> dict:
@@ -322,11 +328,7 @@ def _load_config(args: argparse.Namespace) -> _Run:
 
 def _budget_from_json(obj, path: str) -> RateBudget:
     obj = _as_dict(obj, path)
-    return RateBudget(
-        r0=_as_number(_get(obj, "r0", path), f"{path}.r0", allow_inf=True),
-        r1=_as_number(_get(obj, "r1", path), f"{path}.r1", allow_inf=True),
-        r2=_as_number(_get(obj, "r2", path), f"{path}.r2", allow_inf=True),
-    )
+    return RateBudget(*(_as_rate(_get(obj, t, path), f"{path}.{t}") for t in ("r0", "r1", "r2")))
 
 
 _CAP_TAGS = ("u1", "u2", "v1", "v2")
@@ -366,10 +368,8 @@ def _r0_grid(problem: dict) -> list[float] | None:
     grid = problem.get("r0_grid")
     if grid is None:
         return None
-    grid = [
-        _as_number(g, f"problem.r0_grid[{i}]", allow_inf=True)
-        for i, g in enumerate(_as_list(grid, "problem.r0_grid"))
-    ]
+    grid = _as_list(grid, "problem.r0_grid")
+    grid = [_as_rate(g, f"problem.r0_grid[{i}]") for i, g in enumerate(grid)]
     if not grid:
         raise SchemaError("problem.r0_grid", "expected at least one key rate")
     return grid
@@ -385,19 +385,14 @@ def _strip_result(obj: dict, keep_candidate: bool) -> dict:
 
 def _run_bounds(run: _Run) -> int:
     prob = _inner_problem(run.problem)
-    search_kwargs = {"restarts": run.control["restarts"], "seed": run.seed}
+    search_kwargs = {}
     for tag in ("refine_top", "enum_limit"):
         if tag in run.problem:
             search_kwargs[tag] = _as_int(run.problem[tag], f"problem.{tag}", minimum=0)
-
-    grid = _r0_grid(run.problem)
-    if grid is None:
-        results = [(prob.budget.r0, search_inner(prob, **search_kwargs))]
-    else:
-        results = [
-            (g, search_inner(replace(prob, budget=replace(prob.budget, r0=g)), **search_kwargs))
-            for g in grid
-        ]
+    grid = _r0_grid(run.problem) or [prob.budget.r0]
+    # one screening of the maps serves every key rate
+    search = _inner_searcher(prob, run.control["restarts"], **search_kwargs)
+    results = [(g, search(g, run.seed)) for g in grid]
 
     feasible = [(g, r) for g, r in results if r.feasible]
     points = [
@@ -549,9 +544,9 @@ def _equiv_problem(problem: dict) -> EquivocationProblem:
     fields = {
         "max_d1": _as_number(_get(problem, "max_d1", "problem"), "problem.max_d1", allow_inf=True),
         "max_d2": _as_number(_get(problem, "max_d2", "problem"), "problem.max_d2", allow_inf=True),
-        "r0": _as_number(_get(problem, "r0", "problem"), "problem.r0", allow_inf=True),
-        "r1": _as_number(problem.get("r1", "inf"), "problem.r1", allow_inf=True),
-        "r2": _as_number(problem.get("r2", "inf"), "problem.r2", allow_inf=True),
+        "r0": _as_rate(_get(problem, "r0", "problem"), "problem.r0"),
+        "r1": _as_rate(problem.get("r1", "inf"), "problem.r1"),
+        "r2": _as_rate(problem.get("r2", "inf"), "problem.r2"),
         "cap_v1": _as_int(_get(problem, "cap_v1", "problem"), "problem.cap_v1", minimum=1),
         "cap_v2": _as_int(_get(problem, "cap_v2", "problem"), "problem.cap_v2", minimum=1),
     }
@@ -569,13 +564,12 @@ def _equiv_problem(problem: dict) -> EquivocationProblem:
 def _run_equivocation(run: _Run) -> int:
     prob = _equiv_problem(run.problem)
     grid = _r0_grid(run.problem)
-    restarts = run.control["restarts"]
-    if grid is None:
-        result, points = search_equivocation(prob, restarts=restarts, seed=run.seed), None
-    else:  # one screening of the family serves the search and the sweep
-        result, points = _search_and_sweep(prob, grid, restarts=restarts, seed=run.seed)
+    # one screening of the family serves the search and the sweep
+    result, points = _search_and_sweep(
+        prob, grid or [], restarts=run.control["restarts"], seed=run.seed
+    )
     payload = {"result": _strip_result(result.to_json(), keep_candidate=True)}
-    if points is not None:
+    if grid is not None:
         payload["sweep"] = [{"r0": p.r0, "value": p.value} for p in points]
     json_path = run.write_json("equivocation_result.json", payload)
     print(f"wrote {json_path} (feasible={result.feasible})")

@@ -27,18 +27,22 @@ per-call input checks cost more than the solve.  When the space of
 deterministic channel maps is at most ``enum_limit``, the search also
 enumerates every map.
 
+Both searches run through one searcher per problem, ``search(r0, seed)``:
+what no key rate changes is done once, when the searcher is made, and
+each search rates, refines and certifies at its own key rate.
 Sampled restarts, enumerated maps and seed-independent anchors form one
 pool, each candidate scored once by one kernel: restarts at their start
 weights, maps and anchors at uniform weights.  The anchors are the
 no-information candidate and one balanced deterministic map per anchor
-decomposition.  Maps are scored in stacks built by index arithmetic, and
-only two sets of them stay: the first feasible map at the best payoff,
-and the top 256 by relaxed score.  Those 256, every anchor and the best
-``refine_top`` restarts are refined, only the first start of each class
-of equal (dims, r0, r1, r2, pi, marginal gap): the others are its
-relabelings, which refine to the same point.  The pool is ordered: that
-best map, the anchors, the sampled restarts, then the refinements.  The
-winner is its first entry with the best payoff, so the outcome is a
+decomposition.  The searcher scores the maps in stacks built by index
+arithmetic and keeps five statistics per map; each search ranks them and
+builds structures for two sets only: the first feasible map at the best
+payoff, and the top 256 by relaxed score.  Those 256, every anchor and
+the best ``refine_top`` restarts are refined, only the first start of
+each class of equal (dims, r0, r1, r2, pi, marginal gap): the others are
+its relabelings, which refine to the same point.  The pool is ordered:
+that best map, the anchors, the sampled restarts, then the refinements.
+The winner is its first entry with the best payoff, so the outcome is a
 deterministic function of (problem, seed, restarts); only the winner is
 assembled into a joint, and it is re-derived by the reference evaluator
 in :mod:`cascade_secrecy.bounds` before it is published.
@@ -46,8 +50,8 @@ in :mod:`cascade_secrecy.bounds` before it is published.
 The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
 exact by construction; only distortion and message-rate budgets remain
-as optimizer constraints.  None of them involves the key rate, so each
-call screens the enumerable family once: one batch kernel scores it in
+as optimizer constraints.  None of them involves the key rate, so the
+searcher screens the enumerable family once: one batch kernel scores it in
 chunks of at most 1,024 deterministic members, built by index
 arithmetic, and keeps the feasible ones as arrays.  At each key rate a
 kept member's value is re-rated in closed form, H(S) - [I(S;V1) - R0]+,
@@ -980,67 +984,48 @@ def _enumerate_maps(problem: InnerSearchProblem, dims, pairs_by_y3):
             yield np.array(y3_map), xy
 
 
-def _screen_maps(problem, decomps, pairs_by_y3) -> tuple[list[_Scored], list[_Scored]]:
-    """Score every deterministic channel map once, at uniform weights, a
-    stack at a time.  Keeps, and builds structures for, only the first
-    feasible map at the best payoff (a later tie cannot win the pool) and
-    the best ``_ENUM_REFINE_TOP`` by relaxed score, in enumeration order as
-    a stable sort leaves ties."""
-    budget, keep = problem.budget, _ENUM_REFINE_TOP
-    best, first = -math.inf, []
-    top, top_scores = [], np.empty(0)  # (dims, y3 map, xy, stats, weights) by rank
+def _screen_maps(problem, decomps, pairs_by_y3) -> _InnerStats:
+    """The statistics of every deterministic channel map, scored once at
+    uniform weights a stack at a time: arrays in enumeration order, five
+    floats per map.  None of them depends on the budget."""
+    stacks = []
     for dims in decomps:
         w4 = _start_weights(dims)
         for y3_map, xy in _enumerate_maps(problem, dims, pairs_by_y3):
             y3 = np.broadcast_to(y3_map, (len(xy), len(y3_map)))
             stack = _deterministic_structure(dims, problem, xy, y3)
-            stats = _InnerEvaluator(stack, problem).stats(w4)
-
-            def kept(i: int) -> tuple:
-                return dims, y3_map, xy[i].copy(), _member(stats, i), w4
-
-            pi = np.where(_inner_feasible(stats, budget), stats.pi, -math.inf)
-            at = int(np.argmax(pi))  # the first best map of the stack
-            if pi[at] > best:
-                best, first = pi[at], [kept(at)]
-            scores = np.concatenate([top_scores, _inner_score(stats, budget)])
-            order = np.argsort(-scores, kind="stable")[:keep]
-            n_top = len(top)
-            top = [top[i] if i < n_top else kept(i - n_top) for i in order.tolist()]
-            top_scores = scores[order]
-
-    def scored(entry: tuple) -> _Scored:
-        dims, y3_map, xy, stats, w4 = entry
-        return _Scored(stats, _deterministic_structure(dims, problem, xy, y3_map), w4)
-
-    return [scored(e) for e in first], [scored(e) for e in top]
+            stacks.append(_InnerEvaluator(stack, problem).stats(w4))
+    return _concat(stacks)
 
 
-def search_inner(
-    problem: InnerSearchProblem,
-    *,
-    restarts: int = 64,
-    seed: int = 0,
-    workers: int = 1,
-    refine_top: int = 24,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-) -> SearchResult:
-    """Best rate-feasible candidate found for the inner achievability bound.
+def _ranked_maps(problem, decomps, pairs_by_y3, screened, budget) -> tuple[list, list]:
+    """The first feasible map at the best payoff (a later tie cannot win
+    the pool) and the best ``_ENUM_REFINE_TOP`` by relaxed score, in
+    enumeration order as a stable sort leaves ties.  One more enumeration
+    pass builds structures for these maps only."""
+    pi = np.where(_inner_feasible(screened, budget), screened.pi, -math.inf)
+    best = [int(np.argmax(pi))] if pi.max() > -math.inf else []
+    top = np.argsort(-_inner_score(screened, budget), kind="stable")[:_ENUM_REFINE_TOP].tolist()
+    picks, kept, start = np.array(best + top), {}, 0  # map index -> scored map
+    for dims in decomps:
+        w4 = _start_weights(dims)
+        for y3_map, xy in _enumerate_maps(problem, dims, pairs_by_y3):
+            for i in set(picks[(start <= picks) & (picks < start + len(xy))].tolist()):
+                struct = _deterministic_structure(dims, problem, xy[i - start], y3_map)
+                kept[i] = _Scored(_member(screened, i), struct, w4)
+            start += len(xy)
+    return [kept[i] for i in best], [kept[i] for i in top]
 
-    Deterministic given (problem, seed, restarts).  ``seed`` must be an
-    integer in [0, 2**64), ``restarts`` an integer >= 1, ``refine_top``
-    and ``enum_limit`` integers >= 0; anything else raises ``ValueError``
-    before any work.  Infeasibility is a result, not an exception; a
-    winner that the reference evaluator does not reproduce raises
-    :class:`VerificationError`.
-    ``workers`` does nothing; it stays while perfbench/ passes it (ROADMAP item 9).
-    """
-    seed = _checked_seed(seed)
+
+def _inner_searcher(problem, restarts, refine_top=24, enum_limit=DEFAULT_ENUM_LIMIT) -> Callable:
+    """``search(r0, seed)``, the search of ``problem`` at key budget ``r0``.
+    What no budget changes is done once, here: the arguments are checked,
+    the maps screened and the anchors scored.  Each search ranks the maps,
+    samples, refines and certifies; its ``wall_time`` counts from here."""
     restarts = _count(restarts, "restarts")
     refine_top = _count(refine_top, "refine_top", 0)
     enum_limit = _count(enum_limit, "enum_limit", 0)
     started = time.perf_counter()
-    budget = problem.budget
     decomps = _decompositions(problem.caps)
     pairs_by_y3 = _finite_pairs(problem)
 
@@ -1048,11 +1033,10 @@ def search_inner(
         return _Scored(_InnerEvaluator(struct, problem).stats(w4), struct, w4)
 
     # every deterministic channel map when few enough, scored once at
-    # uniform weights: the best feasible map competes for the win, and the
-    # best _ENUM_REFINE_TOP by relaxed score are refined
-    best_maps, to_refine = [], []
+    # uniform weights; each search ranks them at its own budget
+    screened = None
     if 0 < sum(_map_space_size(d, pairs_by_y3) for d in decomps) <= enum_limit:
-        best_maps, to_refine = _screen_maps(problem, decomps, pairs_by_y3)
+        screened = _screen_maps(problem, decomps, pairs_by_y3)
 
     # seed-independent anchors: the no-information candidate (stochastic
     # source row, so never covered by the deterministic enumeration) plus
@@ -1066,55 +1050,88 @@ def search_inner(
         if struct is not None:
             anchors.append(struct)
     anchored = [scored(s, _start_weights(s.dims)) for s in anchors]
-    to_refine += anchored
 
-    def sample_one(index: int) -> _Scored:
-        rng = stream(seed, index)
-        dims = decomps[index % len(decomps)]
-        stochastic = rng.random() < 0.25
-        struct = _sample_structure(rng, dims, problem, pairs_by_y3, stochastic)
-        w0 = None
-        if rng.random() < 0.7:
-            w0 = _concentrated_weights(rng, struct, problem.p_x.probs, budget.r0)
-        if w0 is None:
-            w0 = _start_weights(dims, None if rng.random() < 0.15 else rng)
-        return scored(struct, w0)
+    def search(r0: float, seed: int) -> SearchResult:
+        budget = replace(problem.budget, r0=r0)
+        best_maps, to_refine = ([], []) if screened is None else _ranked_maps(
+            problem, decomps, pairs_by_y3, screened, budget
+        )
+        to_refine += anchored
 
-    sampled = [sample_one(i) for i in range(restarts)]
-    # a stable sort: ties keep pool order
-    to_refine += sorted(sampled, key=lambda s: -float(_inner_score(s.stats, budget)))[:refine_top]
+        def sample_one(index: int) -> _Scored:
+            rng = stream(seed, index)
+            dims = decomps[index % len(decomps)]
+            stochastic = rng.random() < 0.25
+            struct = _sample_structure(rng, dims, problem, pairs_by_y3, stochastic)
+            w0 = None
+            if rng.random() < 0.7:
+                w0 = _concentrated_weights(rng, struct, problem.p_x.probs, r0)
+            if w0 is None:
+                w0 = _start_weights(dims, None if rng.random() < 0.15 else rng)
+            return scored(struct, w0)
 
-    # only flat layouts have a refiner, the rest compete at their start
-    def refined(start: _Scored) -> list[_Scored]:
-        struct = start.struct
-        if not _is_flat(struct.dims) or len(struct.px_rows) == 1:
-            return []
-        program = _inner_program(_InnerEvaluator(struct, problem), budget)
-        best = _refine_flat_slp(program, start.w4.reshape(-1))
-        return [] if best is None else [_Scored(best[1], struct, best[0].reshape(struct.dims))]
+        sampled = [sample_one(i) for i in range(restarts)]
+        # a stable sort: ties keep pool order
+        ranked = sorted(sampled, key=lambda s: -float(_inner_score(s.stats, budget)))
+        to_refine += ranked[:refine_top]
 
-    # starts of equal statistics are relabelings that refine to one point
-    firsts: dict[tuple, _Scored] = {}  # the first start of each class
-    for s in to_refine:
-        firsts.setdefault((s.struct.dims, *vars(s.stats).values()), s)
-    pool = best_maps + anchored + sampled + [r for s in firsts.values() for r in refined(s)]
-    feasible = [s for s in pool if _inner_feasible(s.stats, budget)]
-    wall = time.perf_counter() - started
-    if not feasible:
-        message = "infeasible: no candidate met the rate budget within tolerance"
-        return SearchResult(False, None, None, seed, restarts, wall, message)
+        # only flat layouts have a refiner, the rest compete at their start
+        def refined(start: _Scored) -> list[_Scored]:
+            struct = start.struct
+            if not _is_flat(struct.dims) or len(struct.px_rows) == 1:
+                return []
+            program = _inner_program(_InnerEvaluator(struct, problem), budget)
+            best = _refine_flat_slp(program, start.w4.reshape(-1))
+            return [] if best is None else [_Scored(best[1], struct, best[0].reshape(struct.dims))]
 
-    winner = max(feasible, key=lambda s: s.stats.pi)  # the first best entry
-    winner_cand = _assemble_inner(winner.struct, winner.w4, problem)
-    st = winner.stats
-    tup = RatePayoffTuple(st.r0, st.r1, st.r2, st.pi)  # feasible, so pi is finite
-    _certify(
-        check_inner_constraints(winner_cand, p_x=problem.p_x, tol=_MARGINAL_SLACK),
-        asdict(tup),
-        lambda: asdict(eval_inner_tuple(winner_cand, problem.side, problem.payoff, check=False)),
-    )
-    msg = f"source-marginal gap {st.marginal_gap:.2e}"
-    return SearchResult(True, tup, winner_cand, seed, restarts, wall, msg)
+        # starts of equal statistics are relabelings that refine to one point
+        firsts: dict[tuple, _Scored] = {}  # the first start of each class
+        for s in to_refine:
+            firsts.setdefault((s.struct.dims, *vars(s.stats).values()), s)
+        pool = best_maps + anchored + sampled + [r for s in firsts.values() for r in refined(s)]
+        feasible = [s for s in pool if _inner_feasible(s.stats, budget)]
+        wall = time.perf_counter() - started
+        if not feasible:
+            message = "infeasible: no candidate met the rate budget within tolerance"
+            return SearchResult(False, None, None, seed, restarts, wall, message)
+
+        winner = max(feasible, key=lambda s: s.stats.pi)  # the first best entry
+        cand = _assemble_inner(winner.struct, winner.w4, problem)
+        st = winner.stats
+        tup = RatePayoffTuple(st.r0, st.r1, st.r2, st.pi)  # feasible, so pi is finite
+        _certify(
+            check_inner_constraints(cand, p_x=problem.p_x, tol=_MARGINAL_SLACK),
+            asdict(tup),
+            lambda: asdict(eval_inner_tuple(cand, problem.side, problem.payoff, check=False)),
+        )
+        msg = f"source-marginal gap {st.marginal_gap:.2e}"
+        return SearchResult(True, tup, cand, seed, restarts, wall, msg)
+
+    return search
+
+
+def search_inner(
+    problem: InnerSearchProblem,
+    *,
+    restarts: int = 64,
+    seed: int = 0,
+    workers: int = 1,
+    refine_top: int = 24,
+    enum_limit: int = DEFAULT_ENUM_LIMIT,
+) -> SearchResult:
+    """Best rate-feasible candidate found for the inner achievability bound.
+
+    One search of :func:`_inner_searcher` at ``problem.budget``, so
+    deterministic given (problem, seed, restarts).  ``seed`` must be an
+    integer in [0, 2**64), ``restarts`` an integer >= 1, ``refine_top``
+    and ``enum_limit`` integers >= 0; anything else raises ``ValueError``
+    before any work.  Infeasibility is a result, not an exception; a
+    winner that the reference evaluator does not reproduce raises
+    :class:`VerificationError`.
+    ``workers`` does nothing; it stays while perfbench/ passes it (ROADMAP item 9).
+    """
+    seed = _checked_seed(seed)
+    return _inner_searcher(problem, restarts, refine_top, enum_limit)(problem.budget.r0, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1445,25 +1462,21 @@ def _screen_equiv(problem: EquivocationProblem) -> tuple[_EquivStats, _EquivPara
     return _concat(stats), _concat(members)
 
 
-def _equivocation_searches(
-    problem: EquivocationProblem, rates: list[tuple[float, int]], restarts: int
-) -> list[EquivocationSearchResult]:
-    """One certified search per (key rate, seed) over a single screening.
-
-    Family membership and every distortion and rate budget are free of R0,
-    so the enumerable family is screened once; at each rate a feasible
-    member's value is re-rated in closed form from its H(S) and I(S;V1),
-    as the kernel rates it at ``problem.r0``.  Each rate draws its own
-    restarts, refines the best of them, then assembles and certifies the
-    first candidate with the best value.
-    """
+def _equivocation_searcher(problem: EquivocationProblem, restarts: int) -> Callable:
+    """``search(r0, seed)``, the certified search of ``problem`` at key rate ``r0``.
+    Membership and every distortion and rate budget are free of R0, so the
+    enumerable family is screened once, here; at each rate a feasible
+    member's value is re-rated in closed form from its H(S) and I(S;V1), as
+    the kernel rates it at ``problem.r0``.  Each search draws its restarts,
+    refines the best, then assembles and certifies the first candidate with
+    the best value; its ``wall_time`` counts from this call."""
     restarts = _count(restarts, "restarts")
     started = time.perf_counter()
     screened = _screen_equiv(problem)
-    results = []
-    for r0, rate_seed in rates:
+
+    def search(r0: float, seed: int) -> EquivocationSearchResult:
         at = replace(problem, r0=r0)
-        sampled = _concat([_sample_equiv(stream(rate_seed, i), at) for i in range(restarts)])
+        sampled = _concat([_sample_equiv(stream(seed, i), at) for i in range(restarts)])
         stats = _equiv_stats(sampled, at, r0)
         scores = _penalized(stats.value, _limits(stats, problem, _EQUIV_BUDGETS))
         order = np.argsort(-scores, kind="stable")
@@ -1480,10 +1493,7 @@ def _equivocation_searches(
         wall = time.perf_counter() - started
         if not len(values):
             message = "infeasible: no candidate met the distortion/rate budget"
-            results.append(
-                EquivocationSearchResult(False, None, None, rate_seed, restarts, wall, message)
-            )
-            continue
+            return EquivocationSearchResult(False, None, None, seed, restarts, wall, message)
         i = int(np.argmax(values))  # the first best candidate
         value = float(values[i])
         cand = _assemble_equiv(_take(members, [i]), problem)
@@ -1492,8 +1502,9 @@ def _equivocation_searches(
             {"value": value},
             lambda: {"value": equivocation_value(cand, at.secret_set, at.r0, check=False)},
         )
-        results.append(EquivocationSearchResult(True, value, cand, rate_seed, restarts, wall))
-    return results
+        return EquivocationSearchResult(True, value, cand, seed, restarts, wall)
+
+    return search
 
 
 def search_equivocation(
@@ -1508,8 +1519,8 @@ def search_equivocation(
     before any work.  A winner that the reference evaluator does not
     reproduce raises :class:`VerificationError`.
     """
-    rates = [(float(problem.r0), _checked_seed(seed))]
-    return _equivocation_searches(problem, rates, restarts)[0]
+    seed = _checked_seed(seed)
+    return _equivocation_searcher(problem, restarts)(float(problem.r0), seed)
 
 
 @dataclass(frozen=True)
@@ -1566,7 +1577,8 @@ def equivocation_sweep(
     ``workers`` does nothing; it stays while perfbench/ passes it (ROADMAP item 9).
     """
     rates = _sweep_rates(r0_grid, seed)
-    return _sweep_points(problem, r0_grid, _equivocation_searches(problem, rates, restarts))
+    search = _equivocation_searcher(problem, restarts)
+    return _sweep_points(problem, r0_grid, [search(r0, rate_seed) for r0, rate_seed in rates])
 
 
 def _search_and_sweep(
@@ -1575,7 +1587,8 @@ def _search_and_sweep(
     """``search_equivocation`` and ``equivocation_sweep`` with the same
     arguments, on one screening of the family."""
     rates = [(float(problem.r0), seed)] + _sweep_rates(r0_grid, seed)
-    first, *rest = _equivocation_searches(problem, rates, restarts)
+    search = _equivocation_searcher(problem, restarts)
+    first, *rest = [search(r0, rate_seed) for r0, rate_seed in rates]
     return first, _sweep_points(problem, r0_grid, rest)
 
 
@@ -1595,14 +1608,16 @@ def min_key_rate(
     tol: float = 1e-3,
     restarts: int = 32,
     seed: int = 0,
-    **kwargs,
+    refine_top: int = 24,
+    enum_limit: int = DEFAULT_ENUM_LIMIT,
 ) -> KeyRateResult:
     """Smallest key budget (within ``tol``) whose search clears ``target_pi``.
 
-    Bisects the R0 budget, reusing the search at each midpoint, the search
-    of step i seeded ``seed + 104729 i`` (mod 2**64).  Requires a finite R0
-    budget in ``problem`` as the upper end, ``tol > 0`` and a seed in
-    [0, 2**64).
+    Bisects the R0 budget, reusing the search at each midpoint: one
+    searcher screens the maps once, and the search of step i is seeded
+    ``seed + 104729 i`` (mod 2**64).  Requires a finite R0 budget in
+    ``problem`` as the upper end, ``tol > 0`` and a seed in [0, 2**64);
+    the other arguments are checked as :func:`search_inner` checks them.
     """
     seed = _checked_seed(seed)
     hi = problem.budget.r0
@@ -1612,25 +1627,16 @@ def min_key_rate(
         raise ValueError(f"min_key_rate needs tol > 0, got {tol}")
     if math.isnan(target_pi):  # no payoff would clear it
         raise ValueError("min_key_rate needs a target_pi that is not NaN")
-
-    def attempt(r0: float, step: int) -> SearchResult:
-        budget = RateBudget(r0, problem.budget.r1, problem.budget.r2)
-        return search_inner(
-            replace(problem, budget=budget),
-            restarts=restarts,
-            seed=(seed + 104729 * step) % 2**64,
-            **kwargs,
-        )
-
+    search = _inner_searcher(problem, restarts, refine_top, enum_limit)
     evaluations = 1
-    best = attempt(hi, 0)
+    best = search(hi, seed)
     if not (best.feasible and best.tuple.pi >= target_pi):
         return KeyRateResult(False, None, best, target_pi, evaluations)
     lo, best_r0 = 0.0, hi
     step = 1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        res = attempt(mid, step)
+        res = search(mid, (seed + 104729 * step) % 2**64)
         evaluations += 1
         step += 1
         if res.feasible and res.tuple.pi >= target_pi:

@@ -127,8 +127,10 @@ def test_schema_error_paths(tmp_path, capsys, body, needle):
         ("budget", {"r0": "oops", "r1": "inf", "r2": "inf"}, "problem.budget.r0"),
         ("r0_grid", [], "problem.r0_grid"),
         ("caps", {"u1": 1, "u2": 1, "v1": 1, "v2": 1, "u3": 7}, "problem.caps.u3"),
+        ("budget", {"r0": -1, "r1": "inf", "r2": "inf"}, "problem.budget.r0"),
+        ("r0_grid", [-0.5], "problem.r0_grid[0]"),
     ],
-    ids=["budget", "empty_r0_grid", "unknown_cap"],
+    ids=["budget", "empty_r0_grid", "unknown_cap", "negative_budget", "negative_r0_grid"],
 )
 def test_budget_field_path(tmp_path, capsys, field, value, needle):
     problem = bounds_problem({"u1": 1, "u2": 1, "v1": 1, "v2": 1})
@@ -495,8 +497,13 @@ def test_equivocation_screens_the_family_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "r0, r0_grid, path",
-    [(math.nan, None, "problem.r0"), (1.0, [0.0, math.nan], "problem.r0_grid[1]")],
-    ids=["r0", "r0_grid"],
+    [
+        (math.nan, None, "problem.r0"),
+        (1.0, [0.0, math.nan], "problem.r0_grid[1]"),
+        (-1.0, None, "problem.r0"),
+        (1.0, [0.5, -1.0], "problem.r0_grid[1]"),
+    ],
+    ids=["r0", "r0_grid", "negative_r0", "negative_r0_grid"],
 )
 def test_equivocation_nan_key_rate(tmp_path, capsys, r0, r0_grid, path):
     # JSON's NaN would otherwise publish full equivocation

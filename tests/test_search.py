@@ -220,11 +220,11 @@ def test_derived_seeds_wrap_below_2_64(monkeypatch):
     # seeds at the top of the range
     seeds = []
 
-    def cleared(problem, *, seed, **kwargs):
+    def cleared(r0, seed):
         seeds.append(seed)
         return SimpleNamespace(feasible=True, tuple=SimpleNamespace(pi=1.0))
 
-    monkeypatch.setattr(search_mod, "search_inner", cleared)
+    monkeypatch.setattr(search_mod, "_inner_searcher", lambda *args: cleared)
     top = 2**64 - 1
     min_key_rate(ternary_problem(RateBudget(1.0, 1.6, 0.6)), 0.4, tol=0.5, seed=top)
     assert seeds == [top, 104728]
@@ -857,6 +857,28 @@ def test_enumerating_search_builds_few_structures(monkeypatch):
     assert 0 < len(created) < 5994
 
 
+def test_one_searcher_matches_fresh_searches():
+    # a searcher screens the maps once and rates them at each key budget;
+    # each of its searches equals a fresh search_inner at that budget, the
+    # infeasible result at r0 = 0.5 and the witnesses at r0 >= 1
+    base = ternary_problem(RateBudget(1.0, math.inf, math.inf), caps=ENUM_CAPS)
+    search = search_mod._inner_searcher(base, 8, refine_top=2)
+    feasible = []
+    for seed, r0 in enumerate((0.5, 1.0, 1.3)):
+        fresh = search_inner(
+            ternary_problem(RateBudget(r0, math.inf, math.inf), caps=ENUM_CAPS),
+            restarts=8,
+            seed=seed,
+            refine_top=2,
+        )
+        blobs = [res.to_json() for res in (search(r0, seed), fresh)]
+        for blob in blobs:
+            blob.pop("wall_time")
+        assert json.dumps(blobs[0], sort_keys=True) == json.dumps(blobs[1], sort_keys=True)
+        feasible.append(fresh.feasible)
+    assert feasible[1:] == [True, True]
+
+
 def test_search_deterministic_across_worker_counts():
     problem = ternary_problem(
         RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(6, 3, 9, 3)
@@ -920,6 +942,22 @@ def test_min_key_rate_brackets_the_curve():
     assert 0.9 - 0.05 <= out.r0 <= 1.0
     assert out.result.tuple.pi >= 0.45
     assert out.evaluations >= 2
+
+
+def test_min_key_rate_screens_the_maps_once(monkeypatch):
+    # the bracket case: six bisection searches share one screening of the
+    # 70,230 maps, which does not depend on the key budget (the refiner is
+    # stubbed out to keep the test under 2 s; it does not screen)
+    calls = []
+    screen = search_mod._screen_maps
+    monkeypatch.setattr(search_mod, "_screen_maps", lambda *a: calls.append(a) or screen(*a))
+    monkeypatch.setattr(search_mod, "_refine_flat_slp", lambda program, x0: None)
+    problem = ternary_problem(
+        RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(6, 3, 9, 3)
+    )
+    out = min_key_rate(problem, 0.45, tol=0.05, restarts=8, seed=0, refine_top=8)
+    assert out.evaluations == 6
+    assert len(calls) == 1
 
 
 def test_min_key_rate_rejects_unreachable_target():
