@@ -37,6 +37,7 @@ from .probability import (
     Channel,
     JointDistribution,
     Pmf,
+    _grouped,
     attach_channel,
     conditional_entropy,
     conditional_mutual_information,
@@ -274,9 +275,7 @@ def _mi_groups(dist, a, b) -> float:
 
 
 def _x_marginal_check(joint, x_vars, p_x, tol) -> ConstraintCheck:
-    m = marginalize(joint, x_vars)
-    table = np.transpose(m.table, [m.names.index(n) for n in x_vars]).reshape(-1)
-    gap = float(np.abs(table - p_x.probs).max())
+    gap = float(np.abs(_grouped(joint, x_vars) - p_x.probs).max())
     return ConstraintCheck("x marginal matches the source law", "marginal", gap, tol, gap <= tol)
 
 

@@ -36,7 +36,7 @@ from .probability import (
     _alphabet_to_json,
     _as_names,
     _entropy_of,
-    _marginal_table,
+    _grouped,
 )
 
 __all__ = [
@@ -209,7 +209,7 @@ def adversary_value(
     u, roles = _role_names(dist, u_vars, x, y2, y3)
     if isinstance(payoff, LogLossPayoff):
         secret = tuple(n for r in payoff.secret_set for n in roles[r])
-        joint = _marginal_table_grouped(dist, u, secret)
+        joint = _grouped(dist, u, secret)
         p_u = joint.sum(axis=1)
         total = 0.0
         for row, pu in zip(joint, p_u):
@@ -221,7 +221,7 @@ def adversary_value(
     expected = (
         payoff.x_alphabet.size * payoff.y2_alphabet.size * payoff.y3_alphabet.size
     )
-    joint = _marginal_table_grouped(dist, u, triple)
+    joint = _grouped(dist, u, triple)
     if joint.shape[1] != expected:
         raise ValueError(
             f"payoff expects {expected} (x, y2, y3) cells, joint has {joint.shape[1]}"
@@ -233,25 +233,6 @@ def adversary_value(
     value = float(p_u[live] @ np.where(np.isfinite(vals), vals, 0.0))
     forbidden = bool(np.isinf(vals).any())
     return AdversaryValue(-np.inf if forbidden else value, forbidden)
-
-
-def _marginal_table_grouped(
-    dist: JointDistribution, group_a: tuple[str, ...], group_b: tuple[str, ...]
-) -> np.ndarray:
-    """Marginal over group_a + group_b as a (cells_a, cells_b) matrix.
-
-    Variables inside each group are flattened row-major in the listed
-    order (which may differ from the joint's axis order).
-    """
-    overlap = set(group_a) & set(group_b)
-    if overlap:
-        raise ValueError(f"variable groups overlap: {overlap}")
-    keep = group_a + group_b
-    table = _marginal_table(dist, keep)
-    surviving = [n for n in dist.names if n in keep]
-    table = np.transpose(table, [surviving.index(n) for n in keep])
-    size_a = math.prod(dist.alphabet(n).size for n in group_a) if group_a else 1
-    return table.reshape(size_a, -1)
 
 
 # --------------------------------------------------------------------------

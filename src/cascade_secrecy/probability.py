@@ -7,9 +7,12 @@ frozen dataclass whose array payload is read-only (copied on construction
 unless it already is a frozen float64 array), so instances can be shared
 freely; all operations are pure functions returning new objects.
 
-Tensor growth (products, channel attachment) is guarded by a cell cap,
-``DEFAULT_CELL_CAP`` cells by default, so an over-ambitious construction
-fails with :class:`CapExceededError` instead of exhausting memory.
+Tensor growth (joint tables, products, channel attachment) is guarded by
+a cell cap of ``DEFAULT_CELL_CAP`` cells, checked before the table is
+built, so an over-ambitious construction fails with
+:class:`CapExceededError` ("factor product needs N cells, cap is C")
+instead of exhausting memory.  ``_check_cap`` is the one check: the
+simulation passes it its own, smaller cap.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ __all__ = [
     "joint_from_json",
 ]
 
-#: Hard ceiling on dense table sizes (number of cells).  Module-level so a
-#: caller who really needs bigger tables can raise it deliberately.
+#: Hard ceiling on dense table sizes (number of cells): the default cap of
+#: :func:`_check_cap`, bound when this module is imported.
 DEFAULT_CELL_CAP = 100_000_000
 
 #: Absolute tolerance for "probabilities sum to one" validation.
@@ -69,13 +72,10 @@ class ZeroProbabilityError(ValueError):
     """Conditioning on an event of probability zero."""
 
 
-def _check_cap(n_cells: int, what: str) -> None:
-    if n_cells > DEFAULT_CELL_CAP:
-        raise CapExceededError(
-            f"{what} would need {n_cells} cells, above the cap of "
-            f"{DEFAULT_CELL_CAP}; reduce alphabet sizes or raise "
-            "cascade_secrecy.probability.DEFAULT_CELL_CAP deliberately"
-        )
+def _check_cap(need: int, what: str, cap: int = DEFAULT_CELL_CAP) -> None:
+    """Raise :class:`CapExceededError` naming ``what`` when ``need`` cells exceed ``cap``."""
+    if need > cap:
+        raise CapExceededError(f"{what} needs {need} cells, cap is {cap}")
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:
@@ -288,6 +288,52 @@ def _marginal_table(dist: JointDistribution, keep: tuple[str, ...]) -> np.ndarra
 def _entropy_of(table: np.ndarray) -> float:
     p = table[table > 0.0]
     return float(-(p * np.log2(p)).sum()) if p.size else 0.0
+
+
+def _entropies(tables: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each table of a stack, bit for bit what
+    :func:`_entropy_of` gives it alone: the tables with k positive cells
+    are summed as one (rows, k) array of those cells, in order."""
+    if len(tables) == 1:  # a stack of one, as in every refiner step
+        return np.array([_entropy_of(tables)])
+    t = tables.reshape(len(tables), -1)
+    positive = t > 0.0
+    count = positive.sum(axis=1)
+    out = np.zeros(len(t))
+    for k in set(count.tolist()) - {0}:
+        rows = count == k
+        p = t[rows][positive[rows]].reshape(-1, k)
+        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    return out
+
+
+def _grouped(joint: JointDistribution, *groups: tuple[str, ...]) -> np.ndarray:
+    """Joint probability table over flattened role groups (row-major), one
+    axis per group; an empty group is an axis of size one.
+
+    Groups may share variables; cells where shared variables disagree
+    get zero mass, which is exactly the joint's own statement.
+    """
+    names: list[str] = []
+    for g in groups:
+        for n in g:
+            if n not in names:
+                names.append(n)
+    axis_of = {n: i for i, n in enumerate(names)}
+    drop = tuple(i for i, (nm, _) in enumerate(joint.variables) if nm not in axis_of)
+    marg = joint.table.sum(axis=drop) if drop else joint.table
+    present = [nm for nm, _ in joint.variables if nm in axis_of]
+    marg = np.transpose(marg, [present.index(nm) for nm in names])
+    grids = np.indices(marg.shape)
+    out = np.zeros(tuple(math.prod(joint.alphabet(n).size for n in g) for g in groups))
+    flat = tuple(
+        np.ravel_multi_index(
+            [grids[axis_of[n]] for n in g], tuple(joint.alphabet(n).size for n in g)
+        ).ravel()
+        for g in groups
+    )
+    np.add.at(out, flat, marg.ravel())
+    return out
 
 
 def _clamped(value: float) -> float:

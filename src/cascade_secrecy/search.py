@@ -109,7 +109,7 @@ from .bounds import (
     eval_inner_tuple,
 )
 from .payoff import LogLossPayoff, PayoffTable, _batched_values
-from .probability import Alphabet, JointDistribution, Pmf, _entropy_of
+from .probability import Alphabet, JointDistribution, Pmf, _entropies, _entropy_of
 from .rng import _checked_seed, _count, stream
 
 __all__ = [
@@ -134,7 +134,6 @@ DEFAULT_ENUM_LIMIT = 1_000_000
 
 _RATE_SLACK = 1e-9  # accepted overage on rate/distortion budgets
 _MARGINAL_SLACK = 1e-6  # accepted source-marginal gap for search results
-_BACKOFF = 1e-7  # refinement aims slightly inside the rate budget
 _ENUM_REFINE_TOP = 256  # screened maps refined, by relaxed score
 _LP_MAXITER = 200  # LP refinement steps; the stall and step-size rules end most refinements first
 _CERTIFY_TOL = 1e-9  # published tuple vs the reference evaluator
@@ -479,23 +478,6 @@ def _log2_clamped(q: np.ndarray) -> np.ndarray:
 _LOG2E = 1.0 / math.log(2.0)  # d(-q log2 q)/dq = -log2 q - _LOG2E
 
 
-def _entropies(tables: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each table of a stack, bit for bit what
-    :func:`_entropy_of` gives it alone: the tables with k positive cells
-    are summed as one (rows, k) array of those cells, in order."""
-    if len(tables) == 1:  # a stack of one, as in every refiner step
-        return np.array([_entropy_of(tables)])
-    t = tables.reshape(len(tables), -1)
-    positive = t > 0.0
-    count = positive.sum(axis=1)
-    out = np.zeros(len(t))
-    for k in set(count.tolist()) - {0}:
-        rows = count == k
-        p = t[rows][positive[rows]].reshape(-1, k)
-        out[rows] = -(p * np.log2(p)).sum(axis=1)
-    return out
-
-
 class _InnerEvaluator:
     """Exact rate/payoff statistics of a structure or of a stack sharing one
     decomposition, and the gradients the flat-layout LP refiner linearizes.
@@ -647,13 +629,19 @@ def _within(limits):
     return ok
 
 
-def _penalized(value, limits, pen=0.0):
-    """Ranking score for picking refinement candidates: ``value`` minus
-    heavy penalties for the excess over each finite cap, added to ``pen``."""
+def _excess(limits, pen=0.0):
+    """``pen`` plus the excess over each finite cap, added in order: a
+    float, or an array over a stack."""
     for got, cap in limits:
         if math.isfinite(cap):
             pen = pen + np.maximum(0.0, got - cap)
-    return value - 100.0 * pen
+    return pen
+
+
+def _penalized(value, limits, pen=0.0):
+    """Ranking score for picking refinement candidates: ``value`` minus
+    heavy penalties for the :func:`_excess` over ``pen``."""
+    return value - 100.0 * _excess(limits, pen)
 
 
 def _inner_feasible(stats: _InnerStats, budget: RateBudget):
@@ -737,15 +725,16 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, obj
     """Trust-region sequential LP over a family's simplex rows: the one
     refiner of both searches.
 
-    Alternates a feasibility phase (shrink budget violations) with a climb
-    phase (maximize the value subject to linearized budget cuts); every
-    step is re-evaluated exactly before acceptance.  A start off the
-    equality rows is first moved onto them, and every later step keeps
-    them through the LP equalities.  Each distinct point is scored once:
-    the loop revisits points (the accepted step at the loop top, a
-    trust-region retry that lands on a point already tried, the
-    backtracking trials at convergence), and those reuse its statistics.
-    Takes a flat point and returns the best one as it was scored, with its
+    Alternates a feasibility phase (shrink the budgets' excess while a
+    point fails the searches' own budget test, :func:`_within`) with a
+    climb phase (maximize the value subject to budget cuts linearized at
+    the caps themselves); every step is re-evaluated exactly before
+    acceptance.  A start off the equality rows is first moved onto them,
+    and every later step keeps them through the LP equalities.  Each
+    distinct point is scored once: the loop revisits points (the accepted
+    step at the loop top, a trust-region retry that lands on a point
+    already tried, the backtracking trials at convergence), and those
+    reuse its statistics.  Takes a flat point and returns the best one as it was scored, with its
     statistics; ``None`` when no feasible point was seen.
 
     Each step's LP goes straight to scipy's bundled HiGHS through
@@ -769,16 +758,13 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, obj
             out[row] /= out[row].sum()
         return out
 
-    def violation(stats) -> float:
-        return sum(max(0.0, got - cap) for got, cap in program.limits(stats) if math.isfinite(cap))
-
     def linearized(stats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The climb cost and the budget cuts g @ x <= rhs at x, finite caps only."""
         cost, grads = program.linearize(x, stats)
         limits = zip(grads, program.limits(stats))
         cuts = [(grad, got, cap) for grad, (got, cap) in limits if math.isfinite(cap)]
         g = np.array([grad for grad, _, _ in cuts]).reshape(len(cuts), n)
-        rhs = [max(cap - _BACKOFF, 0.0) - got + float(grad @ x) for grad, got, cap in cuts]
+        rhs = [cap - got + float(grad @ x) for grad, got, cap in cuts]
         return cost, g, np.array(rhs)
 
     def lp_step(cost, a_ub, b_ub, extra_lo: float, delta: float) -> np.ndarray | None:
@@ -814,10 +800,11 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, obj
             best_x, best_stats, best_value = x.copy(), stats, program.value(stats)
         if delta < 1e-5 or stall > 6 or fstall > 8:
             break
-        over = violation(stats)
-        if over > _RATE_SLACK:
+        limits = program.limits(stats)
+        if not _within(limits):
+            over = _excess(limits)
             x_new = feasibility_step(stats, delta)
-            improved = over - violation(stats_at(x_new)) if x_new is not None else 0.0
+            improved = over - _excess(program.limits(stats_at(x_new))) if x_new is not None else 0.0
             if improved > 1e-12:
                 x = x_new
                 delta = min(delta * 1.5, 0.4)

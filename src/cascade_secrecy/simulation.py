@@ -41,7 +41,10 @@ from .probability import (
     CapExceededError,
     JointDistribution,
     ZeroProbabilityError,
+    _check_cap,
+    _entropies,
     _entropy_of,
+    _grouped,
     conditional_mutual_information,
     mutual_information,
     product_alphabet,
@@ -102,10 +105,7 @@ class IndexBits:
 
     def __post_init__(self) -> None:
         for tag in ("a", "b", "c", "d", "key"):
-            v = getattr(self, tag)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"index bits {tag} must be a nonnegative integer")
-            object.__setattr__(self, tag, int(v))
+            object.__setattr__(self, tag, _count(getattr(self, tag), f"index bits {tag}", 0))
 
     @property
     def sizes(self) -> tuple[int, int, int, int, int]:
@@ -162,9 +162,7 @@ class SchemeSpec:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError("blocklength n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _count(self.n, "blocklength n"))
         object.__setattr__(self, "seed", _checked_seed(self.seed))
         number = isinstance(self.epsilon, (int, float, np.integer, np.floating))
         if isinstance(self.epsilon, bool) or not (number and self.epsilon >= 0):
@@ -212,34 +210,6 @@ def _role_alphabet(cand: InnerCandidate, role: tuple[str, ...], name: str) -> Al
         base = cand.joint.alphabet(role[0])
         return Alphabet(name, base.size, base.labels)
     return product_alphabet(name, *(cand.joint.alphabet(r) for r in role))
-
-
-def _grouped(joint: JointDistribution, *groups: tuple[str, ...]) -> np.ndarray:
-    """Joint probability table over flattened role groups (row-major).
-
-    Groups may share variables; cells where shared variables disagree
-    get zero mass, which is exactly the joint's own statement.
-    """
-    names: list[str] = []
-    for g in groups:
-        for n in g:
-            if n not in names:
-                names.append(n)
-    axis_of = {n: i for i, n in enumerate(names)}
-    drop = tuple(i for i, (nm, _) in enumerate(joint.variables) if nm not in axis_of)
-    marg = joint.table.sum(axis=drop) if drop else joint.table
-    present = [nm for nm, _ in joint.variables if nm in axis_of]
-    marg = np.transpose(marg, [present.index(nm) for nm in names])
-    grids = np.indices(marg.shape)
-    out = np.zeros(tuple(math.prod(joint.alphabet(n).size for n in g) for g in groups))
-    flat = tuple(
-        np.ravel_multi_index(
-            [grids[axis_of[n]] for n in g], tuple(joint.alphabet(n).size for n in g)
-        ).ravel()
-        for g in groups
-    )
-    np.add.at(out, flat, marg.ravel())
-    return out
 
 
 def _conditional_rows(joint_ab: np.ndarray) -> np.ndarray:
@@ -416,7 +386,7 @@ def _encoder_table(
     n = cb.spec.n
     m_a, m_b, m_c, m_d, n_k = cb.spec.index_bits.sizes
     m_cells = m_a * m_b * m_c * m_d
-    _check_cells(n_k * m_cells * scheme.nx**n, "encoder table", cell_cap)
+    _check_cap(n_k * m_cells * scheme.nx**n, "encoder table", cell_cap)
     px_block = _memoryless(np.broadcast_to(scheme.p_x, (n, scheme.nx)))
     enc = np.empty((n_k, m_a, m_b, m_c, m_d) + (scheme.nx,) * n)
     for k in range(n_k):
@@ -508,7 +478,7 @@ class SystemTable:
     @cached_property
     def table(self) -> np.ndarray:
         """The dense table, zeros included."""
-        _check_cells(math.prod(self.shape), "dense system table", self.cell_cap)
+        _check_cap(math.prod(self.shape), "dense system table", self.cell_cap)
         dense = np.zeros(self.shape)
         np.put(dense, self.index, self.values)
         dense.setflags(write=False)
@@ -577,7 +547,7 @@ def run_system_exact(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> S
     m_a, m_b, m_c, m_d, n_k = spec.index_bits.sizes
     rows = n_k * m_a * m_b * m_c * m_d
     _check_codebook_cells(spec, cell_cap)
-    _check_cells(rows * scheme.nx**n, "encoder table", cell_cap)
+    _check_cap(rows * scheme.nx**n, "encoder table", cell_cap)
     cb = _kept(spec, "_codebooks", lambda: build_codebooks(spec, cell_cap=cell_cap), weak=True)
     enc = _kept(cb, "_encoder", lambda: _encoder_table(scheme, cb, cell_cap)).reshape(rows, -1)
     # per-codeword emission laws, one row per (k, m) or per (k, Ma, Mb)
@@ -616,11 +586,7 @@ def _row_values(rows: np.ndarray, payoff, scheme: _Scheme) -> np.ndarray:
         )
         p_s = shaped.sum(axis=drop) if drop else shaped
         p_s = p_s.reshape(rows.shape[0], -1)
-        mass = p_s.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(p_s > 0.0, p_s * np.log2(p_s), 0.0)
-            mlogm = np.where(mass > 0.0, mass * np.log2(mass), 0.0)
-        return -plogp.sum(axis=1) + mlogm
+        return _entropies(p_s) - _entropies(p_s.sum(axis=1, keepdims=True))
     return _batched_values(rows, payoff).min(axis=1)
 
 
@@ -652,7 +618,7 @@ def simulate_payoff(table: SystemTable, payoff) -> float:
         reps = np.ones(keys.size, dtype=np.int64)
         for prefix in group[1:-1]:
             reps *= fan[prefix]
-        _check_cells(int(reps.sum()), "payoff fan-out", cap)
+        _check_cap(int(reps.sum()), "payoff fan-out", cap)
         cells, history = np.arange(keys.size), group[0]
         for prefix in group[1:-1]:
             cell, w = _paired(prefix[cells], scheme.disclosure)
@@ -660,16 +626,11 @@ def simulate_payoff(table: SystemTable, payoff) -> float:
             mass = mass[cell] * scheme.disclosure[prefix[cells], w]
         keys, mass = _group_sum(history * j + group[-1][cells], mass)
         row_keys, row = np.unique(keys // j, return_inverse=True)
-        _check_cells(row_keys.size * j, "payoff rows", cap)
+        _check_cap(row_keys.size * j, "payoff rows", cap)
         rows = np.zeros((row_keys.size, j))
         rows[row, keys % j] = mass
         total += float(_row_values(rows, payoff, scheme).sum())
     return total / n
-
-
-def _check_cells(need: int, what: str, cell_cap: int) -> None:
-    if need > cell_cap:
-        raise CapExceededError(f"{what} needs {need} cells, cap is {cell_cap}")
 
 
 def _check_payoff_alphabets(payoff, scheme: _Scheme) -> None:

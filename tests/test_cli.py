@@ -37,6 +37,28 @@ def write_config(tmp_path, body, name="config.json"):
     return str(path)
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("index_bits", "a"), -1, "index bits a must be an integer >= 0, got -1"),
+        (("index_bits", "key"), 1.5, "index bits key must be an integer >= 0, got 1.5"),
+        (("n",), 0, "blocklength n must be an integer >= 1, got 0"),
+    ],
+    ids=["negative_bits", "fractional_key", "zero_blocklength"],
+)
+def test_simulate_rejects_a_count_that_is_no_count(tmp_path, capsys, path, value, message):
+    config = corner_sim_config()
+    scheme = config["problem"]["scheme"]
+    for key in path[:-1]:
+        scheme = scheme[key]
+    scheme[path[-1]] = value
+    cfg = write_config(tmp_path, config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "problem.scheme" in err and message in err
+    assert not (tmp_path / "simulate_audit.json").exists()
+
+
 def data_rows(csv_text):
     lines = [ln for ln in csv_text.splitlines() if not ln.startswith("#")]
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]

@@ -13,7 +13,7 @@ from cascade_secrecy.payoff import (
     payoff_from_json,
     payoff_to_json,
 )
-from cascade_secrecy.probability import Alphabet, conditional_entropy
+from cascade_secrecy.probability import Alphabet, conditional_entropy, entropy, marginalize
 from conftest import random_joint
 
 
@@ -173,6 +173,20 @@ class TestAdversaryValue:
         res = adversary_value(d, "U", guarded_payoff())
         assert not res.forbidden
         assert res.value == pytest.approx(2 / 3, abs=1e-12)
+
+    def test_blind_adversary_faces_the_secret_marginal(self):
+        # an empty observation set is one row holding the whole marginal;
+        # dyadic masses keep every sum exact, so the values match exactly
+        rng = np.random.default_rng(26)
+        weights = rng.integers(0, 3, size=(3, 3, 3, 2)).astype(float)
+        weights[-1, -1, -1, -1] += 128.0 - weights.sum()
+        d = random_joint(rng, (3, 3, 3, 2), names=("X", "Y2", "Y3", "U"))
+        d = type(d)(d.variables, weights / 128.0)
+        secret = ("X", "Y3")
+        assert adversary_value(d, (), LogLossPayoff(secret)) == (entropy(d, secret), False)
+        triple = marginalize(d, ("X", "Y2", "Y3")).table.reshape(-1)
+        blind = best_response(triple, hamming_payoff())
+        assert adversary_value(d, (), hamming_payoff()) == (blind.value, False)
 
     def test_role_variables_may_be_groups(self):
         rng = np.random.default_rng(25)

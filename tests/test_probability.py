@@ -310,6 +310,14 @@ class TestTransforms:
         expected = (pa[:, None] * rows).T  # (B, A)
         np.testing.assert_allclose(d.table, expected, atol=1e-15)
 
+    def test_from_factors_checks_the_cell_cap_before_allocating(self):
+        # 10**15 cells: the allocation itself would fail, so the cap's own
+        # message shows the check came first
+        big = Alphabet("B", 100_000)
+        message = "factor product needs 1000000000000000 cells, cap is 100000000"
+        with pytest.raises(CapExceededError, match=message):
+            from_factors([(f"B{i}", big) for i in range(3)], [])
+
 
 class TestWitnesses:
     def test_is_deterministic_reports_entropy_witness(self):

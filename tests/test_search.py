@@ -364,6 +364,16 @@ def test_ternary_unit_key_reaches_half(budget, caps, kwargs, floor):
     assert abs(again.r0 - res.tuple.r0) < 1e-9
 
 
+def test_inner_grid_search_reaches_the_key_budget():
+    # the refiner's budget cuts sit at the caps themselves, so at r0 = 0.5
+    # the search publishes the optimum pi = r0 / 2 within the budget slack
+    problem = ternary_problem(RateBudget(0.5, math.inf, math.inf), caps=GRID_CAPS)
+    res = search_inner(problem, restarts=64, seed=0, refine_top=2)
+    assert res.feasible
+    assert res.tuple.pi >= 0.25 - 1e-9
+    assert res.tuple.r0 >= 0.5 - 1e-9
+
+
 def test_concentrated_start_meets_a_tight_log_loss_budget():
     # with secret Y2 and half a bit of key, this seeded search reaches the
     # payoff 1/2 only from a restart whose weights sit on about 2**R0 cells
@@ -1014,6 +1024,26 @@ def test_equivocation_zero_distortion_no_key():
     res = search_equivocation(binary_equiv_problem(0.0, 0.0), restarts=16, seed=0)
     assert res.feasible
     assert abs(res.value - 0.0) < 1e-6
+
+
+def test_equivocation_no_key_publishes_no_leak_bought_with_slack():
+    # criterion 3's no-key search: the closed form is 0, and a witness whose
+    # distortion sits inside the 1e-9 slack above a zero budget must not
+    # publish the leak that slack buys
+    res = search_equivocation(binary_equiv_problem(0.0, 0.0), restarts=16, seed=0)
+    assert res.feasible
+    assert res.value <= 1e-9
+
+
+def test_ci_equivocation_sweep_meets_the_closed_form():
+    # the CI determinism run's problem: binary Hamming at zero distortion,
+    # |V1| = |V2| = 3; every point lies on min(r0, 1)
+    problem = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=3, cap_v2=3)
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
+    pts = equivocation_sweep(problem, grid, restarts=2, seed=0)
+    assert [p.r0 for p in pts] == grid
+    for p in pts:
+        assert abs(p.value - min(p.r0, 1.0)) <= 1e-9, p
 
 
 def test_equivocation_vacuous_distortion_no_key():
