@@ -135,7 +135,8 @@ DEFAULT_ENUM_LIMIT = 1_000_000
 _RATE_SLACK = 1e-9  # accepted overage on rate/distortion budgets
 _MARGINAL_SLACK = 1e-6  # accepted source-marginal gap for search results
 _ENUM_REFINE_TOP = 256  # screened maps refined, by relaxed score
-_LP_MAXITER = 200  # LP refinement steps; the stall and step-size rules end most refinements first
+_LP_MAXITER = 200  # LP refinement steps; the no-gain stop ends most refinements first
+_GAIN_MARGIN = 1e-12  # least gain a refiner step must make, and a climb LP must predict
 _CERTIFY_TOL = 1e-9  # published tuple vs the reference evaluator
 _EQUIV_REFINE_TOP = 16  # equivocation restarts refined by the LP refiner
 _EQUIV_CHUNK = 1024  # enumerated family members per batch-kernel call
@@ -733,9 +734,15 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, obj
     and every later step keeps them through the LP equalities.  Each
     distinct point is scored once: the loop revisits points (the accepted
     step at the loop top, a trust-region retry that lands on a point
-    already tried, the backtracking trials at convergence), and those
-    reuse its statistics.  Takes a flat point and returns the best one as it was scored, with its
-    statistics; ``None`` when no feasible point was seen.
+    already tried), and those reuse its statistics.  Takes a flat point and
+    returns the best one as it was scored, with its statistics; ``None``
+    when no feasible point was seen.
+
+    A refinement ends at the first climb LP whose model (its objective,
+    each epigraph variable at its largest feasible value) predicts a gain
+    of at most ``_GAIN_MARGIN``, the margin a step must clear: a rejected
+    climb leaves x in place, later LPs would only shrink the box, and on
+    the inner family the model overestimates the concave value.
 
     Each step's LP goes straight to scipy's bundled HiGHS through
     :func:`_solve_lp`: a refinement makes dozens of LPs of a few dozen
@@ -777,6 +784,14 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, obj
         sol = _solve_lp(cost, a_ub, b_ub, eq, program.b_eq, lb, ub)
         return None if sol is None else normalized(sol[:n])
 
+    owns = program.epigraph[:, n:] > 0  # the epigraph variable each row bounds
+
+    def model(cost, p: np.ndarray) -> float:
+        """The climb LP's objective at p, each epigraph variable at its largest feasible value."""
+        bound = -program.epigraph[:, :n] @ p
+        t = np.where(owns, bound[:, None], np.inf).min(axis=0, initial=np.inf)
+        return float(cost[:n] @ p + cost[n:] @ t)
+
     def feasibility_step(stats, delta: float) -> np.ndarray | None:
         """Minimize the linearized budget violation: one slack per cut."""
         _, g, rhs = linearized(stats)
@@ -794,18 +809,19 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, obj
     delta = 0.3
     stall = 0
     fstall = 0
-    for _ in range(_LP_MAXITER):
+    # one pass more than LPs: the last pass only scores the last step
+    for step in range(_LP_MAXITER + 1):
         stats = stats_at(x)
         if program.value(stats) > best_value:
             best_x, best_stats, best_value = x.copy(), stats, program.value(stats)
-        if delta < 1e-5 or stall > 6 or fstall > 8:
+        if step == _LP_MAXITER or delta < 1e-5 or stall > 6 or fstall > 8:
             break
         limits = program.limits(stats)
         if not _within(limits):
             over = _excess(limits)
             x_new = feasibility_step(stats, delta)
             improved = over - _excess(program.limits(stats_at(x_new))) if x_new is not None else 0.0
-            if improved > 1e-12:
+            if improved > _GAIN_MARGIN:
                 x = x_new
                 delta = min(delta * 1.5, 0.4)
                 # geometric convergence shrinks the violation by a steady
@@ -826,12 +842,16 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, obj
             delta *= 0.5
             stall += 1
             continue
+        if model(cost, x) - model(cost, target) <= _GAIN_MARGIN:
+            # a rejected climb keeps x, so every later LP would solve over
+            # a smaller box and predict no more
+            break
         # backtrack toward x: the linear models are closer on a shorter step
         accepted = False
         baseline = program.value(stats)
         for t in (1.0, 0.5, 0.25, 0.125):
             x_try = x + t * (target - x)
-            if program.value(stats_at(x_try)) > baseline + 1e-12:
+            if program.value(stats_at(x_try)) > baseline + _GAIN_MARGIN:
                 x = x_try
                 delta = min(delta * 1.5, 0.4)
                 accepted = True

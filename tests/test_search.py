@@ -742,6 +742,114 @@ def test_refiner_scores_each_point_once(monkeypatch):
     assert outside == []
 
 
+@pytest.mark.parametrize("maxiter", [1, 2, 3])
+def test_refiner_keeps_the_step_it_accepts_at_the_lp_cap(monkeypatch, maxiter):
+    # a refinement cut by the LP cap right after an accepted step still
+    # compares that step with the best point: each refinement returns the
+    # best in-budget value of every point it scored
+    refine = search_mod._refine_flat_slp
+    checked = []
+
+    def counted_refine(program, x0):
+        scored, stats = [], program.stats
+        program.stats = lambda p: scored.append(stats(p)) or scored[-1]
+        out = refine(program, x0)
+        best = max(program.value(s) for s in scored)
+        assert (out is None) == (best == -math.inf)
+        if out is not None:
+            assert program.value(out[1]) == best
+        checked.append(len(scored))
+        return out
+
+    monkeypatch.setattr(search_mod, "_LP_MAXITER", maxiter)
+    monkeypatch.setattr(search_mod, "_refine_flat_slp", counted_refine)
+    problem = ternary_problem(RateBudget(1.3, math.inf, math.inf), caps=GRID_CAPS)
+    assert search_inner(problem, restarts=8, seed=0, refine_top=2, enum_limit=0).feasible
+    assert max(checked) > 1
+
+
+def _lp_recorder(monkeypatch):
+    """Per refinement, the (program, center x, cost, solution) of each of its LPs."""
+    refine, solve = search_mod._refine_flat_slp, search_mod._solve_lp
+    refinements, center = [], []
+
+    def recording_refine(program, x0):
+        linearize = program.linearize
+
+        def recording_linearize(x, stats):
+            center[:] = [x.copy()]
+            return linearize(x, stats)
+
+        program.linearize = recording_linearize
+        refinements.append((program, []))
+        return refine(program, x0)
+
+    def recording_solve(c, *lp):
+        sol = solve(c, *lp)
+        refinements[-1][1].append((center[0], c, sol))
+        return sol
+
+    monkeypatch.setattr(search_mod, "_refine_flat_slp", recording_refine)
+    monkeypatch.setattr(search_mod, "_solve_lp", recording_solve)
+    return refinements
+
+
+def _predicted_gain(program, x, cost, sol):
+    """The climb LP's predicted gain model(x) - model(target): the cost over
+    the point plus the epigraph variables at their largest feasible value,
+    at the center and at the normalized solution."""
+    n = len(x)
+    target = np.clip(sol[:n], 0.0, None)
+    for row in program.rows:
+        target[row] /= target[row].sum()
+
+    def model(p):
+        bound = -program.epigraph[:, :n] @ p
+        t = [bound[program.epigraph[:, j] > 0].min() for j in range(n, len(cost))]
+        return cost[:n] @ p + cost[n:] @ np.array(t)
+
+    return model(x) - model(target)
+
+
+def test_refiner_stops_at_a_climb_lp_that_predicts_no_gain(monkeypatch):
+    # maximize min(x0, x1) on the simplex from its optimum (1/2, 1/2): the
+    # first climb LP predicts no gain, so it is the refinement's only LP
+    refinements = _lp_recorder(monkeypatch)
+    program = search_mod._Program(
+        stats=lambda x: float(x.min()),
+        value=lambda stats: stats,
+        limits=lambda stats: [],
+        linearize=lambda x, stats: (np.array([0.0, 0.0, -1.0]), []),
+        a_eq=np.ones((1, 2)),
+        b_eq=np.ones(1),
+        rows=[slice(0, 2)],
+        epigraph=np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]),
+    )
+    start = np.array([0.5, 0.5])
+    x, stats = search_mod._refine_flat_slp(program, start)
+    assert np.array_equal(x, start) and stats == 0.5
+    ((_, lps),) = refinements
+    assert len(lps) == 1
+    assert _predicted_gain(program, *lps[0]) <= 1e-12
+
+
+def test_search_makes_no_climb_lp_after_one_predicting_no_gain(monkeypatch):
+    # a rejected climb leaves x in place and later LPs only shrink the box,
+    # so the refinement ends at the first climb LP that predicts no gain.
+    # With the key budget finite every feasibility LP has slack columns of
+    # cost one, and no climb LP has a positive cost
+    refinements = _lp_recorder(monkeypatch)
+    problem = ternary_problem(RateBudget(1.0, math.inf, math.inf), caps=GRID_CAPS)
+    assert search_inner(problem, restarts=8, seed=0, refine_top=2).feasible
+    stops = 0
+    for program, lps in refinements:
+        climbs = [lp for lp in lps if not (lp[1][len(lp[0]):] > 0).any()]
+        flat = [lp[2] is not None and _predicted_gain(program, *lp) <= 1e-12 for lp in climbs]
+        assert True not in flat[:-1]
+        stops += flat[-1:] == [True]
+    assert stops > 0
+
+
 def test_search_inner_assembles_only_its_winner(monkeypatch):
     # the inner_grid search at r0 = 1: several pool entries tie at the best
     # payoff, and only the published one becomes a joint table
