@@ -304,6 +304,8 @@ def _load_config(args: argparse.Namespace) -> _Run:
     if control["samples"] == 1:
         raise SchemaError("samples", "needs 0 or at least 2 samples")
     control["tol"] = _as_number(control["tol"], "tol")
+    if not 0 < control["tol"] < math.inf:  # 0 fails every check, inf passes every one
+        raise SchemaError("tol", f"must be a finite number > 0, got {control['tol']}")
     if not isinstance(control["out"], str):
         raise SchemaError("out", "expected a directory path string")
 

@@ -23,20 +23,21 @@ source-marginal equalities and linearized rate cuts; other structures
 compete at their start weights.  The same loop refines both searches; its
 LPs go straight to the HiGHS solver bundled with scipy, with the model and
 options that ``linprog`` would pass: on LPs this small, ``linprog``'s
-per-call input checks cost more than the solve.  When the space of
-deterministic channel maps is at most ``enum_limit``, the search also
-enumerates every map.
+per-call input checks cost more than the solve.
 
 Both searches run through one searcher per problem, ``search(r0, seed)``:
 what no key rate changes is done once, when the searcher is made, and
-each search rates, refines and certifies at its own key rate.
-Sampled restarts, enumerated maps and seed-independent anchors form one
-pool, each candidate scored once by one kernel: restarts at their start
-weights, maps and anchors at uniform weights.  The anchors are the
-no-information candidate and one balanced deterministic map per anchor
-decomposition.  The searcher scores the maps in stacks built by index
-arithmetic and keeps five statistics per map; each search ranks them and
-builds structures for two sets only: the first feasible map at the best
+each search rates, refines and certifies at its own key rate.  When the
+deterministic candidates are few enough (``enum_limit`` channel maps,
+``DEFAULT_ENUM_LIMIT`` family members), each is its enumeration index:
+``itertools.product`` order, decoded by index arithmetic.  The searcher
+screens them once, scoring stacks of consecutive indices in one kernel
+call, and keeps only statistics and indices; a search rebuilds only the
+candidates it picks.  Sampled restarts, screened maps and
+seed-independent anchors (the no-information candidate and one balanced
+deterministic map per anchor decomposition) form the inner pool, maps
+and anchors scored at uniform weights.  Each search ranks the maps at
+its budget and rebuilds two sets: the first feasible map at the best
 payoff, and the top 256 by relaxed score.  Those 256, every anchor and
 the best ``refine_top`` restarts are refined, only the first start of
 each class of equal (dims, r0, r1, r2, pi, marginal gap): the others are
@@ -51,17 +52,15 @@ The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
 exact by construction; only distortion and message-rate budgets remain
 as optimizer constraints.  None of them involves the key rate, so the
-searcher screens the enumerable family once: one batch kernel scores it in
-chunks of at most 1,024 deterministic members, built by index
-arithmetic, and keeps the feasible ones as arrays.  At each key rate a
-kept member's value is re-rated in closed form, H(S) - [I(S;V1) - R0]+,
-from its stored H(S) and I(S;V1).  The inner search's trust-region LP
-loop refines the best sampled restarts over their free rows, each a
-simplex, linearizing the value and every budget with analytic gradients
-taken by the chain rule through the joint.  Each winner, the first of
-the sampled and refined members, then the screened ones, with the best
-value, is re-derived the same way, by family membership and the
-reference equivocation value.
+screening keeps the indices of the feasible members, 1,024 members a
+kernel call, and re-rates each at every key rate in closed form,
+H(S) - [I(S;V1) - R0]+, from its stored H(S) and I(S;V1).  The inner
+search's trust-region LP loop refines the best sampled restarts over
+their free rows, each a simplex, linearizing the value and every budget
+with analytic gradients taken by the chain rule through the joint.  Each
+winner, the first of the sampled and refined members, then the screened
+ones, with the best value, is re-derived the same way, by family
+membership and the reference equivocation value.
 
 A winner the reference path does not reproduce raises
 :class:`VerificationError`; the ``bounds`` and ``equivocation`` commands
@@ -70,7 +69,6 @@ turn it into exit code 1 ("verification mismatch").
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections.abc import Callable
@@ -954,73 +952,74 @@ class _Scored:
     w4: np.ndarray
 
 
-def _map_space_size(dims, pairs_by_y3) -> int:
-    """Number of deterministic channel maps for one decomposition: each V2
+def _map_space_size(decomps, pairs_by_y3) -> int:
+    """Number of deterministic channel maps: in each decomposition, each V2
     cell picks an action, and each of its |A| x |C| V1 cells a pair."""
-    per_v2 = sum(len(pairs) ** (dims[1] * dims[3]) for pairs in pairs_by_y3)
-    return per_v2 ** (dims[0] * dims[2])
+    return sum(sum(len(p) ** (d[1] * d[3]) for p in pairs_by_y3) ** (d[0] * d[2]) for d in decomps)
 
 
 def _digits(index: np.ndarray, radices) -> np.ndarray:
     """Mixed-radix digits of each index, last digit fastest, as ``itertools.product``
-    orders them; ``np.unravel_index`` would cap the radices at 64."""
-    digits = np.empty((len(index), len(radices)), dtype=np.intp)
-    for j in range(len(radices) - 1, -1, -1):
-        index, digits[:, j] = np.divmod(index, radices[j])
+    orders them: ``radices`` is one row for every index or one row per index.
+    ``np.unravel_index`` would cap the radices at 64 and take one row only."""
+    radices = np.asarray(radices)
+    digits = np.empty((len(index), radices.shape[-1]), dtype=np.intp)
+    for j in range(radices.shape[-1] - 1, -1, -1):
+        index, digits[:, j] = np.divmod(index, radices[..., j])
     return digits
 
 
-def _enumerate_maps(problem: InnerSearchProblem, dims, pairs_by_y3):
-    """Every support-aware deterministic channel map of one decomposition, in
-    ``itertools.product`` order over the y3 map, then each V1 cell's pair:
-    stacks ``(y3_map, xy)`` of each V2 cell's action and each V1 cell's
-    (x, y2) pair, of at most ``_CELL_BUDGET`` cells of P(w | v1) (|V1| x |W| a map)."""
+def _maps(dims, y3_maps, starts, pairs_by_y3, index) -> tuple[np.ndarray, np.ndarray]:
+    """``(xy, y3_of_v2)`` of the maps ``index`` of one decomposition, from its
+    table (see :func:`_screen_maps`), one row per map: each V1 cell's (x, y2)
+    pair, in ``itertools.product`` order over those finite under its cell's
+    action, and each V2 cell's action."""
+    k = np.searchsorted(starts, index, side="right") - 1
+    actions = y3_maps[k][:, _v2_cells(dims)]  # the action of each V1 cell
+    first = np.cumsum([0] + [len(pairs) for pairs in pairs_by_y3])  # each action's first pair
+    pick = _digits(index - starts[k], np.diff(first)[actions])
+    return np.concatenate(pairs_by_y3)[first[actions] + pick], y3_maps[k]
+
+
+def _screen_maps(problem, decomps, pairs_by_y3) -> tuple[_InnerStats, list]:
+    """The five budget-free statistics of every deterministic channel map at
+    uniform weights, in index order, and the ``(dims, y3_maps, starts)`` of
+    each decomposition that rebuild a map: its y3 maps in ``itertools.product``
+    order over the actions with a finite pair, and the index of each one's
+    first map, closed by the decomposition's end.  A stack holds consecutive
+    maps of one decomposition, at most ``_CELL_BUDGET`` cells of P(w | v1)."""
     side = problem.side
     n_w = math.prod(ch.rows.shape[1] for ch in (side.ch1, side.ch2, side.ch3))
-    v2_cells = _v2_cells(dims)
-    chunk = max(1, _CELL_BUDGET // (len(v2_cells) * n_w))
-    # actions without a finite pair admit no map
-    actions = [y for y, pairs in enumerate(pairs_by_y3) if len(pairs)]
-    for y3_map in itertools.product(actions, repeat=dims[0] * dims[2]):
-        options = [pairs_by_y3[y3_map[v2]] for v2 in v2_cells]
-        radices = [len(pairs) for pairs in options]
-        total = math.prod(radices)
-        for start in range(0, total, chunk):
-            pick = _digits(np.arange(start, min(start + chunk, total)), radices)
-            xy = np.stack([pairs[pick[:, c]] for c, pairs in enumerate(options)], axis=1)
-            yield np.array(y3_map), xy
-
-
-def _screen_maps(problem, decomps, pairs_by_y3) -> _InnerStats:
-    """The statistics of every deterministic channel map, scored once at
-    uniform weights a stack at a time: arrays in enumeration order, five
-    floats per map.  None of them depends on the budget."""
-    stacks = []
+    n_pairs = np.array([len(pairs) for pairs in pairs_by_y3])
+    actions = np.flatnonzero(n_pairs)
+    tables, stacks, end = [], [], 0
     for dims in decomps:
-        w4 = _start_weights(dims)
-        for y3_map, xy in _enumerate_maps(problem, dims, pairs_by_y3):
-            y3 = np.broadcast_to(y3_map, (len(xy), len(y3_map)))
+        n_v2 = dims[0] * dims[2]
+        y3_maps = actions[_digits(np.arange(len(actions) ** n_v2), (len(actions),) * n_v2)]
+        starts = np.cumsum([end, *np.prod(n_pairs[y3_maps] ** (dims[1] * dims[3]), axis=1)])
+        tables.append((dims, y3_maps, starts))
+        w4, chunk = _start_weights(dims), max(1, _CELL_BUDGET // (math.prod(dims) * n_w))
+        for lo in range(end, starts[-1], chunk):
+            xy, y3 = _maps(*tables[-1], pairs_by_y3, np.arange(lo, min(lo + chunk, starts[-1])))
             stack = _deterministic_structure(dims, problem, xy, y3)
             stacks.append(_InnerEvaluator(stack, problem).stats(w4))
-    return _concat(stacks)
+        end = starts[-1]
+    return _concat(stacks), tables
 
 
-def _ranked_maps(problem, decomps, pairs_by_y3, screened, budget) -> tuple[list, list]:
+def _ranked_maps(problem, pairs_by_y3, screened, tables, budget) -> tuple[list, list]:
     """The first feasible map at the best payoff (a later tie cannot win
-    the pool) and the best ``_ENUM_REFINE_TOP`` by relaxed score, in
-    enumeration order as a stable sort leaves ties.  One more enumeration
-    pass builds structures for these maps only."""
+    the pool) and the best ``_ENUM_REFINE_TOP`` by relaxed score, in index
+    order as a stable sort leaves ties; only these maps are rebuilt."""
     pi = np.where(_inner_feasible(screened, budget), screened.pi, -math.inf)
     best = [int(np.argmax(pi))] if pi.max() > -math.inf else []
     top = np.argsort(-_inner_score(screened, budget), kind="stable")[:_ENUM_REFINE_TOP].tolist()
-    picks, kept, start = np.array(best + top), {}, 0  # map index -> scored map
-    for dims in decomps:
-        w4 = _start_weights(dims)
-        for y3_map, xy in _enumerate_maps(problem, dims, pairs_by_y3):
-            for i in set(picks[(start <= picks) & (picks < start + len(xy))].tolist()):
-                struct = _deterministic_structure(dims, problem, xy[i - start], y3_map)
-                kept[i] = _Scored(_member(screened, i), struct, w4)
-            start += len(xy)
+    picks, kept = np.unique(best + top), {}  # map index -> scored map
+    for dims, y3_maps, starts in tables:
+        mine, w4 = picks[(starts[0] <= picks) & (picks < starts[-1])], _start_weights(dims)
+        for i, xy, y3 in zip(mine.tolist(), *_maps(dims, y3_maps, starts, pairs_by_y3, mine)):
+            struct = _deterministic_structure(dims, problem, xy, y3)
+            kept[i] = _Scored(_member(screened, i), struct, w4)
     return [kept[i] for i in best], [kept[i] for i in top]
 
 
@@ -1039,10 +1038,9 @@ def _inner_searcher(problem, restarts, refine_top=24, enum_limit=DEFAULT_ENUM_LI
     def scored(struct: _Structure, w4: np.ndarray) -> _Scored:
         return _Scored(_InnerEvaluator(struct, problem).stats(w4), struct, w4)
 
-    # every deterministic channel map when few enough, scored once at
-    # uniform weights; each search ranks them at its own budget
+    # every deterministic channel map, when few enough; each search ranks them
     screened = None
-    if 0 < sum(_map_space_size(d, pairs_by_y3) for d in decomps) <= enum_limit:
+    if 0 < _map_space_size(decomps, pairs_by_y3) <= enum_limit:
         screened = _screen_maps(problem, decomps, pairs_by_y3)
 
     # seed-independent anchors: the no-information candidate (stochastic
@@ -1060,9 +1058,8 @@ def _inner_searcher(problem, restarts, refine_top=24, enum_limit=DEFAULT_ENUM_LI
 
     def search(r0: float, seed: int) -> SearchResult:
         budget = replace(problem.budget, r0=r0)
-        best_maps, to_refine = ([], []) if screened is None else _ranked_maps(
-            problem, decomps, pairs_by_y3, screened, budget
-        )
+        ranked = _ranked_maps(problem, pairs_by_y3, *screened, budget) if screened else ([], [])
+        best_maps, to_refine = ranked
         to_refine += anchored
 
         def sample_one(index: int) -> _Scored:
@@ -1374,19 +1371,15 @@ def _equiv_radices(problem: EquivocationProblem) -> tuple[int, ...]:
     return (n_v1,) * n_x + (n_v2,) * n_v1 + (n_y2,) * n_v1 + (n_y3,) * n_v2
 
 
-def _enumerate_equiv(problem: EquivocationProblem):
-    """Every deterministic member, in stacks of at most ``_EQUIV_CHUNK``:
-    member i has the mixed-radix digits of i, in the order of
-    ``itertools.product`` over the four maps."""
+def _equiv_members(problem: EquivocationProblem, index: np.ndarray) -> _EquivParams:
+    """The deterministic members ``index``, a stack: member i has the
+    mixed-radix digits of i, in the order of ``itertools.product`` over
+    the four maps."""
     n_x, n_v1 = problem.p_x.alphabet.size, problem.cap_v1
     n_y2, n_y3 = problem.y2_alphabet.size, problem.y3_alphabet.size
-    radices = _equiv_radices(problem)
-    cuts = (n_x, n_x + n_v1, n_x + 2 * n_v1)
-    total = math.prod(radices)
-    for start in range(0, total, _EQUIV_CHUNK):
-        digits = _digits(np.arange(start, min(start + _EQUIV_CHUNK, total)), radices)
-        m, g, h2, h3 = np.split(digits, cuts, axis=1)
-        yield _EquivParams(np.eye(n_v1)[m], np.eye(n_y2)[h2], np.eye(n_y3)[h3], g)
+    digits = _digits(index, _equiv_radices(problem))
+    m, g, h2, h3 = np.split(digits, (n_x, n_x + n_v1, n_x + 2 * n_v1), axis=1)
+    return _EquivParams(np.eye(n_v1)[m], np.eye(n_y2)[h2], np.eye(n_y3)[h3], g)
 
 
 def _sample_equiv(rng: np.random.Generator, problem: EquivocationProblem) -> _EquivParams:
@@ -1455,28 +1448,31 @@ def _refine_equiv(
     return None if best is None else member(best[0])
 
 
-def _screen_equiv(problem: EquivocationProblem) -> tuple[_EquivStats, _EquivParams] | None:
-    """The feasible members of the enumerable family with their statistics
-    at ``problem.r0``, or None when the family is too large to enumerate."""
-    if math.prod(_equiv_radices(problem)) > DEFAULT_ENUM_LIMIT:
+def _screen_equiv(problem: EquivocationProblem) -> tuple[_EquivStats, np.ndarray] | None:
+    """The statistics at ``problem.r0`` and the indices of the feasible
+    members of the enumerable family, scored in stacks of at most
+    ``_EQUIV_CHUNK``; None when the family is too large to enumerate."""
+    total = math.prod(_equiv_radices(problem))
+    if total > DEFAULT_ENUM_LIMIT:
         return None
-    stats, members = [], []
-    for chunk in _enumerate_equiv(problem):
-        chunk_stats = _equiv_stats(chunk, problem, problem.r0)
-        ok = _within(_limits(chunk_stats, problem, _EQUIV_BUDGETS))  # feasible members only
-        stats.append(_take(chunk_stats, ok))
-        members.append(_take(chunk, ok))
-    return _concat(stats), _concat(members)
+    stats, kept = [], []
+    for start in range(0, total, _EQUIV_CHUNK):
+        index = np.arange(start, min(start + _EQUIV_CHUNK, total))
+        chunk = _equiv_stats(_equiv_members(problem, index), problem, problem.r0)
+        ok = _within(_limits(chunk, problem, _EQUIV_BUDGETS))  # feasible members only
+        stats.append(_take(chunk, ok))
+        kept.append(index[ok])
+    return _concat(stats), np.concatenate(kept)
 
 
 def _equivocation_searcher(problem: EquivocationProblem, restarts: int) -> Callable:
     """``search(r0, seed)``, the certified search of ``problem`` at key rate ``r0``.
-    Membership and every distortion and rate budget are free of R0, so the
-    enumerable family is screened once, here; at each rate a feasible
-    member's value is re-rated in closed form from its H(S) and I(S;V1), as
-    the kernel rates it at ``problem.r0``.  Each search draws its restarts,
-    refines the best, then assembles and certifies the first candidate with
-    the best value; its ``wall_time`` counts from this call."""
+    Membership and every budget are free of R0, so the enumerable family is
+    screened once, here; at each rate a feasible member's value is re-rated
+    from its H(S) and I(S;V1), as the kernel rates it at ``problem.r0``.
+    Each search draws its restarts, refines the best, then rebuilds, assembles
+    and certifies the first candidate with the best value; its ``wall_time``
+    counts from this call."""
     restarts = _count(restarts, "restarts")
     started = time.perf_counter()
     screened = _screen_equiv(problem)
@@ -1495,7 +1491,6 @@ def _equivocation_searcher(problem: EquivocationProblem, restarts: int) -> Calla
         values, members = stats.value[ok], _take(members, ok)
         if screened is not None:
             values = np.concatenate([values, _rerated(screened[0].h_s, screened[0].leak, r0)])
-            members = _concat([members, screened[1]])
 
         wall = time.perf_counter() - started
         if not len(values):
@@ -1503,7 +1498,9 @@ def _equivocation_searcher(problem: EquivocationProblem, restarts: int) -> Calla
             return EquivocationSearchResult(False, None, None, seed, restarts, wall, message)
         i = int(np.argmax(values))  # the first best candidate
         value = float(values[i])
-        cand = _assemble_equiv(_take(members, [i]), problem)
+        n = len(members.g)
+        winner = _take(members, [i]) if i < n else _equiv_members(problem, screened[1][[i - n]])
+        cand = _assemble_equiv(winner, problem)
         _certify(
             check_equivocation_membership(cand, p_x=at.p_x, tol=_MARGINAL_SLACK),
             {"value": value},

@@ -126,8 +126,9 @@ def auto_index_bits(
     mutual informations read off the candidate; the key budget is
     explicit because it is the experiment's independent variable.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    number = isinstance(epsilon, (int, float, np.integer, np.floating))
+    if isinstance(epsilon, bool) or not (number and 0 <= epsilon < math.inf):
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
     joint = inner.joint
     i_a = mutual_information(joint, inner.x, inner.u2)
     i_b = conditional_mutual_information(joint, inner.x, inner.v2, inner.u2)

@@ -143,6 +143,22 @@ def test_schema_error_paths(tmp_path, capsys, body, needle):
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", [0, -1, math.inf])
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_tol_must_be_a_finite_number_above_zero(tmp_path, monkeypatch, capsys, source, tol):
+    # tol <= 0 failed every grid point, reported as a verification mismatch
+    # (exit 1), and tol = inf passed every one
+    args = ["example", "--out", str(tmp_path)]
+    if source == "flag":
+        args += ["--tol", str(tol)]
+    elif source == "env":
+        monkeypatch.setenv("CASCADE_SECRECY_TOL", str(tol))
+    else:
+        args += ["--config", write_config(tmp_path, {"tol": tol})]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: tol: must be a finite number > 0")
+
+
 @pytest.mark.parametrize(
     "field,value,needle",
     [
@@ -504,14 +520,14 @@ def test_equivocation_sweep(tmp_path):
 
 def test_equivocation_screens_the_family_once(tmp_path, monkeypatch):
     # the search at problem.r0 and the sweep share one screening
-    enumerate_equiv = search_mod._enumerate_equiv
+    screen_equiv = search_mod._screen_equiv
     calls = []
 
     def counted(problem):
         calls.append(problem)
-        return enumerate_equiv(problem)
+        return screen_equiv(problem)
 
-    monkeypatch.setattr(search_mod, "_enumerate_equiv", counted)
+    monkeypatch.setattr(search_mod, "_screen_equiv", counted)
     cfg = write_config(tmp_path, equiv_config(r0_grid=[0.0, 0.5, 1.0]))
     assert main(["equivocation", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1

@@ -258,7 +258,7 @@ def test_equivocation_problem_rejects_nan(field):
 
 def test_equivocation_sweep_rejects_nan_before_screening(monkeypatch):
     calls = []
-    monkeypatch.setattr(search_mod, "_enumerate_equiv", lambda problem: calls.append(problem))
+    monkeypatch.setattr(search_mod, "_screen_equiv", lambda problem: calls.append(problem))
     prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=2, cap_v2=2)
     with pytest.raises(ValueError, match=r"r0_grid\[1\]"):
         equivocation_sweep(prob, [0.0, math.nan, 1.0], restarts=2, seed=0)
@@ -474,6 +474,43 @@ def test_search_certifies_the_published_winner(monkeypatch):
     monkeypatch.setattr(search_mod._InnerEvaluator, "stats", shifted)
     with pytest.raises(RuntimeError, match="pi="):
         search_inner(problem, restarts=4, seed=0)
+
+
+def test_search_names_the_membership_check_its_winner_fails(monkeypatch):
+    # a winner that fails a reference membership check is not published,
+    # and the error names the check: here the x marginal, checked against
+    # a source law other than the searched one
+    check = search_mod.check_inner_constraints
+    other = Pmf(EX.p_x.alphabet, np.array([0.5, 0.25, 0.25]))
+    assert np.abs(other.probs - EX.p_x.probs).max() > 0.1
+    monkeypatch.setattr(
+        search_mod,
+        "check_inner_constraints",
+        lambda cand, p_x, tol: check(cand, p_x=other, tol=tol),
+    )
+    problem = ternary_problem(RateBudget(1.0, math.inf, math.inf), caps=CardinalityCaps(2, 2, 8, 4))
+    with pytest.raises(VerificationError, match="fails check 'x marginal matches the source law'"):
+        search_inner(problem, restarts=2, seed=0, refine_top=0, enum_limit=0)
+
+
+def test_search_skips_an_anchor_whose_action_has_no_finite_pair(monkeypatch):
+    # every (x, y2) pair is forbidden under action y3 = 2, so the balanced
+    # map of a decomposition whose round robin reaches that action does not
+    # exist; the search drops that anchor and still certifies its winner
+    vals = EX.payoff.values.copy()
+    vals[:, :, 2, 0] = -np.inf
+    alphabets = (EX.payoff.x_alphabet, EX.payoff.y2_alphabet, EX.payoff.y3_alphabet)
+    payoff = PayoffTable(*alphabets, EX.payoff.z_alphabet, vals)
+    balanced, built = search_mod._balanced_structure, []
+    monkeypatch.setattr(
+        search_mod, "_balanced_structure", lambda *a: built.append(balanced(*a)) or built[-1]
+    )
+    problem = InnerSearchProblem(
+        EX.p_x, payoff, EX.side, RateBudget(1.0, math.inf, math.inf), CardinalityCaps(2, 2, 8, 4)
+    )
+    res = search_inner(problem, restarts=8, seed=0, refine_top=2, enum_limit=0)
+    assert None in built and any(struct is not None for struct in built)
+    assert res.feasible and math.isfinite(res.tuple.pi)
 
 
 _EVAL_DIMS = [
@@ -833,6 +870,32 @@ def test_refiner_stops_at_a_climb_lp_that_predicts_no_gain(monkeypatch):
     assert _predicted_gain(program, *lps[0]) <= 1e-12
 
 
+def test_refiner_ends_at_its_start_after_seven_failed_climb_lps(monkeypatch):
+    # a climb LP that HiGHS does not solve halves the trust region and is
+    # a stall; the seventh in a row ends the refinement at its start
+    deltas = []
+
+    def failed(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
+        deltas.append(ub[0] - 0.3)  # the trust region's radius around x0 = 0.3
+        return None
+
+    monkeypatch.setattr(search_mod, "_solve_lp", failed)
+    program = search_mod._Program(
+        stats=lambda x: float(x.min()),
+        value=lambda stats: stats,
+        limits=lambda stats: [],
+        linearize=lambda x, stats: (np.array([0.0, 0.0, -1.0]), []),
+        a_eq=np.ones((1, 2)),
+        b_eq=np.ones(1),
+        rows=[slice(0, 2)],
+        epigraph=np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]),
+    )
+    start = np.array([0.3, 0.7])
+    x, stats = search_mod._refine_flat_slp(program, start)
+    assert np.array_equal(x, start) and stats == 0.3
+    assert deltas == pytest.approx([0.3 * 0.5**i for i in range(7)])
+
+
 def test_search_makes_no_climb_lp_after_one_predicting_no_gain(monkeypatch):
     # a rejected climb leaves x in place and later LPs only shrink the box,
     # so the refinement ends at the first climb LP that predicts no gain.
@@ -869,26 +932,23 @@ def test_search_publishes_the_earliest_of_tied_entries(monkeypatch):
     monkeypatch.setattr(search_mod, "_ENUM_REFINE_TOP", 8)  # fewer refinements, same pool head
     problem = ternary_problem(RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(6, 3, 9, 3))
     pairs = search_mod._finite_pairs(problem)
-    best, tied = -math.inf, []
-    for dims in search_mod._decompositions(problem.caps):
-        w4 = search_mod._start_weights(dims)
-        for y3_map, xy in search_mod._enumerate_maps(problem, dims, pairs):
-            y3 = np.broadcast_to(y3_map, (len(xy), len(y3_map)))
-            stack = search_mod._deterministic_structure(dims, problem, xy, y3)
-            stats = search_mod._InnerEvaluator(stack, problem).stats(w4)
-            pi = np.where(search_mod._inner_feasible(stats, problem.budget), stats.pi, -math.inf)
-            best = max(best, pi.max())
-            tied += [(dims, y3_map, xy[i], w4) for i in np.flatnonzero(pi == 0.5)]
-    assert best == 0.5 and len(tied) == 48
+    decomps = search_mod._decompositions(problem.caps)
+    stats, tables = search_mod._screen_maps(problem, decomps, pairs)
+    pi = np.where(search_mod._inner_feasible(stats, problem.budget), stats.pi, -math.inf)
+    tied = np.flatnonzero(pi == 0.5)  # map indices, in enumeration order
+    assert pi.max() == 0.5 and len(tied) == 48
 
-    def table(dims, y3_map, xy, w4):
-        struct = search_mod._deterministic_structure(dims, problem, xy, y3_map)
+    def table(i):
+        dims, y3_maps, starts = next(t for t in tables if t[2][0] <= i < t[2][-1])
+        xy, y3 = search_mod._maps(dims, y3_maps, starts, pairs, np.array([i]))
+        struct = search_mod._deterministic_structure(dims, problem, xy[0], y3[0])
+        w4 = search_mod._start_weights(dims)
         return search_mod._assemble_inner(struct, w4, problem).joint.table
 
     res = search_inner(problem, restarts=1, seed=0, refine_top=0)
     assert res.tuple.pi == 0.5
-    assert np.array_equal(res.candidate.joint.table, table(*tied[0]))
-    assert not np.array_equal(table(*tied[0]), table(*tied[-1]))
+    assert np.array_equal(res.candidate.joint.table, table(tied[0]))
+    assert not np.array_equal(table(tied[0]), table(tied[-1]))
 
 
 def test_search_refines_each_class_of_equal_starts_once(monkeypatch):
@@ -936,25 +996,43 @@ ENUM_CAPS = CardinalityCaps(3, 1, 6, 3)  # 5,994 deterministic maps
 @pytest.mark.parametrize("cell_budget", [None, 1000])
 def test_inner_enumeration_follows_product_order(monkeypatch, cell_budget):
     # the screening stacks hold the maps of the former nested product over
-    # the y3 map and then each V1 cell's pair, in that order; a small cell
-    # budget splits one y3 map's pair choices over several stacks
+    # the y3 map and then each V1 cell's pair, in that order, at most the
+    # cell budget each: at the default a stack spans several y3 maps, and a
+    # small budget splits one y3 map's pair choices over several stacks
     if cell_budget is not None:
         monkeypatch.setattr(search_mod, "_CELL_BUDGET", cell_budget)
+    stacks, maps = [], search_mod._maps
+
+    def recorded(dims, *args):
+        xy, y3 = maps(dims, *args)
+        stacks.append((dims, xy, y3))
+        return xy, y3
+
+    monkeypatch.setattr(search_mod, "_maps", recorded)
     problem = ternary_problem(RateBudget(1.0, math.inf, math.inf), caps=ENUM_CAPS)
     pairs = search_mod._finite_pairs(problem)
-    got, want, split = [], [], False
-    for dims in search_mod._decompositions(problem.caps):
-        stacks = list(search_mod._enumerate_maps(problem, dims, pairs))
-        cells = math.prod(dims) * 27  # P(w | v1) cells of one map
-        assert all(len(xy) * cells <= search_mod._CELL_BUDGET for _, xy in stacks)
-        split |= any(np.array_equal(a, b) for (a, _), (b, _) in zip(stacks, stacks[1:]))
-        got += [(dims, tuple(y3.tolist()), xy.tolist()) for y3, stack in stacks for xy in stack]
+    decomps = search_mod._decompositions(problem.caps)
+    search_mod._screen_maps(problem, decomps, pairs)
+    for dims, xy, _ in stacks:
+        assert len(xy) * math.prod(dims) * 27 <= search_mod._CELL_BUDGET  # P(w | v1) cells
+    got = [
+        (dims, tuple(y3.tolist()), xy.tolist())
+        for dims, xys, y3s in stacks
+        for xy, y3 in zip(xys, y3s)
+    ]
+    spans = any(len(np.unique(y3, axis=0)) > 1 for _, _, y3 in stacks)
+    split = any(
+        d == e and np.array_equal(a[-1], b[0]) for (d, _, a), (e, _, b) in zip(stacks, stacks[1:])
+    )
+    want = []
+    for dims in decomps:
         v2_of = [u2 * dims[2] + b for u2, _, b, _ in itertools.product(*map(range, dims))]
         for y3 in itertools.product(range(3), repeat=dims[0] * dims[2]):
             for xy in itertools.product(*(pairs[y3[v2]] for v2 in v2_of)):
                 want.append((dims, y3, [pair.tolist() for pair in xy]))
     assert len(want) == 5994
     assert got == want
+    assert spans
     assert split == (cell_budget is not None)
 
 
@@ -1197,14 +1275,14 @@ def test_equivocation_search_certifies_the_published_winner(monkeypatch):
 def test_equivocation_family_is_enumerated_once_per_call(monkeypatch, run):
     # membership and the budgets do not involve R0, so one screening
     # serves every grid point
-    enumerate_equiv = search_mod._enumerate_equiv
+    screen_equiv = search_mod._screen_equiv
     calls = []
 
     def counted(problem):
         calls.append(problem)
-        return enumerate_equiv(problem)
+        return screen_equiv(problem)
 
-    monkeypatch.setattr(search_mod, "_enumerate_equiv", counted)
+    monkeypatch.setattr(search_mod, "_screen_equiv", counted)
     prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=2, cap_v2=2)
     run(prob)
     assert len(calls) == 1
@@ -1221,6 +1299,33 @@ def test_equivocation_assembles_each_member_once(monkeypatch):
     grid = [i * 1.25 / 3 for i in range(4)]
     equivocation_sweep(prob, grid, restarts=2, seed=0)
     assert 0 < len(calls) <= len(grid)
+
+
+def test_equivocation_member_without_a_free_row_is_not_refined(monkeypatch):
+    # |V1| = |Y2| = |Y3| = 1: every row of a member is a single cell, so the
+    # refiner has nothing to move, and the restarts compete as drawn
+    refine, refined = search_mod._refine_equiv, []
+    monkeypatch.setattr(
+        search_mod, "_refine_equiv", lambda *a: refined.append(refine(*a)) or refined[-1]
+    )
+    prob = EquivocationProblem(
+        p_x=Pmf.uniform(Alphabet("X", 2)),
+        secret_set=("X",),
+        y2_alphabet=Alphabet("Y2", 1),
+        y3_alphabet=Alphabet("Y3", 1),
+        d1=np.zeros((2, 1)),
+        d2=np.zeros((2, 1)),
+        max_d1=0.0,
+        max_d2=0.0,
+        r0=0.0,
+        r1=1.0,
+        r2=1.0,
+        cap_v1=1,
+        cap_v2=2,
+    )
+    res = search_equivocation(prob, restarts=2, seed=0)
+    assert refined == [None, None]
+    assert res.feasible and abs(res.value - 1.0) <= 1e-12  # V1 is constant: H(X) is kept
 
 
 def test_equivocation_infeasible_distortion():
@@ -1369,10 +1474,14 @@ def product_members(problem):
 
 
 @pytest.mark.parametrize("cap_v1, cap_v2, chunks", [(3, 2, [1024, 1024, 256]), (2, 2, [256])])
-def test_equivocation_enumeration_follows_product_order(cap_v1, cap_v2, chunks):
-    # 2,304 members fill two chunks and part of a third
+def test_equivocation_enumeration_follows_product_order(monkeypatch, cap_v1, cap_v2, chunks):
+    # 2,304 members fill two screening stacks and part of a third
+    stacks, members = [], search_mod._equiv_members
+    monkeypatch.setattr(
+        search_mod, "_equiv_members", lambda *args: stacks.append(members(*args)) or stacks[-1]
+    )
     prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=cap_v1, cap_v2=cap_v2)
-    stacks = list(search_mod._enumerate_equiv(prob))
+    search_mod._screen_equiv(prob)
     assert [len(s.g) for s in stacks] == chunks
     got = search_mod._concat(stacks)
     for i, (e_rows, py2, py3, g) in enumerate(product_members(prob)):

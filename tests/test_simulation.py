@@ -109,6 +109,20 @@ def test_auto_index_bits_cover_rates():
         auto_index_bits(CORNER, 1, key=0, epsilon=-0.5)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -0.5, True])
+def test_auto_index_bits_rejects_an_epsilon_that_is_no_finite_number_above_zero(epsilon):
+    # NaN and inf failed in the rounding ("cannot convert float NaN to
+    # integer", OverflowError) and True was taken as 1
+    with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+        auto_index_bits(CORNER, 1, key=0, epsilon=epsilon)
+
+
+def test_system_table_sums_rejects_an_unknown_name():
+    table = run_system_exact(corner_spec(1, BITS_N1))
+    with pytest.raises(ValueError, match=r"unknown variables \['Q'\]"):
+        table.sums(("K", "Q"))
+
+
 def test_scheme_spec_validation():
     with pytest.raises(ValueError):
         SchemeSpec(n=0, inner=CORNER, index_bits=BITS_N1, side=EX.side)
