@@ -2,11 +2,14 @@
 checks, and rate/payoff evaluation.
 
 A candidate is a joint distribution over the source X, the two actions
-Y2 and Y3, and auxiliary variables, together with a role map saying
-which joint variables play which part.  Roles may name groups of
+Y2 and Y3, and auxiliary variables, together with the roles its
+variables play.  The three candidate types only declare their roles on
+one base that stores and validates them.  Roles may name groups of
 variables (flattened row-major in the listed order), so composite
 auxiliaries can be kept as separate axes or packed into product
-alphabets, whichever is convenient.
+alphabets, whichever is convenient.  The three constraint checks share
+one report builder, and :func:`mixture_candidate` time-shares inner
+candidates whatever their roles: the inner region is convex.
 
 Outer-bound candidates carry one public auxiliary U; inner (achievable)
 candidates refine it into the superposition pair U1, U2.  Evaluation
@@ -26,7 +29,8 @@ inequalities, the closure is what the evaluator returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,6 +51,7 @@ from .probability import (
     joint_from_json,
     joint_to_json,
     marginalize,
+    product_alphabet,
 )
 
 __all__ = [
@@ -65,6 +70,7 @@ __all__ = [
     "eval_inner_tuple",
     "equivocation_value",
     "inner_to_outer",
+    "mixture_candidate",
     "candidate_to_json",
     "outer_candidate_from_json",
     "inner_candidate_from_json",
@@ -168,82 +174,71 @@ class ConstraintViolationError(ValueError):
         )
 
 
-def _roles_tuple(value: str | Iterable[str]) -> tuple[str, ...]:
-    return (value,) if isinstance(value, str) else tuple(value)
-
-
-def _validate_roles(joint: JointDistribution, roles: dict[str, tuple[str, ...]]) -> None:
-    for role, names in roles.items():
-        if not names:
-            raise ValueError(f"role {role} must name at least one variable")
-        for n in names:
-            joint.axis(n)  # raises with the unknown name
-    for a, b in (("x", "y2"), ("x", "y3"), ("y2", "y3")):
-        if set(roles[a]) & set(roles[b]):
-            raise ValueError(f"roles {a} and {b} share variables")
-
-
 @dataclass(frozen=True)
-class OuterCandidate:
-    """Converse-side candidate: joint over (X, Y2, Y3, U, V1, V2)."""
+class _Candidate:
+    """A joint plus the roles declared after it: the source and action roles
+    here, the auxiliaries in each subclass.  Each role is a variable name or
+    a group of names; it is stored as a tuple and must name known variables,
+    and the roles x, y2 and y3 must not share any."""
 
     joint: JointDistribution
     x: str | tuple[str, ...] = "X"
     y2: str | tuple[str, ...] = "Y2"
     y3: str | tuple[str, ...] = "Y3"
+
+    def __post_init__(self) -> None:
+        for role in fields(self)[1:]:
+            names = getattr(self, role.name)
+            names = (names,) if isinstance(names, str) else tuple(names)
+            object.__setattr__(self, role.name, names)
+            if not names:
+                raise ValueError(f"role {role.name} must name at least one variable")
+            for n in names:
+                self.joint.axis(n)  # raises with the unknown name
+        for a, b in (("x", "y2"), ("x", "y3"), ("y2", "y3")):
+            if set(getattr(self, a)) & set(getattr(self, b)):
+                raise ValueError(f"roles {a} and {b} share variables")
+
+
+@dataclass(frozen=True)
+class OuterCandidate(_Candidate):
+    """Converse-side candidate: joint over (X, Y2, Y3, U, V1, V2)."""
+
     u: str | tuple[str, ...] = "U"
     v1: str | tuple[str, ...] = "V1"
     v2: str | tuple[str, ...] = "V2"
 
-    def __post_init__(self) -> None:
-        for role in ("x", "y2", "y3", "u", "v1", "v2"):
-            object.__setattr__(self, role, _roles_tuple(getattr(self, role)))
-        _validate_roles(
-            self.joint,
-            {r: getattr(self, r) for r in ("x", "y2", "y3", "u", "v1", "v2")},
-        )
-
 
 @dataclass(frozen=True)
-class InnerCandidate:
+class InnerCandidate(_Candidate):
     """Achievability-side candidate: joint over (X, Y2, Y3, U1, U2, V1, V2)."""
 
-    joint: JointDistribution
-    x: str | tuple[str, ...] = "X"
-    y2: str | tuple[str, ...] = "Y2"
-    y3: str | tuple[str, ...] = "Y3"
     u1: str | tuple[str, ...] = "U1"
     u2: str | tuple[str, ...] = "U2"
     v1: str | tuple[str, ...] = "V1"
     v2: str | tuple[str, ...] = "V2"
 
-    def __post_init__(self) -> None:
-        for role in ("x", "y2", "y3", "u1", "u2", "v1", "v2"):
-            object.__setattr__(self, role, _roles_tuple(getattr(self, role)))
-        _validate_roles(
-            self.joint,
-            {r: getattr(self, r) for r in ("x", "y2", "y3", "u1", "u2", "v1", "v2")},
-        )
-
 
 @dataclass(frozen=True)
-class EquivocationCandidate:
+class EquivocationCandidate(_Candidate):
     """Log-loss disclosure candidate: joint over (X, Y2, Y3, V1, V2)."""
 
-    joint: JointDistribution
-    x: str | tuple[str, ...] = "X"
-    y2: str | tuple[str, ...] = "Y2"
-    y3: str | tuple[str, ...] = "Y3"
     v1: str | tuple[str, ...] = "V1"
     v2: str | tuple[str, ...] = "V2"
 
-    def __post_init__(self) -> None:
-        for role in ("x", "y2", "y3", "v1", "v2"):
-            object.__setattr__(self, role, _roles_tuple(getattr(self, role)))
-        _validate_roles(
-            self.joint,
-            {r: getattr(self, r) for r in ("x", "y2", "y3", "v1", "v2")},
-        )
+
+def _role_size(cand: _Candidate, role: tuple[str, ...]) -> int:
+    """Size of a role's flattened alphabet, without building its labels."""
+    return math.prod(cand.joint.alphabet(name).size for name in role)
+
+
+def _role_alphabet(cand: _Candidate, role: tuple[str, ...], name: str) -> Alphabet:
+    """A role's alphabet under ``name``: the variable's own labels, or the
+    row-major product of a group's."""
+    if len(role) == 1:
+        base = cand.joint.alphabet(role[0])
+        return Alphabet(name, base.size, base.labels)
+    return product_alphabet(name, *(cand.joint.alphabet(r) for r in role))
 
 
 def _minus(a: tuple[str, ...], b: Iterable[str]) -> tuple[str, ...]:
@@ -274,18 +269,32 @@ def _mi_groups(dist, a, b) -> float:
     return max(0.0, value)
 
 
-def _x_marginal_check(joint, x_vars, p_x, tol) -> ConstraintCheck:
-    gap = float(np.abs(_grouped(joint, x_vars) - p_x.probs).max())
-    return ConstraintCheck("x marginal matches the source law", "marginal", gap, tol, gap <= tol)
+_STRUCTURAL = "side information enters only through per-coordinate channels"
 
 
-def _common_chain_checks(joint, x, y2, y3, v1, v2, tol) -> list[ConstraintCheck]:
-    m1 = _cmi(joint, x, y2, v1)
-    m2 = _cmi(joint, tuple(x) + tuple(v1) + tuple(y2), y3, v2)
-    return [
-        ConstraintCheck("x -- v1 -- y2 chain", "markov", m1, tol, m1 <= tol),
-        ConstraintCheck("(x,v1,y2) -- v2 -- y3 chain", "markov", m2, tol, m2 <= tol),
+def _report(cand, tol, p_x, own, structural=True) -> ConstraintReport:
+    """The x-marginal check when ``p_x`` is given, the two chains, the
+    family's ``own`` (name, kind, value) checks and the structural one."""
+    joint = cand.joint
+    measured = []
+    if p_x is not None:
+        gap = float(np.abs(_grouped(joint, cand.x) - p_x.probs).max())
+        measured.append(("x marginal matches the source law", "marginal", gap))
+    chain2 = _cmi(joint, cand.x + cand.v1 + cand.y2, cand.y3, cand.v2)
+    measured += [
+        ("x -- v1 -- y2 chain", "markov", _cmi(joint, cand.x, cand.y2, cand.v1)),
+        ("(x,v1,y2) -- v2 -- y3 chain", "markov", chain2),
     ]
+    checks = [ConstraintCheck(n, kind, v, tol, v <= tol) for n, kind, v in measured + own]
+    if structural:
+        checks.append(ConstraintCheck(_STRUCTURAL, "structural", 0.0, tol, True))
+    return ConstraintReport(tuple(checks))
+
+
+def _require(report: ConstraintReport) -> None:
+    """Raise :class:`ConstraintViolationError` unless every check passed."""
+    if not report.passed:
+        raise ConstraintViolationError(report)
 
 
 def check_outer_constraints(
@@ -300,25 +309,8 @@ def check_outer_constraints(
     only ever enters through :func:`eval_outer_tuple` attaching the
     per-coordinate channels, so it is reported as a structural given.
     """
-    joint = cand.joint
-    checks: list[ConstraintCheck] = []
-    if p_x is not None:
-        checks.append(_x_marginal_check(joint, cand.x, p_x, tol))
-    checks.extend(_common_chain_checks(joint, cand.x, cand.y2, cand.y3, cand.v1, cand.v2, tol))
-    det = _cond_ent(joint, tuple(cand.v2) + tuple(cand.u), cand.v1)
-    checks.append(
-        ConstraintCheck("(v2, u) determined by v1", "determinism", det, tol, det <= tol)
-    )
-    checks.append(
-        ConstraintCheck(
-            "side information enters only through per-coordinate channels",
-            "structural",
-            0.0,
-            tol,
-            True,
-        )
-    )
-    return ConstraintReport(tuple(checks))
+    det = _cond_ent(cand.joint, cand.v2 + cand.u, cand.v1)
+    return _report(cand, tol, p_x, [("(v2, u) determined by v1", "determinism", det)])
 
 
 def check_inner_constraints(
@@ -329,32 +321,13 @@ def check_inner_constraints(
 ) -> ConstraintReport:
     """Verify the achievability-side structural constraints (U := U1)."""
     joint = cand.joint
-    checks: list[ConstraintCheck] = []
-    if p_x is not None:
-        checks.append(_x_marginal_check(joint, cand.x, p_x, tol))
-    checks.extend(_common_chain_checks(joint, cand.x, cand.y2, cand.y3, cand.v1, cand.v2, tol))
-    det1 = _cond_ent(joint, tuple(cand.v2) + tuple(cand.u1), cand.v1)
-    det2 = _cond_ent(joint, cand.u2, cand.u1)
-    det3 = _cond_ent(joint, cand.u2, cand.v2)
-    chain = _cmi(joint, cand.u1, cand.v2, cand.u2)
-    checks.extend(
-        [
-            ConstraintCheck("(v2, u1) determined by v1", "determinism", det1, tol, det1 <= tol),
-            ConstraintCheck("u2 determined by u1", "determinism", det2, tol, det2 <= tol),
-            ConstraintCheck("u2 determined by v2", "determinism", det3, tol, det3 <= tol),
-            ConstraintCheck("u1 -- u2 -- v2 chain", "markov", chain, tol, chain <= tol),
-        ]
-    )
-    checks.append(
-        ConstraintCheck(
-            "side information enters only through per-coordinate channels",
-            "structural",
-            0.0,
-            tol,
-            True,
-        )
-    )
-    return ConstraintReport(tuple(checks))
+    own = [
+        ("(v2, u1) determined by v1", "determinism", _cond_ent(joint, cand.v2 + cand.u1, cand.v1)),
+        ("u2 determined by u1", "determinism", _cond_ent(joint, cand.u2, cand.u1)),
+        ("u2 determined by v2", "determinism", _cond_ent(joint, cand.u2, cand.v2)),
+        ("u1 -- u2 -- v2 chain", "markov", _cmi(joint, cand.u1, cand.v2, cand.u2)),
+    ]
+    return _report(cand, tol, p_x, own)
 
 
 def check_equivocation_membership(
@@ -364,14 +337,8 @@ def check_equivocation_membership(
     p_x: Pmf | None = None,
 ) -> ConstraintReport:
     """Verify membership in the log-loss disclosure family."""
-    joint = cand.joint
-    checks: list[ConstraintCheck] = []
-    if p_x is not None:
-        checks.append(_x_marginal_check(joint, cand.x, p_x, tol))
-    checks.extend(_common_chain_checks(joint, cand.x, cand.y2, cand.y3, cand.v1, cand.v2, tol))
-    det = _cond_ent(joint, cand.v2, cand.v1)
-    checks.append(ConstraintCheck("v2 determined by v1", "determinism", det, tol, det <= tol))
-    return ConstraintReport(tuple(checks))
+    det = _cond_ent(cand.joint, cand.v2, cand.v1)
+    return _report(cand, tol, p_x, [("v2 determined by v1", "determinism", det)], structural=False)
 
 
 def _fresh_names(joint: JointDistribution, wanted: Sequence[str]) -> list[str]:
@@ -429,16 +396,13 @@ def _duplicate_overlap(
 
 
 def _evaluate_tuple(
-    joint: JointDistribution,
+    cand: OuterCandidate | InnerCandidate,
+    u: tuple[str, ...],
     side: SideInfoSpec,
     payoff: PayoffTable | LogLossPayoff,
-    x: tuple[str, ...],
-    y2: tuple[str, ...],
-    y3: tuple[str, ...],
-    u: tuple[str, ...],
-    v1: tuple[str, ...],
-    v2: tuple[str, ...],
 ) -> RatePayoffTuple:
+    """The candidate's (R0, R1, R2, Pi) with ``u`` as the public auxiliary."""
+    joint, x, y2, y3, v1, v2 = cand.joint, cand.x, cand.y2, cand.y3, cand.v1, cand.v2
     triple = tuple(dict.fromkeys(x + y2 + y3))
     r1 = _mi_groups(marginalize(joint, tuple(dict.fromkeys(x + v1))), x, v1)
     r2 = _mi_groups(marginalize(joint, tuple(dict.fromkeys(x + v2))), x, v2)
@@ -466,12 +430,8 @@ def eval_outer_tuple(
 ) -> RatePayoffTuple:
     """Rates and adversary payoff achieved by an outer candidate."""
     if check:
-        report = check_outer_constraints(cand, tol=tol, p_x=p_x)
-        if not report.passed:
-            raise ConstraintViolationError(report)
-    return _evaluate_tuple(
-        cand.joint, side, payoff, cand.x, cand.y2, cand.y3, cand.u, cand.v1, cand.v2
-    )
+        _require(check_outer_constraints(cand, tol=tol, p_x=p_x))
+    return _evaluate_tuple(cand, cand.u, side, payoff)
 
 
 def eval_inner_tuple(
@@ -485,12 +445,8 @@ def eval_inner_tuple(
 ) -> RatePayoffTuple:
     """Rates and adversary payoff achieved by an inner candidate (U := U1)."""
     if check:
-        report = check_inner_constraints(cand, tol=tol, p_x=p_x)
-        if not report.passed:
-            raise ConstraintViolationError(report)
-    return _evaluate_tuple(
-        cand.joint, side, payoff, cand.x, cand.y2, cand.y3, cand.u1, cand.v1, cand.v2
-    )
+        _require(check_inner_constraints(cand, tol=tol, p_x=p_x))
+    return _evaluate_tuple(cand, cand.u1, side, payoff)
 
 
 def inner_to_outer(cand: InnerCandidate) -> OuterCandidate:
@@ -506,6 +462,57 @@ def inner_to_outer(cand: InnerCandidate) -> OuterCandidate:
     return OuterCandidate(
         joint, x=cand.x, y2=cand.y2, y3=cand.y3, u=cand.u1, v1=cand.v1, v2=cand.v2
     )
+
+
+def mixture_candidate(parts: Sequence[tuple[float, InnerCandidate]]) -> InnerCandidate:
+    """Time-share candidates by folding the branch index into every auxiliary.
+
+    The branch auxiliaries live on disjoint unions of the per-branch role
+    alphabets, so each of U1, U2, V1, V2 reveals which branch is active
+    and every structural constraint is inherited from the branches.
+    Roles may be groups of variables.  Weights must be finite and
+    nonnegative, summing to one; zero-weight branches are dropped.  All
+    branches must share the (X, Y2, Y3) alphabets, sizes and labels.
+    """
+    for i, (w, _) in enumerate(parts):
+        if not 0.0 <= w < math.inf:
+            raise ValueError(f"mixture weight {i} is {w!r}, not a finite number >= 0")
+    kept = [(i, float(w), c) for i, (w, c) in enumerate(parts) if w > 0.0]
+    if not kept:
+        raise ValueError("mixture needs at least one positive weight")
+    total = sum(w for _, w, _ in kept)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"mixture weights sum to {total}, not 1")
+    if len(kept) == 1:
+        return kept[0][2]
+
+    actions = ("x", "y2", "y3")
+    aux = ("u1", "u2", "v1", "v2")
+    alphas = {
+        role: [_role_alphabet(c, getattr(c, role), role.upper()) for _, _, c in kept]
+        for role in actions + aux
+    }
+    for role in actions:
+        first, *rest = ([a.label(s) for s in range(a.size)] for a in alphas[role])
+        for (i, _, _), labels in zip(kept[1:], rest):
+            if labels != first:
+                raise ValueError(
+                    f"mixture branch {i} has role {role} on {len(labels)} symbols {labels}, "
+                    f"branch {kept[0][0]} on {len(first)} symbols {first}"
+                )
+    ends = {role: np.cumsum([0] + [a.size for a in alphas[role]]) for role in aux}
+
+    def union_alphabet(role):
+        labels = [f"b{b}:{a.label(s)}" for b, a in enumerate(alphas[role]) for s in range(a.size)]
+        return Alphabet(role.upper(), int(ends[role][-1]), tuple(labels))
+
+    variables = tuple((r.upper(), alphas[r][0]) for r in actions)
+    variables += tuple((r.upper(), union_alphabet(r)) for r in aux)
+    table = np.zeros(tuple(a.size for _, a in variables))
+    for b, (_, weight, c) in enumerate(kept):
+        block = (slice(None),) * 3 + tuple(slice(ends[r][b], ends[r][b + 1]) for r in aux)
+        table[block] += weight * _grouped(c.joint, *(getattr(c, r) for r in actions + aux))
+    return InnerCandidate(JointDistribution(variables, table))
 
 
 def equivocation_value(
@@ -528,9 +535,7 @@ def equivocation_value(
     roles = {"X": cand.x, "Y2": cand.y2, "Y3": cand.y3}
     canonical = LogLossPayoff(tuple(secret_set)).secret_set
     if check:
-        report = check_equivocation_membership(cand, tol=tol, p_x=p_x)
-        if not report.passed:
-            raise ConstraintViolationError(report)
+        _require(check_equivocation_membership(cand, tol=tol, p_x=p_x))
     secret_vars = tuple(dict.fromkeys(n for r in canonical for n in roles[r]))
     h_s = entropy(cand.joint, secret_vars)
     leak = _mi_groups(cand.joint, secret_vars, cand.v1)
@@ -542,14 +547,9 @@ def equivocation_value(
 
 
 def candidate_to_json(cand: OuterCandidate | InnerCandidate | EquivocationCandidate) -> dict:
-    role_names = {
-        OuterCandidate: ("x", "y2", "y3", "u", "v1", "v2"),
-        InnerCandidate: ("x", "y2", "y3", "u1", "u2", "v1", "v2"),
-        EquivocationCandidate: ("x", "y2", "y3", "v1", "v2"),
-    }[type(cand)]
     return {
         "joint": joint_to_json(cand.joint),
-        "roles": {r: list(getattr(cand, r)) for r in role_names},
+        "roles": {r.name: list(getattr(cand, r.name)) for r in fields(cand)[1:]},
     }
 
 

@@ -26,9 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import (
-    ConstraintViolationError,
     InnerCandidate,
     SideInfoSpec,
+    _require,
+    _role_alphabet,
+    _role_size,
     candidate_to_json,
     check_inner_constraints,
     inner_candidate_from_json,
@@ -117,6 +119,17 @@ def _bits_for(n: int, rate: float) -> int:
     return max(0, math.ceil(n * rate - 1e-9))
 
 
+def _checked_epsilon(epsilon) -> float:
+    """The rate slack as a float: a finite number >= 0, not a bool."""
+    number = isinstance(epsilon, (int, float, np.integer, np.floating))
+    if isinstance(epsilon, bool) or not (number and 0 <= epsilon < math.inf):
+        raise ValueError(
+            f"epsilon must be a finite number >= 0, got {epsilon!r} "
+            "(epsilon must be a nonnegative number, not a bool)"
+        )
+    return float(epsilon)
+
+
 def auto_index_bits(
     inner: InnerCandidate, n: int, *, key: int, epsilon: float = DEFAULT_EPSILON
 ) -> IndexBits:
@@ -126,9 +139,7 @@ def auto_index_bits(
     mutual informations read off the candidate; the key budget is
     explicit because it is the experiment's independent variable.
     """
-    number = isinstance(epsilon, (int, float, np.integer, np.floating))
-    if isinstance(epsilon, bool) or not (number and 0 <= epsilon < math.inf):
-        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
+    epsilon = _checked_epsilon(epsilon)
     joint = inner.joint
     i_a = mutual_information(joint, inner.x, inner.u2)
     i_b = conditional_mutual_information(joint, inner.x, inner.v2, inner.u2)
@@ -151,7 +162,7 @@ class SchemeSpec:
 
     The candidate supplies every conditional the construction needs; the
     seed, an integer in [0, 2**64), pins the codebook draw.  ``epsilon``,
-    a nonnegative number (not a bool), records the rate slack the index
+    a finite number >= 0 (not a bool), records the rate slack the index
     sizes were derived with (informational when they are set by hand).
     """
 
@@ -165,20 +176,11 @@ class SchemeSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _count(self.n, "blocklength n"))
         object.__setattr__(self, "seed", _checked_seed(self.seed))
-        number = isinstance(self.epsilon, (int, float, np.integer, np.floating))
-        if isinstance(self.epsilon, bool) or not (number and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be a nonnegative number, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        report = check_inner_constraints(self.inner)
-        if not report.passed:
-            raise ConstraintViolationError(report)
-        sizes = {
-            "ch1": _role_size(self.inner, self.inner.x),
-            "ch2": _role_size(self.inner, self.inner.y2),
-            "ch3": _role_size(self.inner, self.inner.y3),
-        }
-        for tag, want in sizes.items():
+        object.__setattr__(self, "epsilon", _checked_epsilon(self.epsilon))
+        _require(check_inner_constraints(self.inner))
+        for tag, role in zip(("ch1", "ch2", "ch3"), (self.inner.x, self.inner.y2, self.inner.y3)):
             got = getattr(self.side, tag).input_alphabets[0].size
+            want = _role_size(self.inner, role)
             if got != want:
                 raise ValueError(
                     f"side-info {tag} expects an input of size {got}, "
@@ -200,17 +202,6 @@ def _kept(owner, name: str, build, weak: bool = False):
         value = build()
         vars(owner)[name] = weakref.ref(value) if weak else (lambda: value)
     return value
-
-
-def _role_size(cand: InnerCandidate, role: tuple[str, ...]) -> int:
-    return math.prod(cand.joint.alphabet(name).size for name in role)
-
-
-def _role_alphabet(cand: InnerCandidate, role: tuple[str, ...], name: str) -> Alphabet:
-    if len(role) == 1:
-        base = cand.joint.alphabet(role[0])
-        return Alphabet(name, base.size, base.labels)
-    return product_alphabet(name, *(cand.joint.alphabet(r) for r in role))
 
 
 def _conditional_rows(joint_ab: np.ndarray) -> np.ndarray:

@@ -24,9 +24,10 @@ all supported uniformly on the six all-distinct triples:
 * key rate log2 3: publish only U', leaving the posterior uniform over
   all three symbols (error 2/3).
 
-This module builds those candidates exactly, evaluates time-shared
-mixtures of them through the generic machinery, and checks the result
-against the closed form.
+This module builds those candidates exactly, time-shares them with
+:func:`bounds.mixture_candidate` (re-exported here), evaluates the
+mixtures through the generic machinery, and checks the result against
+the closed form.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .bounds import (
     RatePayoffTuple,
     SideInfoSpec,
     eval_inner_tuple,
+    mixture_candidate,
 )
 from .payoff import PayoffTable
 from .probability import (
@@ -178,66 +180,6 @@ def zero_key_candidate() -> InnerCandidate:
         pair = int(np.ravel_multi_index((iy2, iy3), (3, 3)))
         atoms.append((ix, iy2, iy3, pair, iy3, pair, iy3, 1.0 / 6))
     return _candidate_from_atoms(atoms, u1_alpha, u2, v1_alpha, v2_alpha)
-
-
-def mixture_candidate(parts: Sequence[tuple[float, InnerCandidate]]) -> InnerCandidate:
-    """Time-share candidates by folding the branch index into every auxiliary.
-
-    The branch auxiliaries live on disjoint unions of the per-branch
-    alphabets, so each of U1, U2, V1, V2 reveals which branch is active
-    and every structural constraint is inherited from the branches.
-    All branches must share the (X, Y2, Y3) alphabets.
-    """
-    parts = [(float(w), c) for w, c in parts if w > 0.0]
-    if not parts:
-        raise ValueError("mixture needs at least one positive weight")
-    total = sum(w for w, _ in parts)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"mixture weights sum to {total}, not 1")
-    if len(parts) == 1:
-        return parts[0][1]
-
-    def union_alphabet(name, alphas):
-        labels = []
-        for i, a in enumerate(alphas):
-            labels.extend(f"b{i}:{a.label(s)}" for s in range(a.size))
-        return Alphabet(name, sum(a.size for a in alphas), tuple(labels))
-
-    def branch_alpha(cand, role):
-        (var,) = getattr(cand, role)
-        return cand.joint.alphabet(var)
-
-    roles = ("u1", "u2", "v1", "v2")
-    for _, c in parts:
-        for role in ("x", "y2", "y3") + roles:
-            if len(getattr(c, role)) != 1:
-                raise ValueError("mixture branches must use single-variable roles")
-
-    alphas = {
-        role.upper(): union_alphabet(role.upper(), [branch_alpha(c, role) for _, c in parts])
-        for role in roles
-    }
-    variables = (
-        ("X", branch_alpha(parts[0][1], "x")),
-        ("Y2", branch_alpha(parts[0][1], "y2")),
-        ("Y3", branch_alpha(parts[0][1], "y3")),
-        ("U1", alphas["U1"]),
-        ("U2", alphas["U2"]),
-        ("V1", alphas["V1"]),
-        ("V2", alphas["V2"]),
-    )
-    table = np.zeros(tuple(a.size for _, a in variables))
-    offsets = {role: 0 for role in roles}
-    for weight, cand in parts:
-        order = [cand.joint.axis(getattr(cand, role)[0]) for role in ("x", "y2", "y3") + roles]
-        branch = np.transpose(cand.joint.table, order)
-        sl = [slice(None)] * 3
-        for role in roles:
-            size = branch_alpha(cand, role).size
-            sl.append(slice(offsets[role], offsets[role] + size))
-            offsets[role] += size
-        table[tuple(sl)] += weight * branch
-    return InnerCandidate(JointDistribution(variables, table))
 
 
 def time_shared_candidate(r0: float) -> InnerCandidate:

@@ -365,3 +365,81 @@ def test_rate_payoff_tuple_array():
     t = RatePayoffTuple(1.0, 2.0, 3.0, 0.25)
     assert np.array_equal(t.as_array(), [1.0, 2.0, 3.0, 0.25])
     assert not t.forbidden
+
+
+# ---------------------------------------------------------------------------
+# whole reports: every check's name, kind, value, tolerance and verdict
+
+_MARGINAL = ("x marginal matches the source law", "marginal")
+_CHAINS = (("x -- v1 -- y2 chain", "markov"), ("(x,v1,y2) -- v2 -- y3 chain", "markov"))
+_STRUCTURAL = ("side information enters only through per-coordinate channels", "structural")
+# each family's checks after the x-marginal one, with their values on the
+# noisy candidate below (all are 0 on the passing candidates)
+_FAMILIES = {
+    "outer": (
+        check_outer_constraints,
+        _CHAINS + (("(v2, u) determined by v1", "determinism"), _STRUCTURAL),
+        (0.08414258078881565, 0.19472239728110363, 0.8245521486115979, 0.0),
+    ),
+    "inner": (
+        check_inner_constraints,
+        _CHAINS
+        + (
+            ("(v2, u1) determined by v1", "determinism"),
+            ("u2 determined by u1", "determinism"),
+            ("u2 determined by v2", "determinism"),
+            ("u1 -- u2 -- v2 chain", "markov"),
+            _STRUCTURAL,
+        ),
+        (
+            0.08414258078882408,
+            0.19472239728117602,
+            0.824552148611633,
+            0.42002600168808746,
+            0.3573633204357818,
+            0.17243934041208564,
+            0.0,
+        ),
+    ),
+    "equivocation": (
+        check_equivocation_membership,
+        _CHAINS + (("v2 determined by v1", "determinism"),),
+        (0.08414258078882408, 0.19472239728117602, 0.5313230318661502),
+    ),
+}
+
+
+def _report_candidates(family):
+    """A passing and a failing candidate of one family.  The failing one is
+    corner 1 mixed 9:1 with the uniform table over its cells, which breaks
+    every chain and determinism fact with a value below one bit."""
+    corner = corner_candidate(1)
+    noisy_table = 0.9 * corner.joint.table + 0.1 / corner.joint.table.size
+    noisy = InnerCandidate(JointDistribution(corner.joint.variables, noisy_table))
+    if family == "outer":
+        return inner_to_outer(corner_candidate(2)), inner_to_outer(noisy)
+    if family == "inner":
+        return corner, noisy
+    return _public_pair_candidate(), EquivocationCandidate(noisy.joint)
+
+
+@pytest.mark.parametrize("with_p_x", [False, True], ids=["no_p_x", "p_x"])
+@pytest.mark.parametrize("passes", [True, False], ids=["passes", "fails"])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_check_reports_are_pinned_in_full(family, passes, with_p_x):
+    check, kinds, failing_values = _FAMILIES[family]
+    cand = _report_candidates(family)[0 if passes else 1]
+    skewed = Pmf(Alphabet("X", 3, ("1", "2", "3")), np.array([0.5, 0.3, 0.2]))
+    if with_p_x:
+        report = check(cand, p_x=EX.p_x if passes else skewed, tol=1e-7)
+        kinds = (_MARGINAL,) + kinds
+        failing_values = (0.5 - 1.0 / 3.0,) + failing_values
+    else:
+        report = check(cand)
+    tol = 1e-7 if with_p_x else 1e-9
+    values = (0.0,) * len(kinds) if passes else failing_values
+    want = [(name, kind, tol, v <= tol) for (name, kind), v in zip(kinds, values)]
+    got = [(c.name, c.kind, c.tol, c.passed) for c in report.checks]
+    assert got == want
+    assert [c.value for c in report.checks] == pytest.approx(values, abs=1e-12)
+    assert report.passed == passes

@@ -396,6 +396,18 @@ def test_simulate_rejects_an_epsilon_that_is_no_number(tmp_path, capsys, epsilon
     assert not (tmp_path / "simulate_audit.json").exists()
 
 
+def test_simulate_rejects_an_infinite_epsilon(tmp_path, capsys):
+    # json reads "epsilon": Infinity as a float, which the scheme took
+    config = corner_sim_config()
+    config["problem"]["scheme"]["epsilon"] = math.inf
+    cfg = write_config(tmp_path, config)
+    assert '"epsilon": Infinity' in (tmp_path / "config.json").read_text()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "problem.scheme" in err and "epsilon must be a finite number >= 0" in err
+    assert not (tmp_path / "simulate_audit.json").exists()
+
+
 def test_simulate_compiles_once(tmp_path, monkeypatch):
     # the exact table and the Monte Carlo share one compiled scheme, one
     # codebook draw and one encoder table

@@ -1002,6 +1002,13 @@ def test_scheme_spec_rejects_an_epsilon_that_is_no_number(epsilon):
         scheme_spec_from_json(obj)
 
 
+def test_scheme_spec_rejects_an_infinite_epsilon():
+    # it was accepted, and scheme_spec_to_json then wrote "epsilon":
+    # Infinity, which is not standard JSON; auto_index_bits refused it
+    with pytest.raises(ValueError, match="epsilon must be a finite number >= 0, got inf"):
+        SchemeSpec(n=1, inner=CORNER, index_bits=BITS_N1, side=EX.side, epsilon=np.inf)
+
+
 def test_scheme_spec_stores_an_integer_epsilon_as_float():
     spec = SchemeSpec(n=1, inner=CORNER, index_bits=BITS_N1, side=EX.side, epsilon=np.int64(1))
     assert type(spec.epsilon) is float and spec.epsilon == 1.0

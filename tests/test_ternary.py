@@ -1,11 +1,13 @@
 """The ternary example: closed-form curve vs. evaluated candidates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cascade_secrecy.bounds import check_inner_constraints, eval_inner_tuple
+from cascade_secrecy.bounds import InnerCandidate, check_inner_constraints, eval_inner_tuple
+from cascade_secrecy.probability import Alphabet, JointDistribution
 from cascade_secrecy.ternary import (
     DEFAULT_GRID,
     LOG2_3,
@@ -63,6 +65,73 @@ def test_mixture_weights_validation():
     # a degenerate mixture is just the branch itself
     same = mixture_candidate([(1.0, c), (0.0, zero_key_candidate())])
     assert same is c
+
+
+@pytest.mark.parametrize(
+    "weights", [(1.0, math.nan), (0.7, 0.3, -1e-12)], ids=["nan", "negative"]
+)
+def test_mixture_rejects_a_weight_that_is_no_finite_number_above_zero(weights):
+    # both were dropped like zero weights: [(1.0, a), (nan, b)] returned a
+    branches = (corner_candidate(1), corner_candidate(2), corner_candidate(2))
+    with pytest.raises(ValueError, match=f"mixture weight {len(weights) - 1} is"):
+        mixture_candidate(list(zip(weights, branches)))
+
+
+def _binary_source_candidate():
+    variables = (("X", Alphabet("X", 2)), ("Y2", Alphabet("Y2", 1)), ("Y3", Alphabet("Y3", 1)))
+    joint = JointDistribution(variables, np.full((2, 1, 1), 0.5))
+    return InnerCandidate(joint, u1="Y2", u2="Y2", v1="Y2", v2="Y3")
+
+
+def _relabeled_y2(cand):
+    variables = tuple(
+        (n, Alphabet("Y2", 3, ("a", "b", "c")) if n == "Y2" else a)
+        for n, a in cand.joint.variables
+    )
+    return dataclasses.replace(cand, joint=JointDistribution(variables, cand.joint.table))
+
+
+@pytest.mark.parametrize(
+    "branch, role",
+    [(_binary_source_candidate, "x"), (lambda: _relabeled_y2(corner_candidate(2)), "y2")],
+    ids=["x_size", "y2_labels"],
+)
+def test_mixture_names_a_branch_whose_actions_differ(branch, role):
+    # a size mismatch failed inside numpy ("operands could not be
+    # broadcast"), and a label mismatch was mixed under the first labels
+    with pytest.raises(ValueError, match=f"mixture branch 2 has role {role} on"):
+        parts = [(0.5, corner_candidate(1)), (0.0, zero_key_candidate()), (0.5, branch())]
+        mixture_candidate(parts)
+
+
+def test_a_search_winner_time_shares_with_a_corner():
+    # search candidates group their auxiliaries, u1 = ("U2", "A"); the
+    # mixture refused them ("mixture branches must use single-variable roles")
+    from cascade_secrecy.bounds import mixture_candidate as bounds_mixture
+    from cascade_secrecy.search import (
+        CardinalityCaps,
+        InnerSearchProblem,
+        RateBudget,
+        search_inner,
+    )
+
+    problem = InnerSearchProblem(
+        EX.p_x, EX.payoff, EX.side, RateBudget(1.0, math.inf, math.inf),
+        CardinalityCaps(4, 3, 12, 6),
+    )
+    winner = search_inner(problem, restarts=8, seed=0, refine_top=2).candidate
+    assert len(winner.u1) == 2 and winner.u2[0] in winner.u1
+    corner = corner_candidate(2)
+    mix = bounds_mixture([(0.5, winner), (0.5, corner)])
+    report = check_inner_constraints(mix, p_x=EX.p_x)
+    assert report.passed, str(report)
+    got = eval_inner_tuple(mix, EX.side, EX.payoff, p_x=EX.p_x)
+    t_win = eval_inner_tuple(winner, EX.side, EX.payoff, check=False)
+    t_corner = eval_inner_tuple(corner, EX.side, EX.payoff, p_x=EX.p_x)
+    assert got.r0 == pytest.approx((t_win.r0 + t_corner.r0) / 2, abs=1e-9)
+    assert got.pi == pytest.approx((t_win.pi + t_corner.pi) / 2, abs=1e-9)
+    assert got.r0 == pytest.approx((1.0 + LOG2_3) / 2, abs=1e-9)
+    assert got.pi == pytest.approx(7.0 / 12.0, abs=1e-9)
 
 
 def test_mixture_is_linear_in_rates_and_payoff():
