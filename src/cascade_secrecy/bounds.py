@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .probability import (
     conditional_entropy,
     conditional_mutual_information,
     entropy,
+    mutual_information,
     channel_from_json,
     channel_to_json,
     joint_from_json,
@@ -241,34 +242,6 @@ def _role_alphabet(cand: _Candidate, role: tuple[str, ...], name: str) -> Alphab
     return product_alphabet(name, *(cand.joint.alphabet(r) for r in role))
 
 
-def _minus(a: tuple[str, ...], b: Iterable[str]) -> tuple[str, ...]:
-    bs = set(b)
-    return tuple(n for n in a if n not in bs)
-
-
-def _cmi(dist, a, b, given) -> float:
-    """I(a ; b | given) tolerating role overlaps with the conditioner."""
-    a, b = _minus(tuple(a), given), _minus(tuple(b), given)
-    if not a or not b:
-        return 0.0
-    return conditional_mutual_information(dist, a, b, given)
-
-
-def _cond_ent(dist, targets, given) -> float:
-    """H(targets | given) tolerating role overlaps with the conditioner."""
-    t = _minus(tuple(targets), given)
-    return conditional_entropy(dist, t, given) if t else 0.0
-
-
-def _mi_groups(dist, a, b) -> float:
-    """I(a ; b) tolerating shared variables between the two groups."""
-    a = tuple(dict.fromkeys(a))
-    b = tuple(dict.fromkeys(b))
-    union = tuple(dict.fromkeys(a + b))
-    value = entropy(dist, a) + entropy(dist, b) - entropy(dist, union)
-    return max(0.0, value)
-
-
 _STRUCTURAL = "side information enters only through per-coordinate channels"
 
 
@@ -280,9 +253,10 @@ def _report(cand, tol, p_x, own, structural=True) -> ConstraintReport:
     if p_x is not None:
         gap = float(np.abs(_grouped(joint, cand.x) - p_x.probs).max())
         measured.append(("x marginal matches the source law", "marginal", gap))
-    chain2 = _cmi(joint, cand.x + cand.v1 + cand.y2, cand.y3, cand.v2)
+    chain1 = conditional_mutual_information(joint, cand.x, cand.y2, cand.v1)
+    chain2 = conditional_mutual_information(joint, cand.x + cand.v1 + cand.y2, cand.y3, cand.v2)
     measured += [
-        ("x -- v1 -- y2 chain", "markov", _cmi(joint, cand.x, cand.y2, cand.v1)),
+        ("x -- v1 -- y2 chain", "markov", chain1),
         ("(x,v1,y2) -- v2 -- y3 chain", "markov", chain2),
     ]
     checks = [ConstraintCheck(n, kind, v, tol, v <= tol) for n, kind, v in measured + own]
@@ -309,7 +283,7 @@ def check_outer_constraints(
     only ever enters through :func:`eval_outer_tuple` attaching the
     per-coordinate channels, so it is reported as a structural given.
     """
-    det = _cond_ent(cand.joint, cand.v2 + cand.u, cand.v1)
+    det = conditional_entropy(cand.joint, cand.v2 + cand.u, cand.v1)
     return _report(cand, tol, p_x, [("(v2, u) determined by v1", "determinism", det)])
 
 
@@ -320,12 +294,12 @@ def check_inner_constraints(
     p_x: Pmf | None = None,
 ) -> ConstraintReport:
     """Verify the achievability-side structural constraints (U := U1)."""
-    joint = cand.joint
+    joint, u1, u2, v1, v2 = cand.joint, cand.u1, cand.u2, cand.v1, cand.v2
     own = [
-        ("(v2, u1) determined by v1", "determinism", _cond_ent(joint, cand.v2 + cand.u1, cand.v1)),
-        ("u2 determined by u1", "determinism", _cond_ent(joint, cand.u2, cand.u1)),
-        ("u2 determined by v2", "determinism", _cond_ent(joint, cand.u2, cand.v2)),
-        ("u1 -- u2 -- v2 chain", "markov", _cmi(joint, cand.u1, cand.v2, cand.u2)),
+        ("(v2, u1) determined by v1", "determinism", conditional_entropy(joint, v2 + u1, v1)),
+        ("u2 determined by u1", "determinism", conditional_entropy(joint, u2, u1)),
+        ("u2 determined by v2", "determinism", conditional_entropy(joint, u2, v2)),
+        ("u1 -- u2 -- v2 chain", "markov", conditional_mutual_information(joint, u1, v2, u2)),
     ]
     return _report(cand, tol, p_x, own)
 
@@ -337,20 +311,8 @@ def check_equivocation_membership(
     p_x: Pmf | None = None,
 ) -> ConstraintReport:
     """Verify membership in the log-loss disclosure family."""
-    det = _cond_ent(cand.joint, cand.v2, cand.v1)
+    det = conditional_entropy(cand.joint, cand.v2, cand.v1)
     return _report(cand, tol, p_x, [("v2 determined by v1", "determinism", det)], structural=False)
-
-
-def _fresh_names(joint: JointDistribution, wanted: Sequence[str]) -> list[str]:
-    names = []
-    taken = set(joint.names)
-    for w in wanted:
-        n = w
-        while n in taken:
-            n = "_" + n
-        taken.add(n)
-        names.append(n)
-    return names
 
 
 def _attach_side_info(
@@ -360,39 +322,23 @@ def _attach_side_info(
     y2: tuple[str, ...],
     y3: tuple[str, ...],
 ) -> tuple[JointDistribution, tuple[str, str, str]]:
-    """Adjoin the disclosure tuple W = (W1, W2, W3) and return its names.
+    """Adjoin the disclosure tuple W = (W1, W2, W3) and return its names,
+    each prefixed with ``_`` until it is new to the joint.
 
-    The per-coordinate channels take single inputs, so multi-variable
-    roles are first packed into an identity-copied product variable.
+    The per-coordinate channels take single inputs, so each of the
+    roles x, y2 and y3 must be one variable.
     """
-    w1, w2, w3 = _fresh_names(joint, ("W1", "W2", "W3"))
-    for names, ch, w in ((x, side.ch1, w1), (y2, side.ch2, w2), (y3, side.ch3, w3)):
-        if len(names) != 1:
+    w_names = []
+    for role, ch, w in ((x, side.ch1, "W1"), (y2, side.ch2, "W2"), (y3, side.ch3, "W3")):
+        if len(role) != 1:
             raise ValueError(
-                f"side-information channels need single-variable roles, got {names}"
+                f"side-information channels need single-variable roles, got {role}"
             )
-        joint = attach_channel(joint, ch, names[0], w)
-    return joint, (w1, w2, w3)
-
-
-def _duplicate_overlap(
-    joint: JointDistribution, role: tuple[str, ...], observation: set[str]
-) -> tuple[JointDistribution, tuple[str, ...]]:
-    """Copy role variables that also sit in the observation set.
-
-    The adversary's posterior over (X, Y2, Y3) is well defined even when
-    the observed auxiliary literally contains one of those variables;
-    identity copies keep the groups disjoint for the evaluator.
-    """
-    out = []
-    for n in role:
-        if n in observation:
-            (copy_name,) = _fresh_names(joint, (n + "_dup",))
-            joint = attach_channel(joint, Channel.identity(joint.alphabet(n)), n, copy_name)
-            out.append(copy_name)
-        else:
-            out.append(n)
-    return joint, tuple(out)
+        while w in joint.names:
+            w = "_" + w
+        joint = attach_channel(joint, ch, role[0], w)
+        w_names.append(w)
+    return joint, tuple(w_names)
 
 
 def _evaluate_tuple(
@@ -403,19 +349,15 @@ def _evaluate_tuple(
 ) -> RatePayoffTuple:
     """The candidate's (R0, R1, R2, Pi) with ``u`` as the public auxiliary."""
     joint, x, y2, y3, v1, v2 = cand.joint, cand.x, cand.y2, cand.y3, cand.v1, cand.v2
-    triple = tuple(dict.fromkeys(x + y2 + y3))
-    r1 = _mi_groups(marginalize(joint, tuple(dict.fromkeys(x + v1))), x, v1)
-    r2 = _mi_groups(marginalize(joint, tuple(dict.fromkeys(x + v2))), x, v2)
+    r1 = mutual_information(marginalize(joint, x + v1), x, v1)
+    r2 = mutual_information(marginalize(joint, x + v2), x, v2)
 
-    small = marginalize(joint, tuple(dict.fromkeys(triple + u + v1)))
+    small = marginalize(joint, x + y2 + y3 + u + v1)
     with_w, w_names = _attach_side_info(small, side, x, y2, y3)
-    r0 = _cmi(with_w, w_names, v1, u)
+    r0 = conditional_mutual_information(with_w, w_names, v1, u)
 
-    obs = marginalize(joint, tuple(dict.fromkeys(triple + u)))
-    obs, x_eff = _duplicate_overlap(obs, x, set(u))
-    obs, y2_eff = _duplicate_overlap(obs, y2, set(u))
-    obs, y3_eff = _duplicate_overlap(obs, y3, set(u))
-    adv = adversary_value(obs, u, payoff, x=x_eff, y2=y2_eff, y3=y3_eff)
+    obs = marginalize(joint, x + y2 + y3 + u)
+    adv = adversary_value(obs, u, payoff, x=x, y2=y2, y3=y3)
     return RatePayoffTuple(r0, r1, r2, adv.value, adv.forbidden)
 
 
@@ -456,8 +398,7 @@ def inner_to_outer(cand: InnerCandidate) -> OuterCandidate:
     variables stay.  The evaluated tuple is unchanged because none of
     the four coordinates involves U2.
     """
-    keep_roles = cand.x + cand.y2 + cand.y3 + cand.u1 + cand.v1 + cand.v2
-    keep = tuple(dict.fromkeys(keep_roles))
+    keep = cand.x + cand.y2 + cand.y3 + cand.u1 + cand.v1 + cand.v2
     joint = cand.joint if set(keep) == set(cand.joint.names) else marginalize(cand.joint, keep)
     return OuterCandidate(
         joint, x=cand.x, y2=cand.y2, y3=cand.y3, u=cand.u1, v1=cand.v1, v2=cand.v2
@@ -536,9 +477,9 @@ def equivocation_value(
     canonical = LogLossPayoff(tuple(secret_set)).secret_set
     if check:
         _require(check_equivocation_membership(cand, tol=tol, p_x=p_x))
-    secret_vars = tuple(dict.fromkeys(n for r in canonical for n in roles[r]))
+    secret_vars = tuple(n for r in canonical for n in roles[r])
     h_s = entropy(cand.joint, secret_vars)
-    leak = _mi_groups(cand.joint, secret_vars, cand.v1)
+    leak = mutual_information(cand.joint, secret_vars, cand.v1)
     return h_s - max(0.0, leak - r0)
 
 

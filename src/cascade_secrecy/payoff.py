@@ -182,15 +182,6 @@ def log_loss_best_response(posterior: np.ndarray) -> tuple[np.ndarray, float]:
     return post.copy(), _entropy_of(post)
 
 
-def _role_names(dist, u_vars, x, y2, y3):
-    u = _as_names(dist, u_vars)
-    roles = {"X": _as_names(dist, x), "Y2": _as_names(dist, y2), "Y3": _as_names(dist, y3)}
-    for role, names in roles.items():
-        if set(names) & set(u):
-            raise ValueError(f"{role} variables {names} overlap the observation set")
-    return u, roles
-
-
 def adversary_value(
     dist: JointDistribution,
     u_vars: str | Iterable[str],
@@ -204,9 +195,12 @@ def adversary_value(
 
     For :class:`LogLossPayoff` this equals the conditional entropy of the
     secret tuple given the observation, computed here posterior by
-    posterior.  ``u_vars`` may be empty (blind adversary).
+    posterior.  ``u_vars`` may be empty (blind adversary).  Each group is
+    a set of names, and the observation may share variables with the
+    roles: an observed secret variable has a point-mass posterior.
     """
-    u, roles = _role_names(dist, u_vars, x, y2, y3)
+    u = _as_names(dist, u_vars)
+    roles = {"X": _as_names(dist, x), "Y2": _as_names(dist, y2), "Y3": _as_names(dist, y3)}
     if isinstance(payoff, LogLossPayoff):
         secret = tuple(n for r in payoff.secret_set for n in roles[r])
         joint = _grouped(dist, u, secret)

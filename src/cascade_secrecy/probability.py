@@ -2,7 +2,9 @@
 
 Distributions are dense float64 tensors with one axis per named variable,
 always in row-major (C) layout.  All information measures are in bits
-(base-2 logarithms) and use the convention 0 log 0 = 0.  Every type is a
+(base-2 logarithms) and use the convention 0 log 0 = 0.  A measure reads
+each group of variables as a set of names: a repeated name counts once,
+and groups may share variables, as nested auxiliaries do.  Every type is a
 frozen dataclass whose array payload is read-only (copied on construction
 unless it already is a frozen float64 array), so instances can be shared
 freely; all operations are pure functions returning new objects.
@@ -268,14 +270,10 @@ class JointDistribution:
 
 
 def _as_names(dist: JointDistribution, vars: str | Iterable[str]) -> tuple[str, ...]:
-    """Normalize a variable spec to a tuple of known names (order preserved)."""
-    names = (vars,) if isinstance(vars, str) else tuple(vars)
-    seen = set()
+    """The known names a variable spec lists, each once, in first-seen order."""
+    names = tuple(dict.fromkeys((vars,) if isinstance(vars, str) else vars))
     for n in names:
         dist.axis(n)  # raises on unknown names
-        if n in seen:
-            raise ValueError(f"variable {n!r} listed twice")
-        seen.add(n)
     return names
 
 
@@ -344,7 +342,7 @@ def _clamped(value: float) -> float:
 
 
 def entropy(dist: JointDistribution, targets: str | Iterable[str]) -> float:
-    """H(targets) in bits."""
+    """H(targets) in bits; a repeated name counts once."""
     names = _as_names(dist, targets)
     if not names:
         return 0.0
@@ -356,12 +354,12 @@ def conditional_entropy(
     targets: str | Iterable[str],
     given: str | Iterable[str] = (),
 ) -> float:
-    """H(targets | given) in bits, via the chain rule on marginal entropies."""
+    """H(targets | given) = H(targets ∪ given) - H(given) in bits; the groups
+    may share variables, and the value is exactly 0 when ``given`` holds
+    every target."""
     t = _as_names(dist, targets)
     g = _as_names(dist, given)
-    if set(t) & set(g):
-        raise ValueError(f"targets and conditioners overlap: {set(t) & set(g)}")
-    if not t:
+    if set(t) <= set(g):
         return 0.0
     joint = entropy(dist, t + g)
     return _clamped(joint - entropy(dist, g)) if g else joint
@@ -372,7 +370,7 @@ def mutual_information(
     a: str | Iterable[str],
     b: str | Iterable[str],
 ) -> float:
-    """I(a ; b) in bits, clamped to zero against float rounding."""
+    """I(a ; b) in bits, clamped to zero against float rounding; a and b may overlap."""
     return conditional_mutual_information(dist, a, b, ())
 
 
@@ -384,16 +382,13 @@ def conditional_mutual_information(
 ) -> float:
     """I(a ; b | given) in bits.
 
-    Computed from four marginal entropies; float residue down to -1e-10 is
-    rounding and comes back as exactly 0.
+    The three groups are sets of names and may share variables.  The
+    value is H(a ∪ given) + H(b ∪ given) - H(a ∪ b ∪ given) - H(given),
+    exactly 0 when ``given`` holds all of ``a`` or all of ``b``; float
+    residue down to -1e-10 is rounding and comes back as exactly 0.
     """
-    an = _as_names(dist, a)
-    bn = _as_names(dist, b)
-    gn = _as_names(dist, given)
-    for x, y, tag in ((an, bn, "a/b"), (an, gn, "a/given"), (bn, gn, "b/given")):
-        if set(x) & set(y):
-            raise ValueError(f"variable groups overlap ({tag}): {set(x) & set(y)}")
-    if not an or not bn:
+    an, bn, gn = (_as_names(dist, group) for group in (a, b, given))
+    if set(an) <= set(gn) or set(bn) <= set(gn):
         return 0.0
     value = (
         entropy(dist, an + gn)
@@ -449,7 +444,11 @@ def attach_channel(
     in order and size; the output is conditionally independent of everything
     else given the inputs.
     """
-    in_names = _as_names(dist, inputs)
+    listed = (inputs,) if isinstance(inputs, str) else tuple(inputs)
+    in_names = _as_names(dist, listed)
+    if len(in_names) != len(listed):
+        repeated = next(n for i, n in enumerate(listed) if n in listed[:i])
+        raise ValueError(f"channel input {repeated!r} listed twice")
     if len(in_names) != len(channel.input_alphabets):
         raise ValueError(
             f"channel expects {len(channel.input_alphabets)} inputs, got {len(in_names)}"

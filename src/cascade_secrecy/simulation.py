@@ -235,7 +235,8 @@ class _Scheme:
         self.nv1 = _role_size(cand, cand.v1)
         self.nv2 = _role_size(cand, cand.v2)
 
-        self.p_x = _grouped(joint, cand.x)
+        p_x = _grouped(joint, cand.x)  # sums to 1 within 1e-12, e.g. read from 12-digit JSON
+        self.p_x = p_x / p_x.sum()
         self.p_u2 = _grouped(joint, cand.u2)
         self.v2_of_u2 = _conditional_rows(_grouped(joint, cand.u2, cand.v2))
         self.u1_of_u2 = _conditional_rows(_grouped(joint, cand.u2, cand.u1))

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_secrecy.bounds import (
     ConstraintViolationError,
@@ -443,3 +445,84 @@ def test_check_reports_are_pinned_in_full(family, passes, with_p_x):
     assert got == want
     assert [c.value for c in report.checks] == pytest.approx(values, abs=1e-12)
     assert report.passed == passes
+
+
+def _reference_entropy(joint, names):
+    """H(names) in bits straight from the table: the sum over every other axis."""
+    drop = tuple(i for i, n in enumerate(joint.names) if n not in set(names))
+    p = np.ravel(joint.table.sum(axis=drop) if drop else joint.table)
+    p = p[p > 0.0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def _reference_value(joint, groups):
+    """H(A ∪ B) - H(B) for two groups, H(A ∪ C) + H(B ∪ C) - H(A ∪ B ∪ C) - H(C)
+    for three: the determinism and chain values of a check."""
+    def h(*gs):
+        return _reference_entropy(joint, [n for g in gs for n in g])
+
+    if len(groups) == 2:
+        return h(*groups) - h(groups[1])
+    a, b, c = groups
+    return h(a, c) + h(b, c) - h(a, b, c) - h(c)
+
+
+_NAMES = ("N0", "N1", "N2", "N3", "N4")
+
+
+@st.composite
+def _overlapping_roles(draw):
+    """A random joint over five variables and roles that share variables:
+    x, y2 and y3 are disjoint, the auxiliaries are any nonempty groups."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=5, max_size=5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    sparsity = draw(st.sampled_from([0.0, 0.5]))
+    order = draw(st.permutations(_NAMES))
+    labels = [0, 1, 2] + draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    actions = [tuple(n for n, lab in zip(order, labels) if lab == k) for k in range(3)]
+    aux = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3, unique=True).map(tuple)
+    u1, u2, v1, v2 = (draw(aux) for _ in range(4))
+    rng = np.random.default_rng(seed)
+    table = rng.random(sizes) * (rng.random(sizes) >= sparsity)
+    table.flat[0] += 1.0  # at least one cell keeps its mass
+    variables = tuple((n, Alphabet(n, k)) for n, k in zip(_NAMES, sizes))
+    joint = JointDistribution(variables, table / table.sum())
+    return joint, dict(zip(("x", "y2", "y3"), actions)), (u1, u2, v1, v2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=_overlapping_roles())
+def test_checks_report_on_roles_that_share_variables(drawn):
+    joint, act, (u1, u2, v1, v2) = drawn
+    x, y2, y3 = act["x"], act["y2"], act["y3"]
+    chains = {
+        "x -- v1 -- y2 chain": (x, y2, v1),
+        "(x,v1,y2) -- v2 -- y3 chain": (x + v1 + y2, y3, v2),
+    }
+    cases = [
+        (check_outer_constraints(OuterCandidate(joint, **act, u=u1, v1=v1, v2=v2)),
+         {"(v2, u) determined by v1": (v2 + u1, v1)}),
+        (check_inner_constraints(InnerCandidate(joint, **act, u1=u1, u2=u2, v1=v1, v2=v2)),
+         {"(v2, u1) determined by v1": (v2 + u1, v1), "u2 determined by u1": (u2, u1),
+          "u2 determined by v2": (u2, v2), "u1 -- u2 -- v2 chain": (u1, v2, u2)}),
+        (check_equivocation_membership(EquivocationCandidate(joint, **act, v1=v1, v2=v2)),
+         {"v2 determined by v1": (v2, v1)}),
+    ]
+    for report, own in cases:
+        groups = {**chains, **own}
+        measured = [c for c in report.checks if c.kind in ("markov", "determinism")]
+        assert [c.name for c in measured] == list(groups)
+        for c in measured:
+            want = _reference_value(joint, groups[c.name])
+            assert c.value == pytest.approx(want, abs=1e-12), c.name
+
+
+def test_a_chain_whose_sides_share_a_variable_is_reported():
+    # v1 = Y3 puts Y3 on both sides of (x, v1, y2) -- v2 -- y3, which reads
+    # I(X, Y3 ; Y3 | Y2) = H(Y3 | Y2) = 1 bit on the permutation joint
+    perm = _public_pair_candidate().joint
+    report = check_equivocation_membership(EquivocationCandidate(perm, v1="Y3", v2="Y2"))
+    chain = {c.name: c for c in report.checks}["(x,v1,y2) -- v2 -- y3 chain"]
+    assert chain.value == pytest.approx(1.0, abs=1e-12)
+    assert not chain.passed
+    assert not report.passed

@@ -299,6 +299,16 @@ class TestTransforms:
         expected = d.table[:, :, None] * rows
         np.testing.assert_allclose(dc.table, expected, atol=1e-15)
 
+    def test_channel_refuses_a_repeated_input(self):
+        # measures read groups as sets, but a channel input list is
+        # positional: listing a variable twice is an error that names it
+        rng = np.random.default_rng(15)
+        d = random_joint(rng, (2, 3), names=("A", "B"))
+        rows = np.full((2, 2, 4), 0.25)
+        ch = Channel((d.alphabet("A"), d.alphabet("A")), Alphabet("W", 4), rows)
+        with pytest.raises(ValueError, match="channel input 'A' listed twice"):
+            attach_channel(d, ch, ("A", "A"), "W")
+
     def test_from_factors_orders_axes_correctly(self):
         a, b = Alphabet("A", 2), Alphabet("B", 3)
         pa = np.array([0.25, 0.75])
@@ -365,3 +375,44 @@ class TestJson:
         ch = Channel((pmf.alphabet,), Alphabet("W", 2), rows)
         ch_back = channel_from_json(json.loads(json.dumps(channel_to_json(ch))))
         assert (ch_back.rows == ch.rows).all()
+
+
+class TestOverlappingGroups:
+    """Measures read each group as a set of names; groups may share variables."""
+
+    def test_a_repeated_name_counts_once(self):
+        rng = np.random.default_rng(18)
+        d = random_joint(rng, (3, 2), names=("X", "Y"))
+        assert entropy(d, ("X", "X")) == entropy(d, "X")
+        assert conditional_entropy(d, ("Y", "Y"), ("X", "X")) == conditional_entropy(d, "Y", "X")
+
+    def test_self_information_is_conditional_entropy(self):
+        rng = np.random.default_rng(19)
+        for trial in range(20):
+            d = random_joint(rng, rng.integers(2, 4, size=3), names=("A", "B", "C"),
+                             sparsity=0.3 if trial % 2 else 0.0)
+            for a in ("A", ("A", "B")):
+                cmi = conditional_mutual_information(d, a, a, "C")
+                assert cmi == pytest.approx(conditional_entropy(d, a, "C"), abs=1e-12)
+            assert mutual_information(d, "A", "A") == pytest.approx(entropy(d, "A"), abs=1e-12)
+
+    def test_shared_variables_split_off_by_the_chain_rule(self):
+        # I(A,S ; B,S | C) = H(S | C) + I(A ; B | C, S)
+        rng = np.random.default_rng(20)
+        for trial in range(20):
+            d = random_joint(rng, rng.integers(2, 4, size=4), names=("A", "B", "C", "S"),
+                             sparsity=0.3 if trial % 2 else 0.0)
+            lhs = conditional_mutual_information(d, ("A", "S"), ("S", "B"), "C")
+            rhs = conditional_entropy(d, "S", "C") + conditional_mutual_information(
+                d, "A", "B", ("C", "S")
+            )
+            assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_a_group_inside_the_conditioner_gives_exactly_zero(self):
+        rng = np.random.default_rng(21)
+        d = random_joint(rng, (3, 2, 2), names=("A", "B", "C"))
+        assert conditional_entropy(d, ("A", "B"), ("B", "A", "C")) == 0.0
+        assert conditional_mutual_information(d, ("A", "B"), "C", ("A", "B")) == 0.0
+        assert conditional_mutual_information(d, "C", "A", ("A", "B")) == 0.0
+        # a partial overlap measures only what the conditioner lacks
+        assert conditional_entropy(d, ("A", "B"), "B") == conditional_entropy(d, "A", "B")

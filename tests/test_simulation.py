@@ -8,6 +8,8 @@ conditioning of the full table) before being pinned here.
 import gc
 import io
 import itertools
+import json
+import math
 import weakref
 
 import numpy as np
@@ -15,7 +17,12 @@ import pytest
 
 from conftest import random_factored_candidate
 
-from cascade_secrecy.bounds import ConstraintViolationError, SideInfoSpec
+from cascade_secrecy.bounds import (
+    ConstraintViolationError,
+    SideInfoSpec,
+    candidate_to_json,
+    inner_candidate_from_json,
+)
 from cascade_secrecy.payoff import LogLossPayoff, PayoffTable, adversary_value
 from cascade_secrecy.payoff import _batched_values as batched_values
 from cascade_secrecy.probability import (
@@ -26,11 +33,13 @@ from cascade_secrecy.probability import (
     ZeroProbabilityError,
     conditional_mutual_information,
     _entropy_of as entropy_of,
+    _grouped,
     entropy,
     marginalize,
     mutual_information,
 )
 from cascade_secrecy import cli, simulation
+from cascade_secrecy.search import CardinalityCaps, InnerSearchProblem, RateBudget, search_inner
 from cascade_secrecy.rng import STREAM_SAMPLE, sample_pmf, sample_rows, stream
 from cascade_secrecy.simulation import (
     CodebookSet,
@@ -115,6 +124,43 @@ def test_auto_index_bits_rejects_an_epsilon_that_is_no_finite_number_above_zero(
     # integer", OverflowError) and True was taken as 1
     with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
         auto_index_bits(CORNER, 1, key=0, epsilon=epsilon)
+
+
+def test_a_search_winner_reaches_the_simulator():
+    # a winner's roles nest, u1 = (U2, A), v2 = (U2, B), v1 = (U2, A, B, C),
+    # so index sizing, the scheme and the audit all measure groups that
+    # share variables
+    problem = InnerSearchProblem(
+        EX.p_x, EX.payoff, EX.side, RateBudget(1.0, math.inf, math.inf),
+        CardinalityCaps(4, 3, 12, 6),
+    )
+    winner = search_inner(problem, restarts=8, seed=0, refine_top=2).candidate
+    assert set(winner.u1) & set(winner.v2)
+    joint = winner.joint
+    floors = (
+        mutual_information(joint, winner.x, winner.u2),
+        conditional_mutual_information(joint, winner.x, winner.v2, winner.u2),
+        conditional_mutual_information(joint, winner.x, winner.u1, winner.v2),
+        conditional_mutual_information(joint, winner.x, winner.v1, winner.u1 + winner.v2),
+    )
+    bits = auto_index_bits(winner, 1, key=1)
+    for got, rate in zip((bits.a, bits.b, bits.c, bits.d), floors):
+        assert rate + 0.1 - 1e-9 <= got <= rate + 1.1
+    spec = SchemeSpec(n=1, inner=winner, index_bits=bits, side=EX.side)
+    assert cli._audit(spec, run_system_exact(spec))["passed"] is True
+
+
+def test_a_candidate_read_back_from_rounded_json_passes_the_audit():
+    # result files keep 12 significant digits, so a published candidate's
+    # table sums to 1 only within 1e-12; the scheme's source law is
+    # renormalized, or the key would seem to depend on the source
+    obj = cli._round_floats(json.loads(json.dumps(candidate_to_json(CORNER))))
+    rounded = inner_candidate_from_json(obj)
+    assert _grouped(rounded.joint, rounded.x).sum() != 1.0
+    spec = SchemeSpec(n=1, inner=rounded, index_bits=BITS_N1, side=EX.side)
+    audit = cli._audit(spec, run_system_exact(spec))
+    assert audit["passed"] is True
+    assert audit["mi_key_source_bits"] < 1e-14
 
 
 def test_system_table_sums_rejects_an_unknown_name():
