@@ -323,20 +323,20 @@ def _attach_side_info(
     y3: tuple[str, ...],
 ) -> tuple[JointDistribution, tuple[str, str, str]]:
     """Adjoin the disclosure tuple W = (W1, W2, W3) and return its names,
-    each prefixed with ``_`` until it is new to the joint.
-
-    The per-coordinate channels take single inputs, so each of the
-    roles x, y2 and y3 must be one variable.
-    """
+    each prefixed with ``_`` until it is new to the joint.  A channel reads
+    its role's flattened symbol, over a group in :func:`_role_alphabet`'s
+    row-major order."""
     w_names = []
     for role, ch, w in ((x, side.ch1, "W1"), (y2, side.ch2, "W2"), (y3, side.ch3, "W3")):
-        if len(role) != 1:
-            raise ValueError(
-                f"side-information channels need single-variable roles, got {role}"
-            )
         while w in joint.names:
             w = "_" + w
-        joint = attach_channel(joint, ch, role[0], w)
+        if len(role) > 1:
+            inputs = tuple(joint.alphabet(n) for n in role)
+            size = math.prod(a.size for a in inputs)
+            if size != len(ch.rows):
+                raise ValueError(f"role {role} has {size} symbols, channel expects {len(ch.rows)}")
+            ch = Channel(inputs, ch.output_alphabet, ch.rows.reshape(*(a.size for a in inputs), -1))
+        joint = attach_channel(joint, ch, role, w)
         w_names.append(w)
     return joint, tuple(w_names)
 
@@ -473,14 +473,17 @@ def equivocation_value(
     """
     if r0 < 0:
         raise ValueError("key rate must be nonnegative")
-    roles = {"X": cand.x, "Y2": cand.y2, "Y3": cand.y3}
-    canonical = LogLossPayoff(tuple(secret_set)).secret_set
+    h_s, leak = _equivocation_terms(cand, secret_set)
     if check:
         _require(check_equivocation_membership(cand, tol=tol, p_x=p_x))
-    secret_vars = tuple(n for r in canonical for n in roles[r])
-    h_s = entropy(cand.joint, secret_vars)
-    leak = mutual_information(cand.joint, secret_vars, cand.v1)
     return h_s - max(0.0, leak - r0)
+
+
+def _equivocation_terms(cand, secret_set) -> tuple[float, float]:
+    """H(S) and I(S ; V1), the two terms of the value that no key rate changes."""
+    roles = {"X": cand.x, "Y2": cand.y2, "Y3": cand.y3}
+    secret = tuple(n for r in LogLossPayoff(tuple(secret_set)).secret_set for n in roles[r])
+    return entropy(cand.joint, secret), mutual_information(cand.joint, secret, cand.v1)
 
 
 # --------------------------------------------------------------------------

@@ -45,8 +45,9 @@ from .search import (
     InnerSearchProblem,
     RateBudget,
     VerificationError,
+    _equivocation_searcher,
     _inner_searcher,
-    _search_and_sweep,
+    _sweep_rates,
 )
 from .simulation import (
     empirical_equivocation,
@@ -566,13 +567,15 @@ def _equiv_problem(problem: dict) -> EquivocationProblem:
 def _run_equivocation(run: _Run) -> int:
     prob = _equiv_problem(run.problem)
     grid = _r0_grid(run.problem)
-    # one screening of the family serves the search and the sweep
-    result, points = _search_and_sweep(
-        prob, grid or [], restarts=run.control["restarts"], seed=run.seed
-    )
+    rates = _sweep_rates(grid or [], run.seed)
+    # one searcher serves the search and the sweep, whose curve pools every winner
+    search, curve = _equivocation_searcher(prob, run.control["restarts"])
+    result = search(prob.r0, run.seed)
+    for r0, seed in rates:
+        search(r0, seed)
     payload = {"result": _strip_result(result.to_json(), keep_candidate=True)}
     if grid is not None:
-        payload["sweep"] = [{"r0": p.r0, "value": p.value} for p in points]
+        payload["sweep"] = [{"r0": r0, "value": curve(r0)} for r0, _ in rates]
     json_path = run.write_json("equivocation_result.json", payload)
     print(f"wrote {json_path} (feasible={result.feasible})")
     if not result.feasible:

@@ -60,7 +60,9 @@ their free rows, each a simplex, linearizing the value and every budget
 with analytic gradients taken by the chain rule through the joint.  Each
 winner, the first of the sampled and refined members, then the screened
 ones, with the best value, is re-derived the same way, by family
-membership and the reference equivocation value.
+membership and the reference H(S) and I(S;V1).  That pair, recorded for
+every winner, gives the searcher's curve, the best H(S) - [I(S;V1) - R0]+
+at any R0, which a sweep and the ``equivocation`` command read.
 
 A winner the reference path does not reproduce raises
 :class:`VerificationError`; the ``bounds`` and ``equivocation`` commands
@@ -100,10 +102,10 @@ from .bounds import (
     InnerCandidate,
     RatePayoffTuple,
     SideInfoSpec,
+    _equivocation_terms,
     candidate_to_json,
     check_equivocation_membership,
     check_inner_constraints,
-    equivocation_value,
     eval_inner_tuple,
 )
 from .payoff import LogLossPayoff, PayoffTable, _batched_values
@@ -1132,7 +1134,7 @@ def search_inner(
     before any work.  Infeasibility is a result, not an exception; a
     winner that the reference evaluator does not reproduce raises
     :class:`VerificationError`.
-    ``workers`` does nothing; it stays while perfbench/ passes it (ROADMAP item 9).
+    ``workers`` does nothing; it stays while the benchmark in perfbench/ passes it.
     """
     seed = _checked_seed(seed)
     return _inner_searcher(problem, restarts, refine_top, enum_limit)(problem.budget.r0, seed)
@@ -1465,27 +1467,30 @@ def _screen_equiv(problem: EquivocationProblem) -> tuple[_EquivStats, np.ndarray
     return _concat(stats), np.concatenate(kept)
 
 
-def _equivocation_searcher(problem: EquivocationProblem, restarts: int) -> Callable:
-    """``search(r0, seed)``, the certified search of ``problem`` at key rate ``r0``.
+def _equivocation_searcher(problem, restarts) -> tuple[Callable, Callable]:
+    """``search(r0, seed)``, the certified search of ``problem`` at key rate
+    ``r0``, and ``curve(r0)``, the best value at ``r0`` of every winner
+    certified so far (-inf before the first).
     Membership and every budget are free of R0, so the enumerable family is
     screened once, here; at each rate a feasible member's value is re-rated
     from its H(S) and I(S;V1), as the kernel rates it at ``problem.r0``.
     Each search draws its restarts, refines the best, then rebuilds, assembles
     and certifies the first candidate with the best value; its ``wall_time``
-    counts from this call."""
+    counts from this call.  Certification derives the winner's reference
+    H(S) and I(S;V1), and ``curve`` re-rates these recorded pairs."""
     restarts = _count(restarts, "restarts")
     started = time.perf_counter()
     screened = _screen_equiv(problem)
+    witnesses: list[tuple[float, float]] = []  # (H(S), I(S;V1)) of each winner
 
     def search(r0: float, seed: int) -> EquivocationSearchResult:
-        at = replace(problem, r0=r0)
-        sampled = _concat([_sample_equiv(stream(seed, i), at) for i in range(restarts)])
-        stats = _equiv_stats(sampled, at, r0)
+        sampled = _concat([_sample_equiv(stream(seed, i), problem) for i in range(restarts)])
+        stats = _equiv_stats(sampled, problem, r0)
         scores = _penalized(stats.value, _limits(stats, problem, _EQUIV_BUDGETS))
-        order = np.argsort(-scores, kind="stable")
-        refined = [_refine_equiv(_take(sampled, [i]), at, r0) for i in order[:_EQUIV_REFINE_TOP]]
+        top = np.argsort(-scores, kind="stable")[:_EQUIV_REFINE_TOP]
+        refined = [_refine_equiv(_take(sampled, [i]), problem, r0) for i in top]
         members = _concat([sampled] + [p for p in refined if p is not None])
-        stats = _equiv_stats(members, at, r0)
+        stats = _equiv_stats(members, problem, r0)
         ok = _within(_limits(stats, problem, _EQUIV_BUDGETS))
         # the feasible candidates: sampled and refined members, then screened ones
         values, members = stats.value[ok], _take(members, ok)
@@ -1501,14 +1506,19 @@ def _equivocation_searcher(problem: EquivocationProblem, restarts: int) -> Calla
         n = len(members.g)
         winner = _take(members, [i]) if i < n else _equiv_members(problem, screened[1][[i - n]])
         cand = _assemble_equiv(winner, problem)
+        h_s, leak = _equivocation_terms(cand, problem.secret_set)
         _certify(
-            check_equivocation_membership(cand, p_x=at.p_x, tol=_MARGINAL_SLACK),
+            check_equivocation_membership(cand, p_x=problem.p_x, tol=_MARGINAL_SLACK),
             {"value": value},
-            lambda: {"value": equivocation_value(cand, at.secret_set, at.r0, check=False)},
+            lambda: {"value": h_s - max(0.0, leak - r0)},
         )
+        witnesses.append((h_s, leak))
         return EquivocationSearchResult(True, value, cand, seed, restarts, wall)
 
-    return search
+    def curve(r0: float) -> float:
+        return max((h_s - max(0.0, leak - r0) for h_s, leak in witnesses), default=-math.inf)
+
+    return search, curve
 
 
 def search_equivocation(
@@ -1524,7 +1534,8 @@ def search_equivocation(
     reproduce raises :class:`VerificationError`.
     """
     seed = _checked_seed(seed)
-    return _equivocation_searcher(problem, restarts)(float(problem.r0), seed)
+    search, _ = _equivocation_searcher(problem, restarts)
+    return search(float(problem.r0), seed)
 
 
 @dataclass(frozen=True)
@@ -1546,25 +1557,6 @@ def _sweep_rates(r0_grid, seed: int) -> list[tuple[float, int]]:
     return rates
 
 
-def _sweep_points(
-    problem: EquivocationProblem, r0_grid, results: list[EquivocationSearchResult]
-) -> list[SweepPoint]:
-    """The curve over ``r0_grid`` from the winners of its searches, pooled:
-    family membership does not involve R0, so every witness is valid at
-    every R0 and the curve is nondecreasing by construction."""
-    witnesses: list[tuple[float, float]] = []  # (h_s, leak)
-    for res in results:
-        if res.feasible:
-            h_s = equivocation_value(res.candidate, problem.secret_set, 10**9, check=False)
-            leak = h_s - equivocation_value(res.candidate, problem.secret_set, 0.0, check=False)
-            witnesses.append((h_s, leak))
-    out = []
-    for r0 in r0_grid:
-        vals = [h - max(0.0, leak - r0) for h, leak in witnesses]
-        out.append(SweepPoint(float(r0), max(vals) if vals else -math.inf))
-    return out
-
-
 def equivocation_sweep(
     problem: EquivocationProblem,
     r0_grid: list[float] | tuple[float, ...],
@@ -1575,25 +1567,17 @@ def equivocation_sweep(
 ) -> list[SweepPoint]:
     """The value curve over a grid of key rates.
 
-    The family is screened once for the whole grid, and the witnesses
-    found at all grid points are pooled.  A seed outside [0, 2**64) or a
-    NaN or negative grid point raises ``ValueError`` before any work.
-    ``workers`` does nothing; it stays while perfbench/ passes it (ROADMAP item 9).
+    The family is screened once for the whole grid; each point reads the
+    searcher's curve over the winners of every search, nondecreasing by
+    construction.  A seed outside [0, 2**64) or a NaN or negative grid
+    point raises ``ValueError`` before any work.
+    ``workers`` does nothing; it stays while the benchmark in perfbench/ passes it.
     """
     rates = _sweep_rates(r0_grid, seed)
-    search = _equivocation_searcher(problem, restarts)
-    return _sweep_points(problem, r0_grid, [search(r0, rate_seed) for r0, rate_seed in rates])
-
-
-def _search_and_sweep(
-    problem: EquivocationProblem, r0_grid, *, restarts: int, seed: int
-) -> tuple[EquivocationSearchResult, list[SweepPoint]]:
-    """``search_equivocation`` and ``equivocation_sweep`` with the same
-    arguments, on one screening of the family."""
-    rates = [(float(problem.r0), seed)] + _sweep_rates(r0_grid, seed)
-    search = _equivocation_searcher(problem, restarts)
-    first, *rest = [search(r0, rate_seed) for r0, rate_seed in rates]
-    return first, _sweep_points(problem, r0_grid, rest)
+    search, curve = _equivocation_searcher(problem, restarts)
+    for r0, rate_seed in rates:
+        search(r0, rate_seed)
+    return [SweepPoint(r0, curve(r0)) for r0, _ in rates]
 
 
 @dataclass(frozen=True)
@@ -1637,12 +1621,10 @@ def min_key_rate(
     if not (best.feasible and best.tuple.pi >= target_pi):
         return KeyRateResult(False, None, best, target_pi, evaluations)
     lo, best_r0 = 0.0, hi
-    step = 1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        res = search(mid, (seed + 104729 * step) % 2**64)
+        res = search(mid, (seed + 104729 * evaluations) % 2**64)
         evaluations += 1
-        step += 1
         if res.feasible and res.tuple.pi >= target_pi:
             hi, best, best_r0 = mid, res, mid
         else:

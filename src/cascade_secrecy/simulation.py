@@ -49,7 +49,6 @@ from .probability import (
     _grouped,
     conditional_mutual_information,
     mutual_information,
-    product_alphabet,
 )
 from .rng import (
     STREAM_ENCODER,
@@ -231,7 +230,6 @@ class _Scheme:
         self.ny2 = self.y2_alphabet.size
         self.ny3 = self.y3_alphabet.size
         self.nu1 = _role_size(cand, cand.u1)
-        self.nu2 = _role_size(cand, cand.u2)
         self.nv1 = _role_size(cand, cand.v1)
         self.nv2 = _role_size(cand, cand.v2)
 
@@ -253,12 +251,6 @@ class _Scheme:
         )
         self.n_w = math.prod(d.shape[3:])
         self.disclosure = d.reshape(self.nx * self.ny2 * self.ny3, self.n_w)
-        self.w_alphabet = product_alphabet(
-            "W",
-            side.ch1.output_alphabet,
-            side.ch2.output_alphabet,
-            side.ch3.output_alphabet,
-        )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_factored_candidate
+
 from cascade_secrecy.bounds import (
     ConstraintViolationError,
     EquivocationCandidate,
@@ -31,7 +33,8 @@ from cascade_secrecy.bounds import (
     inner_to_outer,
     outer_candidate_from_json,
 )
-from cascade_secrecy.probability import Alphabet, JointDistribution, Pmf
+from cascade_secrecy.payoff import LogLossPayoff
+from cascade_secrecy.probability import Alphabet, Channel, JointDistribution, Pmf
 from cascade_secrecy.ternary import (
     LOG2_3,
     corner_candidate,
@@ -144,6 +147,51 @@ def test_group_roles_match_packed_alphabets():
     t = eval_inner_tuple(cand, EX.side, EX.payoff, p_x=EX.p_x)
     packed = eval_inner_tuple(corner_candidate(1), EX.side, EX.payoff, p_x=EX.p_x)
     assert np.allclose(t.as_array(), packed.as_array(), atol=1e-9)
+
+
+def test_a_source_role_group_reaches_the_evaluator():
+    # a size-1 variable prepended to X leaves the flattened source symbol,
+    # and so the tuple, unchanged
+    corner = corner_candidate(1)
+    xa = Alphabet("XA", 1, ("*",))
+    joint = JointDistribution((("XA", xa),) + corner.joint.variables, corner.joint.table[None])
+    roles = {r: getattr(corner, r) for r in ("y2", "y3", "u1", "u2", "v1", "v2")}
+    cand = InnerCandidate(joint, x=("XA", "X"), **roles)
+    t = eval_inner_tuple(cand, EX.side, EX.payoff, p_x=EX.p_x)
+    assert t == eval_inner_tuple(corner, EX.side, EX.payoff, p_x=EX.p_x)
+    assert eval_outer_tuple(inner_to_outer(cand), EX.side, EX.payoff) == t
+
+
+def test_side_channels_read_role_groups_in_row_major_order():
+    # X of size 4 split into (X1, X2) of sizes 2 x 2, and Y3 of size 3 into
+    # (Y3, Y3b) of sizes 3 x 1; noisy disclosure channels tell a wrong
+    # symbol order apart
+    rng = np.random.default_rng(7)
+    packed = random_factored_candidate(rng, (2, 2, 2, 1, 4, 2, 3))
+    names = [n for n, _ in packed.joint.variables]
+    ix = names.index("X")
+    variables = list(packed.joint.variables)
+    variables[ix : ix + 1] = [("X1", Alphabet("X1", 2)), ("X2", Alphabet("X2", 2))]
+    variables.append(("Y3b", Alphabet("Y3b", 1)))
+    shape = packed.joint.table.shape
+    table = packed.joint.table.reshape(shape[:ix] + (2, 2) + shape[ix + 1 :] + (1,))
+    roles = {r: getattr(packed, r) for r in ("y2", "u1", "u2", "v1", "v2")}
+    split = InnerCandidate(
+        JointDistribution(tuple(variables), table), x=("X1", "X2"), y3=("Y3", "Y3b"), **roles
+    )
+    x, y2, y3 = (packed.joint.alphabet(n) for n in ("X", "Y2", "Y3"))
+    side = SideInfoSpec(
+        Channel((x,), Alphabet("W1", 3), rng.dirichlet(np.ones(3), size=4)),
+        Channel.identity(y2, "W2"),
+        Channel((y3,), Alphabet("W3", 2), rng.dirichlet(np.ones(2), size=3)),
+    )
+    payoff = LogLossPayoff(("X", "Y3"))
+    t = eval_inner_tuple(split, side, payoff)
+    assert np.allclose(t.as_array(), eval_inner_tuple(packed, side, payoff).as_array(), atol=1e-12)
+    assert t.r0 > 1e-3  # the disclosure is not trivial
+    mismatched = SideInfoSpec(side.ch2, side.ch2, side.ch3)  # 2 inputs for a 4-symbol role
+    with pytest.raises(ValueError, match=r"role \('X1', 'X2'\) has 4 symbols, channel expects 2"):
+        eval_inner_tuple(split, mismatched, payoff)
 
 
 def test_roles_may_reuse_the_actions_themselves():

@@ -545,6 +545,19 @@ def test_equivocation_screens_the_family_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_equivocation_sweep_matches_the_library_sweep(tmp_path):
+    # with r0 at the first grid point the command's own search repeats the
+    # sweep's first one, so its curve is the library's
+    body = equiv_config(r0_grid=[0.0, 0.4, 0.9, 1.3])
+    body["problem"].update(max_d1=0.0, max_d2=0.0, r0=0.0, cap_v1=3, cap_v2=3)
+    cfg = write_config(tmp_path, body)
+    assert main(["equivocation", "--config", cfg, "--out", str(tmp_path)]) == 0
+    sweep = json.loads((tmp_path / "equivocation_result.json").read_text())["sweep"]
+    problem = cli._equiv_problem(body["problem"])
+    points = search_mod.equivocation_sweep(problem, [0.0, 0.4, 0.9, 1.3], restarts=4, seed=3)
+    assert sweep == _round_floats([{"r0": p.r0, "value": p.value} for p in points])
+
+
 @pytest.mark.parametrize(
     "r0, r0_grid, path",
     [

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from cascade_secrecy import bounds as bounds_mod
 from cascade_secrecy import search as search_mod
 from cascade_secrecy.bounds import (
     RatePayoffTuple,
@@ -1299,6 +1300,28 @@ def test_equivocation_assembles_each_member_once(monkeypatch):
     grid = [i * 1.25 / 3 for i in range(4)]
     equivocation_sweep(prob, grid, restarts=2, seed=0)
     assert 0 < len(calls) <= len(grid)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_equivocation_sweep_evaluates_each_winner_once(monkeypatch, k):
+    # certification derives a winner's H(S) and I(S;V1) once and the curve
+    # re-rates them, so a k-point sweep makes one reference evaluation of
+    # each term per grid point
+    calls = []
+
+    def counted(measure):
+        def wrapper(*args, **kwargs):
+            calls.append(measure.__name__)
+            return measure(*args, **kwargs)
+
+        return wrapper
+
+    for measure in (bounds_mod.entropy, bounds_mod.mutual_information):
+        monkeypatch.setattr(bounds_mod, measure.__name__, counted(measure))
+    prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=3, cap_v2=3)
+    pts = equivocation_sweep(prob, [i * 1.25 / 3 for i in range(k)], restarts=2, seed=0)
+    assert all(math.isfinite(p.value) for p in pts)
+    assert sorted(calls) == ["entropy"] * k + ["mutual_information"] * k
 
 
 def test_equivocation_member_without_a_free_row_is_not_refined(monkeypatch):
