@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import SideInfoSpec, side_info_from_json
+from .bounds import side_info_from_json
 from .payoff import LogLossPayoff, payoff_from_json
 from .probability import (
     CapExceededError,
@@ -161,32 +161,21 @@ def _fmt(value) -> str:
     return f"{v:.12g}"
 
 
-def _round_float(v: float):
-    if math.isinf(v):
-        return "-inf" if v < 0 else "inf"
-    return float(f"{v:.12g}")
-
-
 def _round_floats(obj):
-    """Clamp every float leaf to 12 significant digits (golden files).
-
-    Each branch tests the exact JSON type before the isinstance rules for
-    numpy scalars, tuples and subclasses: dense probability tables make
-    plain floats nearly every leaf, and a list rounds its plain floats
-    inline.  Zeros (either sign) round to themselves; tables are mostly
-    zeros.
-    """
-    kind = type(obj)
-    if kind is float or isinstance(obj, (float, np.floating)):
+    """Clamp every float leaf to 12 significant digits (golden files);
+    infinities become the strings "inf" and "-inf", and a zero keeps its
+    sign.  Joints are written as their nonzero cells, so a config has a few
+    hundred leaves, and each leaf is one call; only an older config's dense
+    joint table (118,098 cells at n = 2) makes that cost tens of ms."""
+    if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        return _round_float(v) if v else v
-    if kind is dict or isinstance(obj, dict):
+        if math.isinf(v):
+            return "-inf" if v < 0 else "inf"
+        return float(f"{v:.12g}")
+    if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if kind is list or isinstance(obj, (list, tuple)):
-        return [
-            (_round_float(v) if v else v) if type(v) is float else _round_floats(v)
-            for v in obj
-        ]
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return int(obj)
     return obj
@@ -232,11 +221,7 @@ class _Run:
         return path
 
     def csv_comments(self) -> list[str]:
-        return [
-            f"# config_sha256={self.hash}",
-            f"# seed={self.control['seed']}",
-            f"# version={VERSION}",
-        ]
+        return [f"# {key}={value}" for key, value in self.provenance().items()]
 
     def write_csv(self, name: str, header: list[str], rows, extra_comments=()) -> Path:
         path = self.out_dir / name

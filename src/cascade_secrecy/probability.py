@@ -573,18 +573,47 @@ def channel_from_json(obj: Mapping) -> Channel:
 
 
 def joint_to_json(dist: JointDistribution) -> dict:
+    """The joint as its nonzero cells: ``index`` holds their flat C-order
+    positions, ascending, and ``values`` their probabilities, as
+    ``SystemTable`` stores the system joint.  Nested auxiliaries leave a
+    candidate's joint almost all zeros, so this is the compact form."""
+    flat = np.ravel(dist.table, order="C")
+    index = np.flatnonzero(flat)
     return {
         "variables": [
             dict(_alphabet_to_json(a), name=n) for n, a in dist.variables
         ],
-        "table": np.ravel(dist.table, order="C").tolist(),
+        "index": index.tolist(),
+        "values": flat[index].tolist(),
     }
 
 
 def joint_from_json(obj: Mapping) -> JointDistribution:
+    """Read the nonzero-cell form of :func:`joint_to_json`, or the dense
+    ``"table"`` form (every cell, in C order) of files written before it.
+    Cells must be integer positions in the table, strictly ascending, one
+    value each, else ``ValueError`` names the fault; the cell cap is
+    checked before the dense table is allocated."""
     variables = tuple(
         (str(v["name"]), _alphabet_from_json(v)) for v in obj["variables"]
     )
     shape = tuple(a.size for _, a in variables)
-    table = np.array(obj["table"], dtype=np.float64).reshape(shape)
-    return JointDistribution(variables, table)
+    size = math.prod(shape)
+    if ("table" in obj) == ("index" in obj):
+        raise ValueError("a joint needs a dense 'table' or an 'index' of cells, not both or neither")
+    _check_cap(size, "joint distribution table")
+    if "table" in obj:
+        return JointDistribution(variables, np.array(obj["table"], dtype=np.float64).reshape(shape))
+    index, values = list(obj["index"]), np.array(obj["values"], dtype=np.float64)
+    if values.shape != (len(index),):
+        raise ValueError(f"a joint's {len(index)} cells need as many values, got shape {values.shape}")
+    if any(type(i) is not int for i in index):
+        raise ValueError("a joint's cell index holds a non-integer")
+    if index and not 0 <= min(index) <= max(index) < size:
+        raise ValueError(f"a joint's cell index is out of range for a table of {size} cells")
+    steps = np.diff(np.array(index, dtype=np.int64))
+    if (steps <= 0).any():
+        raise ValueError(f"a joint's cell index {'repeats a cell' if (steps == 0).any() else 'is not ascending'}")
+    table = np.zeros(size)
+    table[index] = values
+    return JointDistribution(variables, table.reshape(shape))

@@ -657,29 +657,30 @@ def _inner_score(stats: _InnerStats, budget: RateBudget):
     return np.where(np.isfinite(stats.pi), score, -math.inf)
 
 
-def _highs_options() -> HighsOptions:
-    """The options ``linprog(method="highs")`` passes HiGHS by default."""
+def _lp_solver() -> _Highs:
+    """A HiGHS solver with the options ``linprog(method="highs")`` passes
+    by default; each searcher keeps one for all of its LPs."""
     options = HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = False
     options.output_flag = False
     options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    return options
+    highs = _Highs()
+    highs.passOptions(options)
+    return highs
 
 
-_HIGHS_OPTIONS = _highs_options()
-
-
-def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub) -> np.ndarray | None:
+def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub, highs: _Highs) -> np.ndarray | None:
     """min c @ x subject to a_ub @ x <= b_ub, a_eq @ x == b_eq and
     lb <= x <= ub (infinite bounds as ±kHighsInf); x at an optimum, else ``None``.
 
     HiGHS gets the model and options ``linprog(method="highs")`` builds:
     the stacked ``[a_ub; a_eq]`` rows column-wise, as ``csc_array`` orders
-    them, and a fresh solver per call.  Calling it directly skips
-    linprog's per-call input parsing, option validation and result checks,
-    which cost more than the solve on the refiner's small LPs.
+    them.  Calling it directly skips linprog's per-call input parsing,
+    option validation and result checks, which cost more than the solve on
+    the refiner's small LPs.  Passing the model into the reused ``highs``
+    clears its last solve: the solution is bit for bit a fresh solver's.
     """
     a = np.vstack([a_ub, a_eq])
     col, row = np.nonzero(a.T)
@@ -695,8 +696,6 @@ def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, lb, ub) -> np.ndarray | None:
     lp.col_upper_ = ub
     lp.row_lower_ = np.concatenate([np.full(len(b_ub), -kHighsInf), b_eq])
     lp.row_upper_ = np.concatenate([b_ub, b_eq])
-    highs = _Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
     highs.passModel(lp)
     highs.run()
     if highs.getModelStatus() != HighsModelStatus.kOptimal:
@@ -722,7 +721,9 @@ class _Program:
     epigraph: np.ndarray
 
 
-def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, object] | None:
+def _refine_flat_slp(
+    program: _Program, x0: np.ndarray, highs: _Highs
+) -> tuple[np.ndarray, object] | None:
     """Trust-region sequential LP over a family's simplex rows: the one
     refiner of both searches.
 
@@ -781,7 +782,7 @@ def _refine_flat_slp(program: _Program, x0: np.ndarray) -> tuple[np.ndarray, obj
         lb = np.concatenate([np.maximum(x - delta, 0.0), np.full(n_extra, extra_lo)])
         ub = np.concatenate([np.minimum(x + delta, 1.0), np.full(n_extra, kHighsInf)])
         eq = np.hstack([program.a_eq, np.zeros((program.a_eq.shape[0], n_extra))])
-        sol = _solve_lp(cost, a_ub, b_ub, eq, program.b_eq, lb, ub)
+        sol = _solve_lp(cost, a_ub, b_ub, eq, program.b_eq, lb, ub, highs)
         return None if sol is None else normalized(sol[:n])
 
     owns = program.epigraph[:, n:] > 0  # the epigraph variable each row bounds
@@ -1036,6 +1037,7 @@ def _inner_searcher(problem, restarts, refine_top=24, enum_limit=DEFAULT_ENUM_LI
     started = time.perf_counter()
     decomps = _decompositions(problem.caps)
     pairs_by_y3 = _finite_pairs(problem)
+    highs = _lp_solver()
 
     def scored(struct: _Structure, w4: np.ndarray) -> _Scored:
         return _Scored(_InnerEvaluator(struct, problem).stats(w4), struct, w4)
@@ -1087,7 +1089,7 @@ def _inner_searcher(problem, restarts, refine_top=24, enum_limit=DEFAULT_ENUM_LI
             if not _is_flat(struct.dims) or len(struct.px_rows) == 1:
                 return []
             program = _inner_program(_InnerEvaluator(struct, problem), budget)
-            best = _refine_flat_slp(program, start.w4.reshape(-1))
+            best = _refine_flat_slp(program, start.w4.reshape(-1), highs)
             return [] if best is None else [_Scored(best[1], struct, best[0].reshape(struct.dims))]
 
         # starts of equal statistics are relabelings that refine to one point
@@ -1405,7 +1407,7 @@ def _sample_equiv(rng: np.random.Generator, problem: EquivocationProblem) -> _Eq
 
 
 def _refine_equiv(
-    params: _EquivParams, problem: EquivocationProblem, r0: float
+    params: _EquivParams, problem: EquivocationProblem, r0: float, highs: _Highs
 ) -> _EquivParams | None:
     """The trust-region LP loop from one member (a stack of one) over its
     free rows, the V2 map fixed: each row of more than one cell is a
@@ -1446,7 +1448,7 @@ def _refine_equiv(
         rows=[slice(end - width, end) for end, width in zip(ends, widths)],
         epigraph=np.zeros((0, ends[-1])),
     )
-    best = _refine_flat_slp(program, np.concatenate([blocks[i].reshape(-1) for i in free]))
+    best = _refine_flat_slp(program, np.concatenate([blocks[i].reshape(-1) for i in free]), highs)
     return None if best is None else member(best[0])
 
 
@@ -1481,6 +1483,7 @@ def _equivocation_searcher(problem, restarts) -> tuple[Callable, Callable]:
     restarts = _count(restarts, "restarts")
     started = time.perf_counter()
     screened = _screen_equiv(problem)
+    highs = _lp_solver()
     witnesses: list[tuple[float, float]] = []  # (H(S), I(S;V1)) of each winner
 
     def search(r0: float, seed: int) -> EquivocationSearchResult:
@@ -1488,7 +1491,7 @@ def _equivocation_searcher(problem, restarts) -> tuple[Callable, Callable]:
         stats = _equiv_stats(sampled, problem, r0)
         scores = _penalized(stats.value, _limits(stats, problem, _EQUIV_BUDGETS))
         top = np.argsort(-scores, kind="stable")[:_EQUIV_REFINE_TOP]
-        refined = [_refine_equiv(_take(sampled, [i]), problem, r0) for i in top]
+        refined = [_refine_equiv(_take(sampled, [i]), problem, r0, highs) for i in top]
         members = _concat([sampled] + [p for p in refined if p is not None])
         stats = _equiv_stats(members, problem, r0)
         ok = _within(_limits(stats, problem, _EQUIV_BUDGETS))

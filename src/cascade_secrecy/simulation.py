@@ -37,7 +37,7 @@ from .bounds import (
     side_info_from_json,
     side_info_to_json,
 )
-from .payoff import LogLossPayoff, PayoffTable, _batched_values
+from .payoff import LogLossPayoff, _batched_values
 from .probability import (
     Alphabet,
     CapExceededError,

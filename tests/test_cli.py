@@ -18,7 +18,7 @@ from cascade_secrecy import simulation
 from cascade_secrecy.bounds import side_info_to_json
 from cascade_secrecy.cli import _config_hash, _round_floats, main
 from cascade_secrecy.payoff import payoff_to_json
-from cascade_secrecy.probability import Alphabet, Pmf, pmf_to_json
+from cascade_secrecy.probability import Alphabet, Pmf, joint_from_json, pmf_to_json
 from cascade_secrecy.simulation import (
     IndexBits,
     SchemeSpec,
@@ -279,15 +279,13 @@ def test_round_floats_leaves():
     assert math.copysign(1.0, got["nzero"]) == -1.0
 
 
-def test_config_hash_of_simulate_n2_config():
-    # the benchmark's simulate_n2 configuration (codebook seed 3, Monte
-    # Carlo seed 5); a golden digest, so any change in how leaves are
-    # rounded shows here
+def simulate_n2_config():
+    """The benchmark's simulate_n2 configuration (codebook seed 3, Monte Carlo seed 5)."""
     spec = SchemeSpec(
         n=2, inner=corner_candidate(1), index_bits=IndexBits(2, 3, 3, 1, 5),
         side=EX.side, seed=3,
     )
-    config = {
+    return {
         "seed": 5,
         "samples": 400,
         "problem": {
@@ -296,7 +294,27 @@ def test_config_hash_of_simulate_n2_config():
             "secret_set": ["X"],
         },
     }
+
+
+def with_dense_joint(config):
+    """A copy of a simulate config whose scheme joint is written as a dense
+    ``"table"``, the form of files written before the nonzero-cell form."""
+    config = json.loads(json.dumps(config))
+    inner = config["problem"]["scheme"]["inner"]
+    table = joint_from_json(inner["joint"]).table
+    inner["joint"] = {"variables": inner["joint"]["variables"], "table": table.ravel().tolist()}
+    return config
+
+
+def test_config_hash_of_simulate_n2_config():
+    # golden digests, so any change in how leaves are rounded shows here:
+    # the config as written now (the joint's nonzero cells), and the same
+    # config with the dense table it had before, whose digest is unchanged
+    config = simulate_n2_config()
     assert _config_hash(config) == (
+        "66f82dd54b8d46eb30023658f09ce2808435a3295ea782577fdf6862ed5dc5dc"
+    )
+    assert _config_hash(with_dense_joint(config)) == (
         "1cf68afe8c5fc7d4bf39d4413406b5f6571588dd351dea6b62944d4eb020f3c6"
     )
 
@@ -304,25 +322,13 @@ def test_config_hash_of_simulate_n2_config():
 def test_a_leftover_workers_key_leaves_the_run_hash(tmp_path):
     # the simulate_n2 configuration again: a config that still holds the
     # removed ``workers`` option loads, and the provenance hash is the same
-    spec = SchemeSpec(
-        n=2, inner=corner_candidate(1), index_bits=IndexBits(2, 3, 3, 1, 5),
-        side=EX.side, seed=3,
-    )
-    config = {
-        "seed": 5,
-        "samples": 400,
-        "problem": {
-            "scheme": scheme_spec_to_json(spec),
-            "payoff": payoff_to_json(EX.payoff),
-            "secret_set": ["X"],
-        },
-    }
+    config = simulate_n2_config()
     hashes = []
     for extra in ({}, {"workers": 4}):
         cfg = write_config(tmp_path, {**config, **extra})
         args = cli._build_parser().parse_args(["simulate", "--config", cfg, "--out", str(tmp_path)])
         hashes.append(cli._load_config(args).hash)
-    assert hashes == ["ff1aff90ae63d0b316a30df329e61aaefbe3286e108c8549ca2ea6effa0f00ad"] * 2
+    assert hashes == ["6abbc7c8dbb1b704962f96db6b3b8b2b0f6e40065f06f4506f0201bca341f3f5"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +351,81 @@ def test_simulate_byte_reproducible(tmp_path):
     metrics = dict(rows)
     assert metrics["payoff_exact"] == "0.319829244829"
     assert "payoff_mc_estimate" not in metrics
+
+
+def without_hash_lines(text):
+    return [line for line in text.splitlines() if "config_sha256" not in line]
+
+
+def test_simulate_reads_a_dense_joint_as_its_nonzero_cells(tmp_path):
+    # a config written before joints were stored as their nonzero cells
+    # holds a dense "table"; it simulates to the same outputs, whose only
+    # difference is the hash of the config's bytes
+    config = corner_sim_config(samples=20, trace=True)
+    outs = []
+    for name, body in (("sparse", config), ("dense", with_dense_joint(config))):
+        cfg = write_config(tmp_path, body, name=f"{name}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        outs.append(tmp_path / name)
+    names = ("simulate_audit.json", "simulate_results.csv", "simulate_trace.csv")
+    for name in names:
+        a, b = ((out / name).read_text() for out in outs)
+        assert a != b
+        assert without_hash_lines(a) == without_hash_lines(b)
+
+
+def _both_forms(joint):
+    joint["table"] = [0.0] * 118_098
+
+
+def _neither_form(joint):
+    del joint["index"]
+
+
+def _index_set(position, value):
+    def tamper(joint):
+        joint["index"][position] = value(joint["index"])
+    return tamper
+
+
+def _swap_first_cells(joint):
+    joint["index"][:2] = joint["index"][1::-1]
+
+
+def _huge_v2(joint):
+    v2 = joint["variables"][-1]
+    v2["size"] = 10**6
+    del v2["labels"]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_both_forms, "not both or neither"),
+        (_neither_form, "not both or neither"),
+        (_index_set(0, lambda ix: float(ix[0])), "non-integer"),
+        (_index_set(0, lambda ix: True), "non-integer"),
+        (_index_set(0, lambda ix: -1), "out of range"),
+        (_index_set(-1, lambda ix: 118_098), "out of range"),
+        (_index_set(1, lambda ix: ix[0]), "repeats a cell"),
+        (_swap_first_cells, "is not ascending"),
+        (lambda joint: joint["values"].pop(), "need as many values"),
+        (_huge_v2, "cap is 100000000"),
+    ],
+    ids=[
+        "both_forms", "neither_form", "float_index", "bool_index", "negative_index",
+        "index_past_the_table", "repeated_index", "descending_index", "fewer_values",
+        "shape_over_the_cap",
+    ],
+)
+def test_simulate_rejects_a_malformed_joint(tmp_path, capsys, tamper, message):
+    config = corner_sim_config()
+    tamper(config["problem"]["scheme"]["inner"]["joint"])
+    cfg = write_config(tmp_path, config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "problem.scheme" in err and message in err
+    assert not (tmp_path / "simulate_audit.json").exists()
 
 
 def test_simulate_samples_and_trace(tmp_path):

@@ -717,7 +717,7 @@ def test_direct_highs_matches_linprog(infeasible, n_x, n_w, n_cuts, extras, delt
     a_eq = np.hstack([a_eq, np.zeros((len(a_eq), n_extra))])
     lb = np.concatenate([lb, np.full(n_extra, extra_lo)])
     ub = np.concatenate([ub, np.full(n_extra, np.inf)])
-    got = search_mod._solve_lp(cost, a_ub, rhs, a_eq, b_eq, lb, ub)
+    got = search_mod._solve_lp(cost, a_ub, rhs, a_eq, b_eq, lb, ub, search_mod._lp_solver())
     want = _linprog_lp(cost, a_ub, rhs, a_eq, b_eq, lb, ub)
     assert (got is None) == (want is None)
     if infeasible:
@@ -734,7 +734,7 @@ def test_search_matches_linprog_refiner(monkeypatch):
 
     def reference(*lp):
         calls.append(lp)
-        return _linprog_lp(*lp)
+        return _linprog_lp(*lp[:-1])  # the last argument is the searcher's solver
 
     for patch in (False, True):
         if patch:
@@ -788,10 +788,10 @@ def test_refiner_keeps_the_step_it_accepts_at_the_lp_cap(monkeypatch, maxiter):
     refine = search_mod._refine_flat_slp
     checked = []
 
-    def counted_refine(program, x0):
+    def counted_refine(program, x0, highs):
         scored, stats = [], program.stats
         program.stats = lambda p: scored.append(stats(p)) or scored[-1]
-        out = refine(program, x0)
+        out = refine(program, x0, highs)
         best = max(program.value(s) for s in scored)
         assert (out is None) == (best == -math.inf)
         if out is not None:
@@ -811,7 +811,7 @@ def _lp_recorder(monkeypatch):
     refine, solve = search_mod._refine_flat_slp, search_mod._solve_lp
     refinements, center = [], []
 
-    def recording_refine(program, x0):
+    def recording_refine(program, x0, highs):
         linearize = program.linearize
 
         def recording_linearize(x, stats):
@@ -820,7 +820,7 @@ def _lp_recorder(monkeypatch):
 
         program.linearize = recording_linearize
         refinements.append((program, []))
-        return refine(program, x0)
+        return refine(program, x0, highs)
 
     def recording_solve(c, *lp):
         sol = solve(c, *lp)
@@ -864,7 +864,7 @@ def test_refiner_stops_at_a_climb_lp_that_predicts_no_gain(monkeypatch):
         epigraph=np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]),
     )
     start = np.array([0.5, 0.5])
-    x, stats = search_mod._refine_flat_slp(program, start)
+    x, stats = search_mod._refine_flat_slp(program, start, search_mod._lp_solver())
     assert np.array_equal(x, start) and stats == 0.5
     ((_, lps),) = refinements
     assert len(lps) == 1
@@ -876,7 +876,7 @@ def test_refiner_ends_at_its_start_after_seven_failed_climb_lps(monkeypatch):
     # a stall; the seventh in a row ends the refinement at its start
     deltas = []
 
-    def failed(c, a_ub, b_ub, a_eq, b_eq, lb, ub):
+    def failed(c, a_ub, b_ub, a_eq, b_eq, lb, ub, highs):
         deltas.append(ub[0] - 0.3)  # the trust region's radius around x0 = 0.3
         return None
 
@@ -892,7 +892,7 @@ def test_refiner_ends_at_its_start_after_seven_failed_climb_lps(monkeypatch):
         epigraph=np.array([[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]),
     )
     start = np.array([0.3, 0.7])
-    x, stats = search_mod._refine_flat_slp(program, start)
+    x, stats = search_mod._refine_flat_slp(program, start, search_mod._lp_solver())
     assert np.array_equal(x, start) and stats == 0.3
     assert deltas == pytest.approx([0.3 * 0.5**i for i in range(7)])
 
@@ -965,9 +965,9 @@ def test_search_refines_each_class_of_equal_starts_once(monkeypatch):
         dims_of[id(out)] = evaluator.dims
         return out
 
-    def recorded_refine(prog, x0):
+    def recorded_refine(prog, x0, highs):
         starts.append((dims_of[id(prog)], *vars(prog.stats(x0)).values()))
-        return refine(prog, x0)
+        return refine(prog, x0, highs)
 
     monkeypatch.setattr(search_mod, "_inner_program", recorded_program)
     monkeypatch.setattr(search_mod, "_refine_flat_slp", recorded_refine)
@@ -1148,7 +1148,7 @@ def test_min_key_rate_screens_the_maps_once(monkeypatch):
     calls = []
     screen = search_mod._screen_maps
     monkeypatch.setattr(search_mod, "_screen_maps", lambda *a: calls.append(a) or screen(*a))
-    monkeypatch.setattr(search_mod, "_refine_flat_slp", lambda program, x0: None)
+    monkeypatch.setattr(search_mod, "_refine_flat_slp", lambda program, x0, highs: None)
     problem = ternary_problem(
         RateBudget(1.0, 1.6, 0.6), caps=CardinalityCaps(6, 3, 9, 3)
     )
@@ -1573,7 +1573,7 @@ def test_equivocation_refiner_keeps_members_feasible(secret, cap_v1, cap_v2, r0,
     rng = np.random.default_rng(seed)
     problem = dataclasses.replace(random_equiv_problem(rng, secret, cap_v1, cap_v2), r0=r0)
     start = search_mod._sample_equiv(rng, problem)
-    refined = search_mod._refine_equiv(start, problem, r0)
+    refined = search_mod._refine_equiv(start, problem, r0, search_mod._lp_solver())
     if refined is None:
         return
     for block in (refined.e_rows, refined.py2, refined.py3):
