@@ -23,6 +23,7 @@ __all__ = [
     "STREAM_ENCODER",
     "STREAM_SAMPLE",
     "stream",
+    "uniform_rows",
     "sample_pmf",
     "sample_rows",
     "symbols",
@@ -68,6 +69,28 @@ def stream(seed: int, tag: int, row: int = 0) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
+def uniform_rows(seed: int, tag: int, first: int, count: int, width: int) -> np.ndarray:
+    """``width`` uniforms from each of rows ``first`` .. ``first + count - 1``
+    of the (seed, tag) stream: row i is ``stream(seed, tag, first + i)
+    .random(width)``, drawn by one generator whose counter and buffer are set
+    per row.  A bad argument raises what ``stream`` raises for it, a row past
+    2**64 - 1 what it raises for row 2**64.
+    """
+    key = np.array([_checked_seed(seed), _checked_seed(tag, "tag")], dtype=np.uint64)
+    first = _checked_seed(first, "row")
+    count = _count(count, "count")
+    _checked_seed(min(first + count - 1, _WORD), "row")
+    gen = np.random.Generator(np.random.Philox(key=key))
+    state = gen.bit_generator.state
+    out = np.empty((count, width))
+    for i in range(count):
+        state["state"]["counter"] = np.array([0, first + i, 0, 0], dtype=np.uint64)
+        state.update(buffer_pos=4, has_uint32=0, uinteger=0)  # 4: Philox's buffer is empty
+        gen.bit_generator.state = state
+        out[i] = gen.random(width)
+    return out
+
+
 def _cdf(rows: np.ndarray) -> np.ndarray:
     """Cumulative rows whose entries from the last positive symbol on are 1.0.
 
@@ -105,7 +128,14 @@ def sample_rows(
     """One symbol per entry of ``given``, drawn from the selected rows.
 
     ``rows[g]`` is the probability row used for an entry with value
-    ``g``; the output has the shape of ``given``.
+    ``g``; the output has the shape of ``given``.  Each symbol is the
+    count of its row's ``_cdf`` entries <= its uniform, as ``symbols``
+    gives, added up one column at a time so that no (entries, row) array
+    of cumulative rows is built.
     """
     given = np.asarray(given)
-    return symbols(_cdf(rows)[given], gen.random(given.shape))
+    u = gen.random(given.shape)
+    out = np.zeros(given.shape, dtype=np.intp)
+    for column in _cdf(rows).T:
+        out += column[given] <= u
+    return out

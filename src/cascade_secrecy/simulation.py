@@ -21,7 +21,7 @@ import csv
 import math
 import weakref
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from .rng import (
     sample_rows,
     stream,
     symbols,
+    uniform_rows,
 )
 
 __all__ = [
@@ -335,57 +336,54 @@ def _verify_support(scheme: _Scheme, cb: CodebookSet) -> None:
             raise ValueError("codebook draw hit a zero-probability symbol")
 
 
-def _memoryless(rows: np.ndarray) -> np.ndarray:
-    """Product law of per-time rows: lead + (n, |Y|) becomes lead + (|Y|,)*n.
-
-    Time t's row goes on output axis t; the factors multiply in time
-    order, so every cell is the same float the scalar product gives.
-    """
-    lead, n, size = rows.shape[:-2], rows.shape[-2], rows.shape[-1]
-    out = np.ones(lead + (size,) * n)
-    for t in range(n):
-        shape = lead + tuple(size if s == t else 1 for s in range(n))
-        out = out * rows[..., t, :].reshape(shape)
-    return out
-
-
-def _encoder_weights(scheme: _Scheme, cb: CodebookSet, k: int) -> np.ndarray:
-    """Unnormalized likelihood of every (m, x^n) cell at key value k.
-
-    Shape (Ma, Mb, Mc, Md) + (|X|,)*n.
-    """
-    v1k = cb.v1[..., k, :]
-    v2k = np.broadcast_to(cb.v2[:, :, None, None, k, :], v1k.shape)
-    return _memoryless(scheme.x_of_v1v2[v1k, v2k])
-
-
 def _encoder_table(
     scheme: _Scheme, cb: CodebookSet, cell_cap: int = DEFAULT_CELL_CAP
-) -> np.ndarray:
-    """P(k) P(x^n) P(m | x^n, k) for every cell (k, m, x^n).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(k) P(x^n) P(m | x^n, k) as its nonzero cells: the flat (k, m) row,
+    the flat x^n and the value, ascending in (k, m, x^n), all read-only.
 
-    Shape (K, Ma, Mb, Mc, Md) + (|X|,)*n.  The cell cap is checked before
-    anything of size |X|^n is allocated; a source sequence that no
-    codeword covers at some key is named in the error.
+    Every value is the float of the dense (K, M, X^n) build: likelihoods
+    multiply in time order, and each (k, x^n) normalizer adds its cells in m
+    order (numpy adds a one-column table pairwise, but |X| = 1 makes every
+    likelihood 1.0).  The cell cap counts the K*M*|X|^n cells of the dense
+    table, before anything of size |X|^n is allocated; a source sequence
+    that no codeword covers at some key is named in the error.
     """
     n = cb.spec.n
     m_a, m_b, m_c, m_d, n_k = cb.spec.index_bits.sizes
-    m_cells = m_a * m_b * m_c * m_d
-    _check_cap(n_k * m_cells * scheme.nx**n, "encoder table", cell_cap)
-    px_block = _memoryless(np.broadcast_to(scheme.p_x, (n, scheme.nx)))
-    enc = np.empty((n_k, m_a, m_b, m_c, m_d) + (scheme.nx,) * n)
-    for k in range(n_k):
-        weights = _encoder_weights(scheme, cb, k)
-        denom = weights.reshape(m_cells, -1).sum(axis=0).reshape((scheme.nx,) * n)
-        if float(denom.min()) <= 0.0:
-            x_seq = np.unravel_index(int(np.argmax(denom <= 0.0)), denom.shape)
-            raise ZeroProbabilityError(
-                f"source sequence x^n={tuple(int(x) for x in x_seq)} has no codeword"
-                f" at key {k}"
-            )
-        enc[k] = (px_block / n_k) * (weights / denom)
-    enc.setflags(write=False)
-    return enc
+    m_cells, n_x = m_a * m_b * m_c * m_d, scheme.nx**n
+    _check_cap(n_k * m_cells * n_x, "encoder table", cell_cap)
+    # the (v1, v2) codeword pair of each (k, m) row and time, built in place
+    pairs = np.multiply(np.moveaxis(cb.v1, 4, 0), scheme.nv2, order="C")
+    pairs += np.moveaxis(cb.v2, 2, 0)[:, :, :, None, None]
+    row, x, weight = _sequence_cells(pairs.reshape(-1, n), scheme.x_of_v1v2.reshape(-1, scheme.nx))
+    del pairs
+    key_x = row // m_cells * n_x + x
+    denom = np.bincount(key_x, weights=weight, minlength=n_k * n_x)
+    if float(denom.min()) <= 0.0:
+        k, x_seq = divmod(int(np.argmax(denom <= 0.0)), n_x)
+        x_seq = tuple(int(x) for x in np.unravel_index(x_seq, (scheme.nx,) * n))
+        raise ZeroProbabilityError(f"source sequence x^n={x_seq} has no codeword at key {k}")
+    px = np.ones(1)
+    for _ in range(n):  # P(x^n) of each flat x^n, its times multiplied in order
+        px = np.multiply.outer(px, scheme.p_x).ravel()
+    value = (px[x] / n_k) * (weight / denom[key_x])
+    for arr in (row, x, value):
+        arr.setflags(write=False)
+    return row, x, value
+
+
+def _sequence_cells(given: np.ndarray, law: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The nonzero cells of each row of ``given`` (R, n) under the memoryless
+    2-D ``law``, time t's symbol selecting the row: (row, flat sequence,
+    value), ascending, each value multiplied in time order."""
+    row = np.arange(len(given))
+    seq, value = np.zeros_like(row), np.ones(len(given))
+    for t in range(given.shape[1]):
+        cell, sym = _paired(given[row, t], law)
+        row, seq = row[cell], seq[cell] * law.shape[1] + sym
+        value = value[cell] * law[given[row, t], sym]
+    return row, seq, value
 
 
 def encoder_distribution(x_seq, k: int, cb: CodebookSet) -> np.ndarray:
@@ -396,7 +394,9 @@ def encoder_distribution(x_seq, k: int, cb: CodebookSet) -> np.ndarray:
         raise ValueError(f"x_seq must be a length-{cb.spec.n} sequence")
     x_seq = tuple(_validated_index(x, scheme.nx, "x_seq entry") for x in x_seq)
     k = _validated_index(k, cb.v2.shape[2], "key value")
-    weights = _encoder_weights(scheme, cb, k)[(...,) + x_seq]
+    # each message's likelihood of x^n, its times multiplied in order
+    likelihoods = scheme.x_of_v1v2[cb.v1[..., k, :], cb.v2[:, :, None, None, k], x_seq]
+    weights = np.prod(likelihoods, axis=-1)
     total = weights.sum()
     if total <= 0.0:
         raise ZeroProbabilityError("source sequence outside scheme support")
@@ -488,8 +488,13 @@ class SystemTable:
 
     @cached_property
     def _coords(self) -> tuple[np.ndarray, ...]:
-        """Per-axis coordinates of the stored cells."""
-        return np.unravel_index(self.index, self.shape)
+        """Per-axis coordinates of the stored cells, one axis at a time, each
+        in the smallest unsigned type that holds its axis."""
+        return tuple(
+            (self.index // math.prod(self.shape[i + 1:]) % size)
+            .astype(np.min_scalar_type(size - 1))
+            for i, size in enumerate(self.shape)
+        )
 
     def marginal(self, names) -> JointDistribution:
         """Dense view of ``sums(names)``, axes in table order."""
@@ -507,49 +512,107 @@ def _group_sum(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
     return groups, np.bincount(inverse, weights=values, minlength=groups.size)
 
 
+@lru_cache(maxsize=64)
+def _pairwise_ranks(size: int) -> tuple[np.ndarray, ...]:
+    """numpy's order of adding ``size`` contiguous cells, as a tree whose
+    nodes add their children in order from 0.0: for each level, from the
+    cells' parents to the root, the node of each cell, numbered in tree
+    order; read-only."""
+    def tree(lo, n):  # numpy's pairwise_sum of cells lo .. lo + n - 1
+        if n < 8:
+            return list(range(lo, lo + n))
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return [tree(lo, half), tree(lo + half, n - half)]
+        # 8 strided accumulators joined pairwise, then the rest in order
+        acc = [list(range(lo + j, lo + n - n % 8, 8)) for j in range(8)]
+        joined = [[[acc[i], acc[i + 1]], [acc[i + 2], acc[i + 3]]] for i in (0, 4)]
+        return [joined, *range(lo + n - n % 8, lo + n)]
+
+    def paths(node, path=()):
+        if isinstance(node, int):
+            return {node: path}
+        return {cell: p for i, child in enumerate(node)
+                for cell, p in paths(child, path + (i,)).items()}
+
+    path = paths(tree(0, size))
+    depth = max(map(len, path.values()))
+    # a lone child adds only itself, so every path is padded to one depth
+    padded = np.array([path[cell] + (0,) * (depth - len(path[cell])) for cell in range(size)])
+    ranks = [np.unique(padded[:, :cut], axis=0, return_inverse=True)[1].ravel()
+             for cut in range(depth - 1, -1, -1)]
+    for rank in ranks:
+        rank.setflags(write=False)
+    return tuple(ranks)
+
+
+def _pairwise_sums(block: np.ndarray, pos: np.ndarray, values: np.ndarray, size: int):
+    """The float numpy's sum gives for each block of ``size`` contiguous
+    cells, zeros but for ``values`` at ``pos`` (cells ascending in (block,
+    pos)): (the blocks with cells, ascending; their sums)."""
+    ranks = _pairwise_ranks(size)
+    if len(ranks) > 1:  # each cell next to those its parent adds
+        order = np.lexsort((ranks[0][pos], block))
+        block, pos, values = block[order], pos[order], values[order]
+    for rank in ranks:  # a node's first cell stands for it
+        new = np.ones(block.size, dtype=bool)
+        new[1:] = (block[1:] != block[:-1]) | (rank[pos[1:]] != rank[pos[:-1]])
+        values = np.bincount(np.cumsum(new) - 1, weights=values)
+        block, pos = block[new], pos[new]
+    return block, values
+
+
+def _fan(rows: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell i once per stored cell of row ``rows[i]`` of a table stored row by
+    row, ``count[r]`` cells in row r: (cell, the stored cell's position), in
+    order."""
+    reps = count[rows]
+    cell = np.repeat(np.arange(rows.size), reps)
+    at = np.arange(cell.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    return cell, (np.cumsum(count) - count)[rows[cell]] + at
+
+
 def _paired(rows: np.ndarray, law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell i, whose row of the 2-D ``law`` is ``rows[i]``, once per nonzero
     column of that row: (cell, column), cells in order, columns ascending."""
     law_rows, cols = np.nonzero(law)
-    count = np.bincount(law_rows, minlength=law.shape[0])
-    reps = count[rows]
-    cell = np.repeat(np.arange(rows.size), reps)
-    at = np.arange(cell.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    return cell, cols[(np.cumsum(count) - count)[rows[cell]] + at]
+    cell, at = _fan(rows, np.bincount(law_rows, minlength=law.shape[0]))
+    return cell, cols[at]
 
 
 def run_system_exact(spec: SchemeSpec, *, cell_cap: int = DEFAULT_CELL_CAP) -> SystemTable:
     """Enumerate the nonzero cells of the system joint for one codebook draw.
 
     A cell is nonzero exactly where the encoder table, the y2 law of its
-    (k, m) and the y3 law of its (k, Ma, Mb) all are; it is built from
-    those three supports as (prior * y2) * y3, the float a dense product
-    gives.  The cell cap counts stored cells and is checked before they
-    are allocated, and it bounds the codebooks and encoder table, kept or not.
+    (k, m) and the y3 law of its (k, Ma, Mb) all are.  The emission laws
+    are held as their nonzero cells, multiplied in time order; each encoder
+    cell fans out over those of its rows, and a system cell is (prior * y2)
+    * y3, the float a dense product gives.  The cell cap counts stored cells
+    and is checked before they are allocated, and it bounds the codebooks
+    and encoder table, kept or not.
     """
     scheme = spec._scheme
     n = spec.n
     m_a, m_b, m_c, m_d, n_k = spec.index_bits.sizes
-    rows = n_k * m_a * m_b * m_c * m_d
+    rows, mcd = n_k * m_a * m_b * m_c * m_d, m_c * m_d
     _check_codebook_cells(spec, cell_cap)
     _check_cap(rows * scheme.nx**n, "encoder table", cell_cap)
     cb = _kept(spec, "_codebooks", lambda: build_codebooks(spec, cell_cap=cell_cap), weak=True)
-    enc = _kept(cb, "_encoder", lambda: _encoder_table(scheme, cb, cell_cap)).reshape(rows, -1)
-    # per-codeword emission laws, one row per (k, m) or per (k, Ma, Mb)
-    y2 = np.moveaxis(_memoryless(scheme.y2_of_v1[cb.v1]), 4, 0).reshape(rows, -1)
-    y3 = np.moveaxis(_memoryless(scheme.y3_of_v2[cb.v2]), 2, 0).reshape(rows // (m_c * m_d), -1)
-    km, x = np.nonzero(enc)
-    need = int((np.count_nonzero(y2, axis=1)[km]
-                * np.count_nonzero(y3, axis=1)[km // (m_c * m_d)]).sum())
+    km, x, prior = _kept(cb, "_encoder", lambda: _encoder_table(scheme, cb, cell_cap))
+    # the cells of each (k, m) row's y2 law and each (k, Ma, Mb) row's y3 law
+    y2 = _sequence_cells(np.moveaxis(cb.v1, 4, 0).reshape(rows, n), scheme.y2_of_v1)
+    y3 = _sequence_cells(np.moveaxis(cb.v2, 2, 0).reshape(rows // mcd, n), scheme.y3_of_v2)
+    y2_count = np.bincount(y2[0], minlength=rows)
+    y3_count = np.bincount(y3[0], minlength=rows // mcd)
+    need = int((y2_count[km] * y3_count[km // mcd]).sum())
     if need > cell_cap:
         raise CapExceededError(f"system table stores {need} cells, cap is {cell_cap}")
 
-    cell, y2_sym = _paired(km, y2)
-    km, x = km[cell], x[cell]
-    values = enc[km, x] * y2[km, y2_sym]
-    cell, y3_sym = _paired(km // (m_c * m_d), y3)
-    km, x, y2_sym = km[cell], x[cell], y2_sym[cell]
-    values = values[cell] * y3[km // (m_c * m_d), y3_sym]
+    cell, at = _fan(km, y2_count)
+    km, x, y2_sym, values = km[cell], x[cell], y2[1][at], prior[cell] * y2[2][at]
+    cell, at = _fan(km // mcd, y3_count)
+    km, x, y2_sym, values = km[cell], x[cell], y2_sym[cell], values[cell] * y3[2][at]
+    y3_sym = y3[1][at]
     # row-major nesting (k, m), x^n, y2^n, y3^n keeps the index ascending
     index = ((km * scheme.nx**n + x) * scheme.ny2**n + y2_sym) * scheme.ny3**n + y3_sym
     index.setflags(write=False)
@@ -641,12 +704,19 @@ def empirical_equivocation(table: SystemTable, secret_set) -> float:
 class _PosteriorEngine:
     """Exact adversary posteriors for one codebook set, a batch at a time.
 
-    The encoder table is enumerated once.  Given a batch of messages and
-    disclosure prefixes, one forward sweep over all histories and keys at
-    once folds each disclosed signal's per-x likelihood into the
-    (history, k, x^n) weights and reads off the posterior of every time
-    on the way, so a batch of histories of length n costs n steps.  The
-    Monte Carlo estimator, its trace and ``history_posterior`` share it.
+    The encoder table is enumerated once, as its nonzero cells.  Given a
+    batch of messages and disclosure prefixes, one forward sweep over the
+    stored (k, m, x^n) cells of every history at once folds each disclosed
+    signal's likelihood into the cells' weights and reads off the posterior
+    of every time on the way, so a batch of histories of length n costs n
+    steps.  Emissions are read from the nonzero cells of the (y2, y3) law of
+    each (v1, v2) codeword pair.  Each step forms the margins over x^n
+    first, then adds the keys in ascending order: the additions of numpy's
+    sums over a dense (history, k, x^n) sweep, less those of exact zeros.
+    So a margin adds each block of later symbols pairwise, as numpy does
+    (``_pairwise_sums``), then the blocks in order of the earlier symbols,
+    and every posterior is the dense sweep's float.  The Monte Carlo
+    estimator, its trace and ``history_posterior`` share it.
     """
 
     def __init__(self, cb: CodebookSet):
@@ -654,7 +724,13 @@ class _PosteriorEngine:
         self.scheme = cb.spec._scheme
         self.n = cb.spec.n
         self.n_k = cb.spec.index_bits.sizes[4]
+        self.m_shape = cb.v1.shape[:4]
         self.enc = _kept(cb, "_encoder", lambda: _encoder_table(self.scheme, cb))
+        self.row_count = np.bincount(self.enc[0], minlength=self.n_k * math.prod(self.m_shape))
+        # the (y2, y3) law of each (v1, v2) codeword pair
+        s = self.scheme
+        self.pair_law = (s.y2_of_v1[:, None, :, None] * s.y3_of_v2[None, :, None, :]).reshape(
+            s.nv1 * s.nv2, -1)
 
     def posteriors(self, m: np.ndarray, w_prefix: np.ndarray, first: int = 0) -> np.ndarray:
         """Normalized posteriors over the triple, shape (S, T + 1, |X||Y2||Y3|).
@@ -664,35 +740,45 @@ class _PosteriorEngine:
         A history of zero probability raises, named as sample ``first + s``.
         """
         scheme = self.scheme
-        n, n_k = self.n, self.n_k
+        n, n_k, nx = self.n, self.n_k, self.scheme.nx
         m = np.asarray(m, dtype=np.intp).reshape(-1, 4)
         w_prefix = np.asarray(w_prefix, dtype=np.intp).reshape(len(m), -1)
         steps = w_prefix.shape[1] + 1
         if steps > n:
             raise ValueError("disclosure prefix must be shorter than the block")
         j = scheme.ny2 * scheme.ny3
-        d = scheme.disclosure.reshape(scheme.nx, j, scheme.n_w)
+        d = scheme.disclosure.reshape(nx, j, scheme.n_w)
         ma, mb, mc, md = m.T
-        # per-history, per-key, per-time emission of the (y2, y3) pair: (S, K, n, J)
-        emit = (
-            scheme.y2_of_v1[self.cb.v1[ma, mb, mc, md]][..., :, None]
-            * scheme.y3_of_v2[self.cb.v2[ma, mb]][..., None, :]
-        ).reshape(len(m), n_k, n, j)
-        w = np.moveaxis(self.enc[:, ma, mb, mc, md], 0, 1)
-        out = np.empty((len(m), steps, scheme.nx * j))
+        # the (v1, v2) codeword pair of every (history, key) pair hk = s * K + k and time
+        pairs = (self.cb.v1[ma, mb, mc, md] * scheme.nv2 + self.cb.v2[ma, mb]).reshape(-1, n)
+        m_flat = np.ravel_multi_index(m.T, self.m_shape)
+        rows = np.arange(n_k) * math.prod(self.m_shape) + m_flat[:, None]
+        hk, at = _fan(rows.ravel(), self.row_count)
+        x, w = self.enc[1][at], self.enc[2][at]
+        out = np.empty((len(m), steps, nx * j))
         for t in range(steps):
             if t:
-                # per-x disclosure likelihood of the time-(t-1) signal,
-                # summed over the (y2, y3) pairs in order as matmul adds them
-                dw = d[:, :, w_prefix[:, t - 1]].transpose(2, 1, 0)[:, :, None, :]
-                f = np.zeros((len(m), n_k, scheme.nx))
-                for pair in range(j):
-                    f += dw[:, pair] * emit[:, :, t - 1, pair, None]
-                at = tuple(scheme.nx if r == t - 1 else 1 for r in range(n))
-                w = w * f.reshape(f.shape[:2] + at)
-            margin = w.sum(axis=tuple(2 + r for r in range(n) if r != t))
-            post = margin[..., None] * emit[:, :, t, None, :]
-            out[:, t] = post.reshape(len(m), n_k, -1).sum(axis=1)
+                # per-cell likelihood of the time-(t-1) signal, added over the
+                # emitted (y2, y3) pairs in order as a dense sum over all pairs does
+                cell, pair = _paired(pairs[hk, t - 1], self.pair_law)
+                like = (d[x[cell] // nx ** (n - t) % nx, pair, w_prefix[hk[cell] // n_k, t - 1]]
+                        * self.pair_law[pairs[hk[cell], t - 1], pair])
+                w = w * np.bincount(cell, weights=like, minlength=x.size)
+            # a dense sum over the other times adds each block of later
+            # symbols pairwise, then the blocks in order of the earlier ones
+            later = nx ** (n - 1 - t)
+            block, sums = _pairwise_sums(hk * nx ** (t + 1) + x // later, x % later, w, later)
+            margin = np.bincount(block // nx ** (t + 1) * nx + block % nx, weights=sums,
+                                 minlength=len(m) * n_k * nx)
+            # each (hk, x_t) margin times its emitted pairs, the keys added in order
+            g = np.flatnonzero(margin)
+            cell, pair = _paired(pairs[g // nx, t], self.pair_law)
+            g = g[cell]
+            out[:, t] = np.bincount(
+                (g // nx // n_k * nx + g % nx) * j + pair,
+                weights=margin[g] * self.pair_law[pairs[g // nx, t], pair],
+                minlength=len(m) * nx * j,
+            ).reshape(len(m), -1)
         total = out.sum(axis=2)
         bad = total <= 0.0
         if bad.any():
@@ -740,20 +826,26 @@ def mc_estimate(
     the seed alone.  ``seed`` must be an integer in [0, 2**64) and ``samples``
     one >= 2, else ``ValueError`` comes before any codebook is built.  The
     uniforms of a sample are used in a fixed order: key, source symbols,
-    encoder index, node-2 actions, node-3 actions, disclosed signals.  Every
-    stage runs on whole arrays of samples, in chunks of min(Ma*Mb*Mc*Md,
-    K*|X|^n) samples, so neither a chunk's (sample, k, x^n) weights nor its
-    (sample, m) message rows hold more cells than the encoder table.
+    encoder index, node-2 actions, node-3 actions, disclosed signals; one
+    generator reads a chunk's rows (``uniform_rows``).  Every stage runs on
+    whole arrays of samples, in chunks of min(Ma*Mb*Mc*Md, K*|X|^n) samples.
+    A chunk's encoder cells at its (k, x^n) are scattered into its
+    (sample, m) message rows, the one dense per-chunk array, and drawn from;
+    by the chunk rule those rows hold no more cells than the dense encoder
+    table the cell cap counts.  The posteriors sweep stored cells only.
     """
     seed = _checked_seed(seed)
     samples = _count(samples, "samples", 2)  # a standard error needs two
     engine = _PosteriorEngine(_kept(spec, "_codebooks", lambda: build_codebooks(spec), weak=True))
     scheme, cb, n_k = engine.scheme, engine.cb, engine.n_k
     _check_payoff_alphabets(payoff, scheme)
-    n = spec.n
-    m_shape = cb.v1.shape[:4]
-    enc = engine.enc.reshape((n_k, math.prod(m_shape), -1))
-    chunk = min(enc.shape[1], n_k * enc.shape[2])
+    n, m_shape = spec.n, engine.m_shape
+    m_cells, n_x = math.prod(m_shape), scheme.nx**n
+    chunk = min(m_cells, n_k * n_x)
+    km, x, prior = engine.enc
+    key_x = km // m_cells * n_x + x
+    by_key_x = np.argsort(key_x, kind="stable")  # each (k, x^n)'s cells in m order
+    key_x_count = np.bincount(key_x, minlength=n_k * n_x)
     key_cdf = _cdf(np.full(n_k, 1.0 / n_k))
     x_cdf, y2_cdf, y3_cdf, w_cdf = (
         _cdf(rows) for rows in (scheme.p_x, scheme.y2_of_v1, scheme.y3_of_v2, scheme.disclosure)
@@ -761,13 +853,15 @@ def mc_estimate(
     values, rows = [], []
     for first in range(0, samples, chunk):
         count = min(chunk, samples - first)
-        u = np.array([stream(seed, STREAM_SAMPLE, row=s).random(2 + 4 * n)
-                      for s in range(first, first + count)])
+        u = uniform_rows(seed, STREAM_SAMPLE, first, count, 2 + 4 * n)
         k = symbols(key_cdf, u[:, 0])
         x_seq = symbols(x_cdf, u[:, 1:1 + n])
-        # enc[k, :, x^n] is prior * encoder; normalized it is the encoder
-        # conditional of the messages, freed before the posterior sweep
-        weights = enc[k, :, np.ravel_multi_index(x_seq.T, (scheme.nx,) * n)]
+        # the (k, x^n) cells scattered into (sample, m) rows are prior * encoder;
+        # normalized they are the encoder conditional of the messages, freed
+        # before the posterior sweep
+        cell, at = _fan(k * n_x + np.ravel_multi_index(x_seq.T, (scheme.nx,) * n), key_x_count)
+        weights = np.zeros((count, m_cells))
+        weights[cell, km[by_key_x[at]] % m_cells] = prior[by_key_x[at]]
         weights /= weights.sum(axis=1, keepdims=True)
         m_flat = symbols(_cdf(weights), u[:, 1 + n])
         del weights

@@ -4,6 +4,7 @@ Everything runs through ``cli.main`` in-process (argv lists, tmp_path
 output dirs); one subprocess test covers the ``python -m`` wiring.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -351,6 +352,38 @@ def test_simulate_byte_reproducible(tmp_path):
     metrics = dict(rows)
     assert metrics["payoff_exact"] == "0.319829244829"
     assert "payoff_mc_estimate" not in metrics
+
+
+# sha256 of each file of the CI's three corner runs (seed 7, 20 samples),
+# taken before the encoder, the emission laws and the posterior sweep kept
+# only nonzero cells: that change moved no byte
+CI_SIMULATE_DIGESTS = {
+    1: {
+        "simulate_audit.json": "c775c13f7a2df8269063aab76151b6820f3b89e64910755bad9edd7804ba7f57",
+        "simulate_results.csv": "d5adf9e48fbd02bbda438c8795c602b974c01db5dce001201c0006e1ac5ce489",
+    },
+    2: {
+        "simulate_audit.json": "d78e1b90e42e215d2935e3349f8db2ed4672d36c64ffd9d9616b35fc4d931d56",
+        "simulate_results.csv": "92de93891ee298bbc50def9d916a32ef9c885e7debe72ce5fe7e95a7629f9c17",
+        "simulate_trace.csv": "89235bddf82c06611ee3ace7410371d07da9dac9e392ff0594bcfa2970af8e2a",
+    },
+    3: {
+        "simulate_audit.json": "84f1bbdc94f748d2fce8ab4166f9798670a325d5052e44ccf767352607368bf5",
+        "simulate_results.csv": "5c444fca7ca968715820d44503e4d9c3502b3b6ecd699e57cd318d3f34e0f2be",
+    },
+}
+
+
+@pytest.mark.parametrize("n, bits", [(1, (1, 1, 2, 1, 2)), (2, (2, 3, 3, 1, 5)), (3, (3, 4, 4, 1, 5))])
+def test_simulate_writes_the_pinned_bytes_of_the_ci_runs(tmp_path, n, bits):
+    # the configs as .github/workflows/tests.yml writes them, the n = 2 one
+    # with its trace
+    spec = SchemeSpec(n=n, inner=corner_candidate(1), index_bits=IndexBits(*bits), side=EX.side)
+    problem = {"scheme": scheme_spec_to_json(spec), "payoff": payoff_to_json(EX.payoff), "trace": n == 2}
+    cfg = write_config(tmp_path, {"seed": 7, "samples": 20, "problem": problem})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    files = sorted((tmp_path / "out").iterdir())
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == CI_SIMULATE_DIGESTS[n]
 
 
 def without_hash_lines(text):

@@ -1,9 +1,11 @@
 """Inverse-CDF draws: zero-probability symbols have empty intervals."""
 
+import re
+
 import numpy as np
 import pytest
 
-from cascade_secrecy.rng import _cdf, sample_pmf, sample_rows, stream, symbols
+from cascade_secrecy.rng import _cdf, sample_pmf, sample_rows, stream, symbols, uniform_rows
 
 
 class _TopUniform:
@@ -77,3 +79,40 @@ def test_stream_takes_numpy_integer_tags_and_rows():
     want = stream(3, 2**64 - 1, row=5).random(3)
     got = stream(3, np.uint64(2**64 - 1), row=np.int64(5)).random(3)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "seed, tag, first, count, width",
+    [
+        (0, 0, 0, 1, 1),
+        (5, 0x53410006, 0, 400, 10),  # a simulate_n2 chunk: 2 + 4n uniforms a row
+        (2**64 - 1, 17, 288, 112, 7),
+        (3, 2**64 - 1, 2**64 - 3, 3, 9),  # the last rows a stream has
+    ],
+)
+def test_uniform_rows_are_the_rows_of_fresh_streams(seed, tag, first, count, width):
+    want = np.array([stream(seed, tag, row=s).random(width) for s in range(first, first + count)])
+    assert np.array_equal(uniform_rows(seed, tag, first, count, width), want)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2**64, 7, 0), (-1, 7, 0), (0, 2**64, 0), (0, 1.5, 0), (0, 7, -1), (0, 7, 2.5), (0, 7, 2**64),
+     (0, 7, True)],
+)
+def test_uniform_rows_raise_what_stream_raises(args):
+    with pytest.raises(ValueError) as want:
+        stream(*args[:2], row=args[2])
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        uniform_rows(*args, 2, 3)
+
+
+def test_uniform_rows_past_the_last_row_name_it():
+    # rows 2**64 - 2 and 2**64 - 1 exist; the third row would be 2**64
+    with pytest.raises(ValueError) as want:
+        stream(0, 7, row=2**64)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        uniform_rows(0, 7, 2**64 - 2, 3, 4)
+    assert uniform_rows(0, 7, 2**64 - 2, 2, 4).shape == (2, 4)
+    with pytest.raises(ValueError, match=r"count must be an integer >= 1"):
+        uniform_rows(0, 7, 0, 0, 4)

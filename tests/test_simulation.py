@@ -74,14 +74,14 @@ def corner_spec(n, bits, seed=0):
     return SchemeSpec(n=n, inner=CORNER, index_bits=bits, side=EX.side, seed=seed)
 
 
-def binary_side():
-    a = Alphabet("X", 2)
+def binary_side(nx=2):
+    a = Alphabet("X", nx)
     return SideInfoSpec.identity(a, Alphabet("Y2", 2), Alphabet("Y3", 2))
 
 
-def random_spec(rng_seed, n, bits, seed=0):
-    cand = random_factored_candidate(np.random.default_rng(rng_seed), (2, 2, 2, 1, 2, 2, 2))
-    return SchemeSpec(n=n, inner=cand, index_bits=bits, side=binary_side(), seed=seed)
+def random_spec(rng_seed, n, bits, seed=0, nx=2):
+    cand = random_factored_candidate(np.random.default_rng(rng_seed), (2, 2, 2, 1, nx, 2, 2))
+    return SchemeSpec(n=n, inner=cand, index_bits=bits, side=binary_side(nx), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +564,21 @@ def _loop_table(spec, cb):
     return table
 
 
+def _dense_encoder(engine):
+    """The engine's stored encoder cells as a dense (K, Ma, Mb, Mc, Md) + (|X|,)*n table."""
+    row, x, value = engine.enc
+    dense = np.zeros((engine.n_k * math.prod(engine.m_shape), engine.scheme.nx**engine.n))
+    dense[row, x] = value
+    return dense.reshape((engine.n_k,) + engine.m_shape + (engine.scheme.nx,) * engine.n)
+
+
 def _keywise_posteriors(engine, m, w_prefix, first=0):
     """Oracle: every time's posterior from scratch, one history and one key at a time."""
-    return np.array([_keywise_history(engine, tuple(mi), wi) for mi, wi in zip(m, w_prefix)])
+    enc = _dense_encoder(engine)
+    return np.array([_keywise_history(engine, enc, tuple(mi), wi) for mi, wi in zip(m, w_prefix)])
 
 
-def _keywise_history(engine, m, w_prefix):
+def _keywise_history(engine, enc, m, w_prefix):
     sch = engine.scheme
     n = engine.n
     d = sch.disclosure.reshape(sch.nx, sch.ny2 * sch.ny3, sch.n_w)
@@ -578,7 +587,7 @@ def _keywise_history(engine, m, w_prefix):
         post = np.zeros(sch.nx * sch.ny2 * sch.ny3)
         for k in range(engine.n_k):
             v1, v2 = engine.cb.v1[m][k], engine.cb.v2[m[0], m[1], k]
-            w = engine.enc[(k,) + m]
+            w = enc[(k,) + m]
             for s in range(t):
                 emit = np.outer(sch.y2_of_v1[v1[s]], sch.y3_of_v2[v2[s]]).ravel()
                 f_s = d[:, :, w_prefix[s]] @ emit
@@ -596,8 +605,11 @@ def _keywise_history(engine, m, w_prefix):
         random_spec(11, 2, IndexBits(1, 1, 1, 0, 1), seed=3),
         corner_spec(1, BITS_N1),
         random_spec(5, 3, IndexBits(1, 0, 1, 1, 2), seed=1),
+        # a ternary x^3 block: numpy adds the 9 later-symbol cells of a
+        # time-1 margin pairwise, not in order
+        random_spec(4, 3, IndexBits(1, 1, 1, 1, 2), nx=3),
     ],
-    ids=["random-n2", "corner-n1", "random-n3"],
+    ids=["random-n2", "corner-n1", "random-n3", "random-n3-ternary-x"],
 )
 def test_whole_array_table_and_sweep_match_the_loops(spec, monkeypatch):
     table = run_system_exact(spec)
@@ -606,6 +618,18 @@ def test_whole_array_table_and_sweep_match_the_loops(spec, monkeypatch):
     swept = mc_estimate(spec, payoff, 40, seed=9)
     monkeypatch.setattr(simulation._PosteriorEngine, "posteriors", _keywise_posteriors)
     assert mc_estimate(spec, payoff, 40, seed=9) == swept
+
+
+@pytest.mark.parametrize("size", [1, 3, 8, 9, 16, 27, 81, 127, 128, 129, 243, 300, 1025])
+def test_pairwise_sums_add_as_numpy_sums_a_block(size):
+    rng = np.random.default_rng(size)
+    dense = rng.random((5, size)) * 10.0 ** rng.integers(-12, 12, (5, size))
+    dense[rng.random((5, size)) < 0.4] = 0.0
+    dense[3] = 0.0
+    block, pos = np.nonzero(dense)
+    blocks, sums = simulation._pairwise_sums(block, pos, dense[block, pos], size)
+    assert blocks.tolist() == [b for b in range(5) if dense[b].any()]
+    assert np.array_equal(sums, dense.sum(axis=1)[blocks])
 
 
 def test_system_table_is_read_only_and_shared_by_its_joint():
@@ -905,13 +929,14 @@ def _per_sample_mc(spec, payoff, samples, seed):
     Returns (mean, se) and the trace CSV text."""
     engine = simulation._PosteriorEngine(build_codebooks(spec))
     sch, cb, n = engine.scheme, engine.cb, spec.n
+    dense_enc = _dense_encoder(engine)
     key_pmf = np.full(engine.n_k, 1.0 / engine.n_k)
     values, rows = [], []
     for sample in range(samples):
         gen = stream(seed, STREAM_SAMPLE, row=sample)
         k = int(sample_pmf(gen, key_pmf, ()))
         x_seq = sample_pmf(gen, sch.p_x, (n,))
-        weights = engine.enc[(k,) + (...,) + tuple(x_seq)]
+        weights = dense_enc[(k,) + (...,) + tuple(x_seq)]
         enc = weights / weights.sum()
         flat = int(sample_pmf(gen, enc.ravel(), ()))
         m = tuple(int(i) for i in np.unravel_index(flat, enc.shape))
@@ -972,10 +997,15 @@ def test_whole_array_mc_matches_the_per_sample_loop(spec, samples, seed, monkeyp
 
 
 def test_zero_probability_history_names_its_sample(monkeypatch):
-    # a negated encoder table draws the same messages (each normalized row
-    # is unchanged) but gives every history negative total mass
+    # negated encoder values draw the same messages (each normalized row
+    # is unchanged) but give every history negative total mass
     encoder_table = simulation._encoder_table
-    monkeypatch.setattr(simulation, "_encoder_table", lambda *a, **kw: -encoder_table(*a, **kw))
+
+    def negated(*args, **kwargs):
+        row, x, value = encoder_table(*args, **kwargs)
+        return row, x, -value
+
+    monkeypatch.setattr(simulation, "_encoder_table", negated)
     with pytest.raises(
         ZeroProbabilityError,
         match=r"sample 0: history with message \(\d+, \d+, \d+, \d+\) and disclosure"
