@@ -50,6 +50,7 @@ from .search import (
     _sweep_rates,
 )
 from .simulation import (
+    DEFAULT_CELL_CAP,
     empirical_equivocation,
     mc_estimate,
     run_system_exact,
@@ -411,7 +412,7 @@ def _audit(spec, table) -> dict:
     """Key uniformity and independence and both Markov chains of the exact
     system ``table``.  Every entropy is read off the grouped sums of its
     stored cells (``SystemTable.sums``); nothing dense is built but the
-    key marginal."""
+    key marginal P(K)."""
     xs, y2s, y3s = (tuple(f"{p}{t + 1}" for t in range(spec.n)) for p in ("X", "Y2_", "Y3_"))
     km = ("K", "Ma", "Mb", "Mc", "Md")
 
@@ -419,7 +420,9 @@ def _audit(spec, table) -> dict:
         return _entropy_of(table.sums(names)[1])
 
     head = table.sums(km + xs + y2s)[1]
-    p_k = table.marginal(("K",)).table
+    keys, mass = table.sums(("K",))
+    p_k = np.zeros(table.shape[0])
+    p_k[keys] = mass
     h_k, h_head = _entropy_of(p_k), _entropy_of(head)
     # chain 5, I(X^n, Mc, Md, Y2^n ; Y3^n | K, Ma, Mb), from its four entropies
     markov_5 = h_head + h("K", "Ma", "Mb", *y3s) - _entropy_of(table.values) - h("K", "Ma", "Mb")
@@ -450,13 +453,9 @@ def _run_simulate(run: _Run) -> int:
         raise SchemaError("problem.secret_set", "expected an array of variable names")
     secret = tuple(secret)
     cell_cap = run.problem.get("cell_cap")
-    cap_kwargs = (
-        {"cell_cap": _as_int(cell_cap, "problem.cell_cap", minimum=1)}
-        if cell_cap is not None
-        else {}
-    )
-
-    table = run_system_exact(spec, **cap_kwargs)
+    if cell_cap is None:
+        cell_cap = DEFAULT_CELL_CAP
+    table = run_system_exact(spec, cell_cap=_as_int(cell_cap, "problem.cell_cap", minimum=1))
     audit = _audit(spec, table)
     pi_exact = simulate_payoff(table, payoff)
     equiv = _built(lambda s: empirical_equivocation(table, s), secret, "problem.secret_set")

@@ -218,25 +218,21 @@ class SearchResult:
     message: str = ""
 
     def to_json(self) -> dict:
-        t = None
-        if self.tuple is not None:
-            pi = "-inf" if self.tuple.pi == -math.inf else self.tuple.pi
-            t = {
-                "r0": self.tuple.r0,
-                "r1": self.tuple.r1,
-                "r2": self.tuple.r2,
-                "pi": pi,
-                "forbidden": self.tuple.forbidden,
-            }
-        return {
-            "feasible": self.feasible,
-            "tuple": t,
-            "candidate": candidate_to_json(self.candidate) if self.candidate else None,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "wall_time": self.wall_time,
-            "message": self.message,
-        }
+        return _result_json(self)
+
+
+def _result_json(result) -> dict:
+    """A search result's fields in order: the candidate through
+    :func:`candidate_to_json`, a tuple through ``asdict`` with a -inf payoff
+    written as ``"-inf"``."""
+    out = {f.name: getattr(result, f.name) for f in fields(result)}
+    if out["candidate"] is not None:
+        out["candidate"] = candidate_to_json(out["candidate"])
+    if out.get("tuple") is not None:
+        out["tuple"] = asdict(out["tuple"])
+        if out["tuple"]["pi"] == -math.inf:
+            out["tuple"]["pi"] = "-inf"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -912,24 +908,27 @@ def _assemble_inner(
     py24 = struct.py2_rows.reshape(c_u2, c_a, c_b, c_c, -1)
     py32 = struct.py3_rows.reshape(c_u2, c_b, -1)
     table = np.einsum("ijkl,ijklx,ijkly,ikt->xytijkl", w4, px4, py24, py32)
+    return InnerCandidate(
+        _candidate_joint(table, problem, U2=c_u2, A=c_a, B=c_b, C=c_c),
+        u1=("U2", "A"),
+        u2="U2",
+        v1=("U2", "A", "B", "C"),
+        v2=("U2", "B"),
+    )
+
+
+def _candidate_joint(table: np.ndarray, problem, **aux: int) -> JointDistribution:
+    """``table`` clipped at 0 and normalized, over (X, Y2, Y3) and then the
+    ``aux`` variables of the given sizes, in order."""
     table = np.clip(table, 0.0, None)
     table /= table.sum()
     variables = (
         ("X", problem.p_x.alphabet),
         ("Y2", problem.y2_alphabet),
         ("Y3", problem.y3_alphabet),
-        ("U2", Alphabet("U2", c_u2)),
-        ("A", Alphabet("A", c_a)),
-        ("B", Alphabet("B", c_b)),
-        ("C", Alphabet("C", c_c)),
+        *((name, Alphabet(name, size)) for name, size in aux.items()),
     )
-    return InnerCandidate(
-        JointDistribution(variables, table),
-        u1=("U2", "A"),
-        u2="U2",
-        v1=("U2", "A", "B", "C"),
-        v2=("U2", "B"),
-    )
+    return JointDistribution(variables, table)
 
 
 def _certify(report, published: dict, reference) -> None:
@@ -1201,15 +1200,7 @@ class EquivocationSearchResult:
     message: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "value": self.value,
-            "candidate": candidate_to_json(self.candidate) if self.candidate else None,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "wall_time": self.wall_time,
-            "message": self.message,
-        }
+        return _result_json(self)
 
 
 @dataclass
@@ -1355,16 +1346,7 @@ def _assemble_equiv(params: _EquivParams, problem: EquivocationProblem) -> Equiv
             * py2[v1][None, :, None]
             * py3[v2][None, None, :]
         )
-    table = np.clip(table, 0.0, None)
-    table /= table.sum()
-    variables = (
-        ("X", problem.p_x.alphabet),
-        ("Y2", problem.y2_alphabet),
-        ("Y3", problem.y3_alphabet),
-        ("V1", Alphabet("V1", n_v1)),
-        ("V2", Alphabet("V2", n_v2)),
-    )
-    return EquivocationCandidate(JointDistribution(variables, table))
+    return EquivocationCandidate(_candidate_joint(table, problem, V1=n_v1, V2=n_v2))
 
 
 def _equiv_radices(problem: EquivocationProblem) -> tuple[int, ...]:

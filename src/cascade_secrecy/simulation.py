@@ -41,7 +41,6 @@ from .payoff import LogLossPayoff, _batched_values
 from .probability import (
     Alphabet,
     CapExceededError,
-    JointDistribution,
     ZeroProbabilityError,
     _check_cap,
     _entropies,
@@ -429,9 +428,7 @@ class SystemTable:
     ``index`` holds the cells' flat C-order positions, ascending, and
     ``values`` their probabilities; both are read-only.  ``sums`` groups
     the cells of a marginal and adds each group in index order; the audit,
-    the exact payoff and the equivocation read everything from it, and
-    ``marginal`` is its dense view.  ``table`` is the dense joint, built on
-    first access under ``cell_cap``; ``to_joint`` shares it.
+    the exact payoff and the equivocation read everything from it.
     """
 
     spec: SchemeSpec
@@ -457,20 +454,8 @@ class SystemTable:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """Shape of the dense table."""
+        """Axis sizes; ``index`` holds C-order positions over them."""
         return tuple(a.size for _, a in self._variables)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The dense table, zeros included."""
-        _check_cap(math.prod(self.shape), "dense system table", self.cell_cap)
-        dense = np.zeros(self.shape)
-        np.put(dense, self.index, self.values)
-        dense.setflags(write=False)
-        return dense
-
-    def to_joint(self) -> JointDistribution:
-        return JointDistribution(self._variables, self.table)
 
     def sums(self, names) -> tuple[np.ndarray, np.ndarray]:
         """The marginal over ``names`` as its cells with mass: their flat
@@ -495,15 +480,6 @@ class SystemTable:
             .astype(np.min_scalar_type(size - 1))
             for i, size in enumerate(self.shape)
         )
-
-    def marginal(self, names) -> JointDistribution:
-        """Dense view of ``sums(names)``, axes in table order."""
-        variables = tuple(v for v in self._variables if v[0] in names)
-        flat, mass = self.sums(names)
-        table = np.zeros([a.size for _, a in variables])
-        np.put(table, flat, mass)
-        table.setflags(write=False)
-        return JointDistribution(variables, table)
 
 
 def _group_sum(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -58,3 +58,11 @@ def random_factored_candidate(rng, sizes, concentration=3.0):
         x="X", y2="Y2", y3="Y3",
         u1=("U2", "A"), u2=("U2",), v1=("U2", "A", "B", "C"), v2=("U2", "B"),
     )
+
+
+def dense_joint(table):
+    """The dense joint of a ``SystemTable``: its stored cells scattered into
+    ``table.shape``, zeros included; the exact oracles' input."""
+    dense = np.zeros(table.shape)
+    np.put(dense, table.index, table.values)
+    return JointDistribution(table._variables, dense)

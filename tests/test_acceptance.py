@@ -11,7 +11,7 @@ import math
 import time
 
 import numpy as np
-from conftest import random_factored_candidate, random_joint
+from conftest import dense_joint, random_factored_candidate, random_joint
 
 from cascade_secrecy import cli
 from cascade_secrecy.bounds import (
@@ -171,14 +171,14 @@ def test_criterion_4_system_constraint_audit():
     ]
     for spec in specs:
         table = run_system_exact(spec)
-        joint = table.to_joint()
+        joint = dense_joint(table)
         n = spec.n
         xs = tuple(f"X{t + 1}" for t in range(n))
         y2s = tuple(f"Y2_{t + 1}" for t in range(n))
         y3s = tuple(f"Y3_{t + 1}" for t in range(n))
 
         n_k = spec.index_bits.sizes[4]
-        k_marg = table.table.reshape(n_k, -1).sum(axis=1)
+        k_marg = joint.table.reshape(n_k, -1).sum(axis=1)
         assert np.abs(k_marg - 1.0 / n_k).max() < 1e-14
         assert abs(entropy(joint, ("K",)) - spec.index_bits.key) < 1e-12
         assert mutual_information(joint, ("K",), xs) < 1e-12
@@ -221,7 +221,7 @@ def test_criterion_5_oracle_equivalence():
         "xa,yb,zc->xyzabc",
         spec.side.ch1.rows, spec.side.ch2.rows, spec.side.ch3.rows,
     ).reshape(8, -1)
-    q = table.table  # (k, ma, mb, mc, md, x1, x2, y21, y22, y31, y32)
+    q = dense_joint(table).table  # (k, ma, mb, mc, md, x1, x2, y21, y22, y31, y32)
     checked = 0
     for m in [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)]:
         sub = q[:, m[0], m[1], m[2], m[3]]

@@ -13,6 +13,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import dense_joint
+
 from cascade_secrecy import cli
 from cascade_secrecy import search as search_mod
 from cascade_secrecy import simulation
@@ -579,7 +581,7 @@ def _skewed_key(p):
 def test_simulate_audit_fails_loudly(tmp_path, monkeypatch, tamper, field, threshold):
     def tampered(spec, **kwargs):
         honest = run_system_exact(spec, **kwargs)
-        table = tamper(honest.table)
+        table = tamper(dense_joint(honest).table)
         index = np.flatnonzero(table)
         return SystemTable(spec, honest.codebooks, index, table.ravel()[index])
 

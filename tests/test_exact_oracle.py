@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_factored_candidate
+from conftest import dense_joint, random_factored_candidate
 
 from cascade_secrecy import cli, simulation
 from cascade_secrecy.bounds import SideInfoSpec
@@ -50,16 +50,13 @@ def _names(n):
     return tuple(tuple(f"{p}{t + 1}" for t in range(n)) for p in ("X", "Y2_", "Y3_"))
 
 
-def _dense(table, names):
-    """Marginal over ``names`` (table order) by a dense reduction of the joint."""
-    return marginalize(table.to_joint(), names)
-
-
 def dense_audit(spec, table):
     xs, y2s, y3s = _names(spec.n)
     h_all = entropy_of(table.values)
-    h_y3 = entropy_of(_dense(table, ("K", "Ma", "Mb") + y3s).table)
-    head = _dense(table, ("K", "Ma", "Mb", "Mc", "Md") + xs + y2s)
+    # marginals over names in table order, by dense reductions of the joint
+    joint = dense_joint(table)
+    h_y3 = entropy_of(marginalize(joint, ("K", "Ma", "Mb") + y3s).table)
+    head = marginalize(joint, ("K", "Ma", "Mb", "Mc", "Md") + xs + y2s)
     n_k = spec.index_bits.sizes[4]
     key_gap = float(np.abs(head.table.reshape(n_k, -1).sum(axis=1) - 1.0 / n_k).max())
     markov_4 = conditional_mutual_information(head, xs, y2s, ("K", "Ma", "Mb", "Mc", "Md"))
@@ -85,7 +82,8 @@ def dense_time_grouped(table):
     n = table.spec.n
     m_cells = int(np.prod(table.shape[1:5]))
     perm = list(range(4)) + [4 + block * n + t for t in range(n) for block in range(3)]
-    keyless = _dense(table, table.to_joint().names[1:]).table
+    joint = dense_joint(table)
+    keyless = marginalize(joint, joint.names[1:]).table
     q = np.transpose(keyless, perm)
     return q.reshape((m_cells,) + (scheme.nx * scheme.ny2 * scheme.ny3,) * n)
 
