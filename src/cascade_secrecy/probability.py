@@ -294,7 +294,7 @@ def _entropies(tables: np.ndarray) -> np.ndarray:
     are summed as one (rows, k) array of those cells, in order."""
     if len(tables) == 1:  # a stack of one, as in every refiner step
         return np.array([_entropy_of(tables)])
-    t = tables.reshape(len(tables), -1)
+    t = tables.reshape(len(tables), math.prod(tables.shape[1:]))  # an empty stack too
     positive = t > 0.0
     count = positive.sum(axis=1)
     out = np.zeros(len(t))

@@ -52,9 +52,11 @@ The equivocation search targets the log-loss disclosure family, where
 the reverse parameterization P(V1|X) makes even the source marginal
 exact by construction; only distortion and message-rate budgets remain
 as optimizer constraints.  None of them involves the key rate, so the
-screening keeps the indices of the feasible members, 1,024 members a
-kernel call, and re-rates each at every key rate in closed form,
-H(S) - [I(S;V1) - R0]+, from its stored H(S) and I(S;V1).  The inner
+screening keeps the indices of the feasible members and re-rates each at
+every key rate in closed form, H(S) - [I(S;V1) - R0]+, from its stored
+H(S) and I(S;V1).  It scores each (V1 map, Y2 map) pair first, since d1
+and I(X;V1) read nothing else, then only the members on the pairs within
+both budgets, up to 1,024 members a kernel call.  The inner
 search's trust-region LP loop refines the best sampled restarts over
 their free rows, each a simplex, linearizing the value and every budget
 with analytic gradients taken by the chain rule through the joint.  Each
@@ -1435,19 +1437,33 @@ def _refine_equiv(
 
 
 def _screen_equiv(problem: EquivocationProblem) -> tuple[_EquivStats, np.ndarray] | None:
-    """The statistics at ``problem.r0`` and the indices of the feasible
-    members of the enumerable family, scored in stacks of at most
-    ``_EQUIV_CHUNK``; None when the family is too large to enumerate."""
+    """The statistics at ``problem.r0`` and the indices, ascending, of the
+    feasible members of the enumerable family; None when it is too large to
+    enumerate.  ed1 reads only a member's V1 and Y2 maps and I(X;V1) only
+    its V1 map, so each (V1 map, Y2 map) pair is scored first, at V2 and Y3
+    maps 0, and only members on a pair within those two budgets are scored."""
     total = math.prod(_equiv_radices(problem))
     if total > DEFAULT_ENUM_LIMIT:
         return None
+    n_v1, n_v2 = problem.cap_v1, problem.cap_v2
+    # the numbers of V2 maps of V1, Y2 maps of V1 and Y3 maps of V2
+    n_g, n_h2, n_h3 = n_v2**n_v1, problem.y2_alphabet.size**n_v1, problem.y3_alphabet.size**n_v2
+    pair = np.arange(total // (n_g * n_h3))  # V1 map * n_h2 + Y2 map
+    firsts = (pair // n_h2 * n_g * n_h2 + pair % n_h2) * n_h3  # g = h3 = 0
+    firsts = _screened(problem, firsts, (("ed1", "max_d1"), ("i_xv1", "r1")))[1]
+    rest = (np.arange(n_g)[:, None] * (n_h2 * n_h3) + np.arange(n_h3)).ravel()
+    return _screened(problem, np.sort((firsts[:, None] + rest).ravel()), _EQUIV_BUDGETS)
+
+
+def _screened(problem: EquivocationProblem, index: np.ndarray, budgets) -> tuple:
+    """The statistics and indices of the members ``index`` within ``budgets``,
+    scored in stacks of at most ``_EQUIV_CHUNK``."""
     stats, kept = [], []
-    for start in range(0, total, _EQUIV_CHUNK):
-        index = np.arange(start, min(start + _EQUIV_CHUNK, total))
-        chunk = _equiv_stats(_equiv_members(problem, index), problem, problem.r0)
-        ok = _within(_limits(chunk, problem, _EQUIV_BUDGETS))  # feasible members only
+    for part in np.split(index, np.arange(_EQUIV_CHUNK, len(index), _EQUIV_CHUNK)):
+        chunk = _equiv_stats(_equiv_members(problem, part), problem, problem.r0)
+        ok = _within(_limits(chunk, problem, budgets))
         stats.append(_take(chunk, ok))
-        kept.append(index[ok])
+        kept.append(part[ok])
     return _concat(stats), np.concatenate(kept)
 
 

@@ -674,6 +674,37 @@ def test_equivocation_sweep_matches_the_library_sweep(tmp_path):
     assert sweep == _round_floats([{"r0": p.r0, "value": p.value} for p in points])
 
 
+def ci_equivocation_config(r0):
+    """The equivocation config of the CI step "Determinism across
+    processes": the grid run at r0 = 0, the off-grid run at r0 = 0.6."""
+    bit = {"name": "X", "size": 2, "labels": ["0", "1"]}
+    hamming = [[0.0, 1.0], [1.0, 0.0]]
+    return {"seed": 0, "restarts": 2, "problem": {
+        "p_x": {"variables": [bit], "table": [0.5, 0.5]}, "secret_set": ["X"],
+        "y2_alphabet": dict(bit, name="Y2"), "y3_alphabet": dict(bit, name="Y3"),
+        "d1": hamming, "d2": hamming, "max_d1": 0.0, "max_d2": 0.0,
+        "r0": r0, "r1": 1.0, "r2": 1.0, "cap_v1": 3, "cap_v2": 3,
+        "r0_grid": [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]}}
+
+
+#: sha256 of the file each CI equivocation run writes, by its r0
+CI_EQUIVOCATION_DIGESTS = {
+    0.0: "d4433dbff9ab022003714fb14c6d5b40c8fbad913b4df3509a15df8e708bd38c",
+    0.6: "496f025429430487dfa0f223f8ee1ba5e3adc97807d96819a781c1f26bfd907b",
+}
+
+
+@pytest.mark.parametrize("r0", [0.0, 0.6], ids=["det_equivocation", "det_offgrid"])
+def test_equivocation_writes_the_pinned_bytes_of_the_ci_runs(tmp_path, r0):
+    # the searches and the sweep publish the same winners however the
+    # family is screened, down to the last written digit
+    cfg = write_config(tmp_path, ci_equivocation_config(r0))
+    assert main(["equivocation", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    files = sorted((tmp_path / "out").iterdir())
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    assert digests == {"equivocation_result.json": CI_EQUIVOCATION_DIGESTS[r0]}
+
+
 @pytest.mark.parametrize(
     "r0, r0_grid, path",
     [

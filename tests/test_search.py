@@ -1496,23 +1496,198 @@ def product_members(problem):
                     yield np.eye(n_v1)[list(m)], np.eye(n_y2)[list(h2)], np.eye(n_y3)[list(h3)], g
 
 
-@pytest.mark.parametrize("cap_v1, cap_v2, chunks", [(3, 2, [1024, 1024, 256]), (2, 2, [256])])
-def test_equivocation_enumeration_follows_product_order(monkeypatch, cap_v1, cap_v2, chunks):
-    # 2,304 members fill two screening stacks and part of a third
-    stacks, members = [], search_mod._equiv_members
-    monkeypatch.setattr(
-        search_mod, "_equiv_members", lambda *args: stacks.append(members(*args)) or stacks[-1]
-    )
+@pytest.mark.parametrize("cap_v1, cap_v2, total", [(3, 2, 2304), (2, 2, 256)])
+def test_equivocation_enumeration_follows_product_order(cap_v1, cap_v2, total):
+    # member i of the family is the i-th of itertools.product over the four maps
     prob = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=cap_v1, cap_v2=cap_v2)
-    search_mod._screen_equiv(prob)
-    assert [len(s.g) for s in stacks] == chunks
-    got = search_mod._concat(stacks)
+    got = search_mod._equiv_members(prob, np.arange(total))
     for i, (e_rows, py2, py3, g) in enumerate(product_members(prob)):
         assert np.array_equal(got.e_rows[i], e_rows)
         assert np.array_equal(got.py2[i], py2)
         assert np.array_equal(got.py3[i], py3)
         assert tuple(got.g[i]) == g
-    assert i + 1 == sum(chunks)
+    assert i + 1 == total
+
+
+def full_screen(problem):
+    """The staged screen's oracle: every member of the family scored in one
+    stack at ``problem.r0``, then filtered by all four budgets."""
+    index = np.arange(math.prod(search_mod._equiv_radices(problem)))
+    stats = search_mod._equiv_stats(search_mod._equiv_members(problem, index), problem, problem.r0)
+    ok = search_mod._within(search_mod._limits(stats, problem, search_mod._EQUIV_BUDGETS))
+    return search_mod._take(stats, ok), index[ok]
+
+
+def assert_same_screen(got, want):
+    (stats, kept), (want_stats, want_kept) = got, want
+    assert np.array_equal(kept, want_kept) and np.all(np.diff(kept) > 0)
+    for field in dataclasses.fields(stats):
+        name = field.name
+        assert np.array_equal(getattr(stats, name), getattr(want_stats, name)), name
+
+
+def counted_members(monkeypatch):
+    """How many members each ``_equiv_members`` call builds, in call order."""
+    sizes, members = [], search_mod._equiv_members
+
+    def counted(problem, index):
+        sizes.append(len(index))
+        return members(problem, index)
+
+    monkeypatch.setattr(search_mod, "_equiv_members", counted)
+    return sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    secret=st.sampled_from(_EQUIV_SECRETS),
+    cap_v1=st.integers(1, 4),
+    cap_v2=st.integers(1, 4),
+    max_d=st.tuples(*[st.sampled_from([0.0, 0.2, 0.5, 1.0])] * 2),
+    rates=st.tuples(*[st.sampled_from([0.3, 1.0, math.inf])] * 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_staged_equivocation_screen_matches_full_enumeration(
+    secret, cap_v1, cap_v2, max_d, rates, seed
+):
+    # the screen scores the members of the (V1 map, Y2 map) pairs within
+    # ed1 and I(X;V1) only; it must keep the members, and the statistics,
+    # that scoring and filtering the whole family gives
+    rng = np.random.default_rng(seed)
+    problem = random_equiv_problem(rng, secret, cap_v1, cap_v2)
+    assume(math.prod(search_mod._equiv_radices(problem)) <= 20_000)  # the oracle's one stack
+    zeros = [rng.random(d.shape) < 0.3 for d in (problem.d1, problem.d2)]  # so max_d = 0 can hold
+    problem = dataclasses.replace(
+        problem,
+        d1=np.where(zeros[0], 0.0, problem.d1),
+        d2=np.where(zeros[1], 0.0, problem.d2),
+        max_d1=max_d[0],
+        max_d2=max_d[1],
+        r0=float(rng.choice([0.0, 0.5, 1.0])),
+        r1=rates[0],
+        r2=rates[1],
+    )
+    assert_same_screen(search_mod._screen_equiv(problem), full_screen(problem))
+
+
+def test_staged_equivocation_screen_keeps_nothing_when_no_pair_passes(monkeypatch):
+    # every Y2 letter costs distortion 1 against a cap of 0.5: no pair
+    # passes, so no member is scored past the pairs and the screen is empty
+    problem = dataclasses.replace(
+        binary_equiv_problem(0.5, 0.0), d1=np.ones((2, 2)), cap_v1=3, cap_v2=3
+    )
+    sizes = counted_members(monkeypatch)
+    stats, kept = search_mod._screen_equiv(problem)
+    assert sizes == [72, 0]
+    assert len(kept) == 0 and kept.dtype.kind == "i"
+    for field in dataclasses.fields(stats):
+        assert len(getattr(stats, field.name)) == 0, field.name
+    assert not search_equivocation(problem, restarts=1, seed=0).feasible
+
+
+def test_staged_equivocation_screen_scores_the_family_once_when_every_pair_passes(monkeypatch):
+    # vacuous ed1 and I(X;V1) budgets keep all 72 pairs: the screen scores
+    # the whole family after them, 216 members a pair, and matches the oracle
+    problem = dataclasses.replace(
+        binary_equiv_problem(1.0, 0.0), max_d2=0.0, r1=math.inf, cap_v1=3, cap_v2=3
+    )
+    sizes = counted_members(monkeypatch)
+    got = search_mod._screen_equiv(problem)
+    assert sizes == [72] + [1024] * 15 + [192]  # 15,552 members
+    assert_same_screen(got, full_screen(problem))
+
+
+def test_equivocation_screen_prunes_the_benchmark_problem(monkeypatch):
+    # the equiv_sweep benchmark's problem, criterion 3's zero-distortion
+    # Hamming problem at caps (3,3): 12 of the 72 pairs pass ed1 and
+    # I(X;V1), so 2,592 of the 15,552 members are scored
+    problem = dataclasses.replace(binary_equiv_problem(0.0, 0.0), cap_v1=3, cap_v2=3)
+    sizes = counted_members(monkeypatch)
+    stats, kept = search_mod._screen_equiv(problem)
+    assert sizes == [72, 1024, 1024, 544] and len(kept) == 432
+
+
+def assert_position_free(alone, stacked, n):
+    """Each of ``n`` members scores bit-equal alone and at every position of
+    a stack of all of them: ``alone[i]`` is member i's statistics on its own,
+    ``stacked(order)`` those of the stack of members ``order``, one per position."""
+    for shift in range(n):
+        order = [(p + shift) % n for p in range(n)]
+        for i, got in zip(order, stacked(order)):
+            assert got == alone[i], (shift, i, got, alone[i])
+
+
+_EQUIV_FIELDS = ("value", "h_s", "leak", "ed1", "ed2", "i_xv1", "i_xv2")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    secret=st.sampled_from(_EQUIV_SECRETS),
+    cap_v1=st.integers(1, 4),
+    cap_v2=st.integers(1, 4),
+    one_hot=st.lists(st.booleans(), min_size=4, max_size=4),
+    r0=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equivocation_kernel_is_free_of_the_stack(secret, cap_v1, cap_v2, one_hot, r0, seed):
+    # the screens score members in stacks of any size and make-up; a
+    # member's statistics must not depend on the stack or its place in it
+    rng = np.random.default_rng(seed)
+    problem = random_equiv_problem(rng, secret, cap_v1, cap_v2)
+
+    def member(deterministic):
+        def rows(n, k):
+            if deterministic:
+                return np.eye(k)[rng.integers(k, size=n)]
+            return rng.dirichlet(np.ones(k), size=n)
+
+        return random_member(rng, problem, rows, rng.integers(cap_v2, size=cap_v1))
+
+    members = [member(d) for d in one_hot]
+
+    def score(stack):
+        stats = search_mod._equiv_stats(stack, problem, r0)
+        return [tuple(getattr(stats, f)[k] for f in _EQUIV_FIELDS) for k in range(len(stack.g))]
+
+    alone = [score(one)[0] for one in members]
+
+    def stacked(order):
+        return score(search_mod._concat([members[i] for i in order]))
+
+    assert_position_free(alone, stacked, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.sampled_from(_EVAL_DIMS),
+    secret=st.sampled_from([None] + _LOG_LOSS_SECRETS),
+    stochastic=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inner_kernel_is_free_of_the_stack(dims, secret, stochastic, seed):
+    # as for the equivocation kernel: a map's statistics alone (the
+    # single-structure path) equal its statistics at every place in a stack
+    problem = eval_problem(secret)
+    rng = np.random.default_rng(seed)
+    pairs = search_mod._finite_pairs(problem)
+    structs = [search_mod._sample_structure(rng, dims, problem, pairs, s) for s in stochastic]
+    weights = [search_mod._start_weights(dims, rng) for _ in structs]
+    fields = [f.name for f in dataclasses.fields(search_mod._InnerStats)]
+    alone = [
+        tuple(getattr(search_mod._InnerEvaluator(s, problem).stats(w4), f) for f in fields)
+        for s, w4 in zip(structs, weights)
+    ]
+
+    def stacked(order):
+        rows = ("px_rows", "py2_rows", "py3_rows")
+        stack = search_mod._Structure(
+            dims, *(np.stack([getattr(structs[i], r) for i in order]) for r in rows)
+        )
+        w4 = np.stack([weights[i] for i in order])
+        stats = search_mod._InnerEvaluator(stack, problem).stats(w4)
+        return [tuple(getattr(stats, f)[k] for f in fields) for k in range(len(order))]
+
+    assert_position_free(alone, stacked, 4)
 
 
 @settings(max_examples=60, deadline=None)
